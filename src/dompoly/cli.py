@@ -35,20 +35,6 @@ _INPUT_ERRORS = (
     OSError,
 )
 
-_VERIFY_DEFAULT_MAX_N = {
-    "L2-union": 8,
-    "L3-cycle": 15,
-    "L4-gamma": 15,
-    "L5-alpha": 200,
-    "REL2-beta": 200,
-    "REL3-theta": 200,
-    "L6-ord3": 1000,
-    "R1-remark": 1000,
-    "T5-partitions": 40,
-    "T5-ten-cases": 60,
-}
-
-
 def _add_common_options(parser, for_subparser: bool):
     # On subparsers the defaults are SUPPRESS so a flag given after the
     # verb overrides the top-level value instead of being reset.
@@ -57,11 +43,6 @@ def _add_common_options(parser, for_subparser: bool):
         "--format", choices=("json", "table"),
         default=suppress if for_subparser else "json",
         help="output format (default json)",
-    )
-    parser.add_argument(
-        "--threads", type=int, metavar="N",
-        default=suppress if for_subparser else 1,
-        help="worker-count hint forwarded to parallel library calls",
     )
     parser.add_argument(
         "--guard-override", type=int, metavar="N",
@@ -78,9 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(parser, for_subparser=False)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_verb(*args, **kwargs):
-        p = sub.add_parser(*args, **kwargs)
+    def add_verb(name, func, **kwargs):
+        p = sub.add_parser(name, **kwargs)
         _add_common_options(p, for_subparser=True)
+        p.set_defaults(func=func)
         return p
 
     def add_graph_input(p):
@@ -91,26 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
                          help="graph6 file, one record per line")
 
     p = add_verb(
-        "poly",
+        "poly", _run_poly,
         help="domination polynomial of a graph (brute force; the cycle "
              "family uses its recurrence, so any order works)",
     )
     add_graph_input(p)
 
-    p = add_verb("cycle", help="cycle polynomial D(C_n,x) via the recurrence")
+    p = add_verb("cycle", _run_cycle, help="cycle polynomial D(C_n,x) via the recurrence")
     p.add_argument("n", type=int)
 
-    p = add_verb("eval", help="evaluate D (or a derivative) at an integer")
+    p = add_verb("eval", _run_eval, help="evaluate D (or a derivative) at an integer")
     add_graph_input(p)
     p.add_argument("--at", type=int, required=True, metavar="T")
     p.add_argument("--derivative", type=int, default=0, metavar="K",
                    help="evaluate the K-th formal derivative (default 0)")
 
-    p = add_verb("gamma", help="domination number by short-circuit enumeration")
+    p = add_verb("gamma", _run_gamma, help="domination number by short-circuit enumeration")
     add_graph_input(p)
 
-    p = add_verb("verify", help="run a verification check (or 'all')")
-    p.add_argument("lemma", choices=verify.LEMMA_IDS + ("all",))
+    p = add_verb("verify", _run_verify, help="run a verification check (or 'all')")
+    p.add_argument("lemma", choices=[*verify.CHECKS, "all"])
     p.add_argument("--max-n", type=int, default=None, metavar="N")
     p.add_argument("--min-part", type=int, choices=(1, 3), default=3)
     p.add_argument("--n", type=int, default=None,
@@ -120,19 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-dir", metavar="DIR",
                    help="directory of order<k>.g6 files; enables corpus checks under 'all'")
 
-    p = add_verb("search-partitions",
-                       help="list cycle partitions of n and which match D(C_n,x)")
+    p = add_verb("search-partitions", _run_search_partitions,
+                 help="list cycle partitions of n and which match D(C_n,x)")
     p.add_argument("n", type=int)
     p.add_argument("--min-part", type=int, choices=(1, 3), default=3)
 
-    p = add_verb("classify", help="group a graph6 corpus by domination polynomial")
+    p = add_verb("classify", _run_classify, help="group a graph6 corpus by domination polynomial")
     p.add_argument("corpus", metavar="FILE")
 
-    p = add_verb("path-class", help="check the size-two class of P_n over a corpus")
+    p = add_verb("path-class", _run_path_class, help="check the size-two class of P_n over a corpus")
     p.add_argument("n", type=int)
     p.add_argument("corpus", metavar="FILE")
 
-    p = add_verb("wheel", help="check that W_n's class is a singleton over a corpus")
+    p = add_verb("wheel", _run_wheel, help="check that W_n's class is a singleton over a corpus")
     p.add_argument("n", type=int)
     p.add_argument("corpus", metavar="FILE")
 
@@ -143,8 +125,22 @@ def build_parser() -> argparse.ArgumentParser:
 # Graph input plumbing
 # ---------------------------------------------------------------------------
 
-def _read_corpus(path_str: str) -> list[bytes]:
-    return list(iter_graph6_records(Path(path_str).read_bytes().splitlines()))
+def _read_corpus(path: str | Path) -> list[bytes]:
+    return list(iter_graph6_records(Path(path).read_bytes().splitlines()))
+
+
+def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:
+    """The order<k>.g6 files of a directory, keyed by k."""
+    corpora = {}
+    for f in sorted(Path(dir_str).glob("order*.g6")):
+        try:
+            order = int(f.stem.removeprefix("order"))
+        except ValueError:
+            raise ParameterDomainError(
+                f"corpus file {f} is not named order<k>.g6 with an integer k"
+            ) from None
+        corpora[order] = _read_corpus(f)
+    return corpora
 
 
 def _input_graphs(args) -> list[tuple[str, Graph]]:
@@ -172,7 +168,17 @@ def _cycle_order(args) -> int | None:
 # Verbs
 # ---------------------------------------------------------------------------
 
-def _run_poly(args, guard, threads):
+def _guard(args) -> int:
+    return DEFAULT_GUARD if args.guard_override is None else args.guard_override
+
+
+def _corpus_guard(args) -> int:
+    if args.guard_override is None:
+        return verify.DEFAULT_CORPUS_GUARD
+    return args.guard_override
+
+
+def _run_poly(args):
     n_cycle = _cycle_order(args)
     if n_cycle is not None:
         poly = cycles.cycle_polynomial(n_cycle)
@@ -181,7 +187,7 @@ def _run_poly(args, guard, threads):
     else:
         results = []
         for label, g in _input_graphs(args):
-            poly = domination_polynomial(g, guard=guard, threads=threads)
+            poly = domination_polynomial(g, guard=_guard(args))
             results.append({"source": label, "order": g.n,
                             "coefficients": poly.coefficient_strings()})
     return {"results": results}, True
@@ -192,7 +198,9 @@ def _run_cycle(args):
     return {"n": args.n, "coefficients": poly.coefficient_strings()}, True
 
 
-def _run_eval(args, guard, threads):
+def _run_eval(args):
+    if args.derivative < 0:
+        raise ParameterDomainError(f"--derivative must be >= 0, got {args.derivative}")
     n_cycle = _cycle_order(args)
     if n_cycle is not None:
         labeled = [(args.family, None)]
@@ -203,7 +211,7 @@ def _run_eval(args, guard, threads):
         poly = (
             cycles.cycle_polynomial(n_cycle)
             if g is None
-            else domination_polynomial(g, guard=guard, threads=threads)
+            else domination_polynomial(g, guard=_guard(args))
         )
         for _ in range(args.derivative):
             poly = poly.derivative()
@@ -216,17 +224,17 @@ def _run_eval(args, guard, threads):
     return {"results": results}, True
 
 
-def _run_gamma(args, guard):
+def _run_gamma(args):
     results = []
     for label, g in _input_graphs(args):
         results.append({
             "source": label, "order": g.n,
-            "gamma": domination_number(g, guard=guard),
+            "gamma": domination_number(g, guard=_guard(args)),
         })
     return {"results": results}, True
 
 
-def _run_verify(args, guard, corpus_guard, threads):
+def _run_verify(args):
     def need(flag, value):
         if value is None:
             raise ParameterDomainError(
@@ -234,51 +242,24 @@ def _run_verify(args, guard, corpus_guard, threads):
             )
         return value
 
-    max_n = args.max_n or _VERIFY_DEFAULT_MAX_N.get(args.lemma, 0)
-    lemma = args.lemma
-    if lemma == "all":
-        corpora = None
-        if args.corpus_dir:
-            corpora = {}
-            for f in sorted(Path(args.corpus_dir).glob("order*.g6")):
-                order = int(f.stem.removeprefix("order"))
-                corpora[order] = list(iter_graph6_records(f.read_bytes().splitlines()))
-        reports = verify.run_all(corpora=corpora, threads=threads)
+    if args.lemma == "all":
+        corpora = _read_corpus_dir(args.corpus_dir) if args.corpus_dir else None
+        reports = verify.run_all(corpora=corpora)
         ok = all(r.passed for r in reports)
         return {"reports": [r.to_json_dict() for r in reports]}, ok
 
-    if lemma == "L2-union":
-        rep = verify.verify_union_product(max_order=max_n, guard=guard)
-    elif lemma == "L3-cycle":
-        rep = verify.verify_cycle_recurrence(max_n)
-    elif lemma == "L4-gamma":
-        rep = verify.verify_gamma_additivity_and_ceiling(max_n)
-    elif lemma == "L5-alpha":
-        rep = verify.verify_alpha(max_n)
-    elif lemma == "REL2-beta":
-        rep = verify.verify_beta(max_n)
-    elif lemma == "REL3-theta":
-        rep = verify.verify_theta(max_n)
-    elif lemma == "L6-ord3":
-        rep = verify.verify_ord3_table(max_n)
-    elif lemma == "R1-remark":
-        rep = verify.verify_remark(max_n)
-    elif lemma == "T5-partitions":
-        rep = verify.verify_cycle_uniqueness_range(3, max_n, args.min_part)
-    elif lemma == "T5-ten-cases":
-        rep = verify.verify_ten_case_table(max_n)
-    elif lemma == "COR-wheel":
+    check = verify.CHECKS[args.lemma]
+    if check.default_n is None:
         records = _read_corpus(need("--corpus", args.corpus))
-        rep = verify.verify_wheel_uniqueness(
-            need("--n", args.n), records,
-            threads=threads, corpus_guard=corpus_guard,
-        )
-    else:  # P-path-class
-        records = _read_corpus(need("--corpus", args.corpus))
-        rep = verify.verify_path_class(
-            need("--n", args.n), records,
-            threads=threads, corpus_guard=corpus_guard,
-        )
+        rep = check.run(need("--n", args.n), records, corpus_guard=_corpus_guard(args))
+    else:
+        max_n = check.default_n if args.max_n is None else args.max_n
+        if max_n < check.min_n:
+            raise ParameterDomainError(
+                f"verify {args.lemma} covers n >= {check.min_n}; --max-n {max_n} "
+                f"leaves nothing to check"
+            )
+        rep = check.run(max_n, guard=_guard(args), min_part=args.min_part)
     return rep.to_json_dict(), rep.passed
 
 
@@ -299,27 +280,23 @@ def _run_search_partitions(args):
     return payload, True
 
 
-def _run_classify(args, guard, corpus_guard, threads):
+def _run_classify(args):
     records = _read_corpus(args.corpus)
     result = verify.classify_corpus(
-        records, threads=threads, corpus_guard=corpus_guard, guard=guard
+        records, corpus_guard=_corpus_guard(args), guard=_guard(args)
     )
     return result.to_json_dict(), True
 
 
-def _run_path_class(args, corpus_guard, threads):
+def _run_path_class(args):
     records = _read_corpus(args.corpus)
-    rep = verify.verify_path_class(
-        args.n, records, threads=threads, corpus_guard=corpus_guard
-    )
+    rep = verify.verify_path_class(args.n, records, corpus_guard=_corpus_guard(args))
     return rep.to_json_dict(), rep.passed
 
 
-def _run_wheel(args, corpus_guard, threads):
+def _run_wheel(args):
     records = _read_corpus(args.corpus)
-    rep = verify.verify_wheel_uniqueness(
-        args.n, records, threads=threads, corpus_guard=corpus_guard
-    )
+    rep = verify.verify_wheel_uniqueness(args.n, records, corpus_guard=_corpus_guard(args))
     return rep.to_json_dict(), rep.passed
 
 
@@ -339,10 +316,10 @@ def _render_table(verb: str, payload: dict) -> str:
         lines.append(f"{'check':<14} {'range':<12} {'status':<6} {'cex':>4}  claim")
         for r in reports:
             rng = f"{r['range'][0]}..{r['range'][1]}"
-            desc = verify.LEMMA_DESCRIPTIONS.get(r["lemma_id"], "")
+            claim = verify.CHECKS[r["lemma_id"]].claim
             lines.append(
                 f"{r['lemma_id']:<14} {rng:<12} {r['status']:<6} "
-                f"{len(r['counterexamples']):>4}  {desc}"
+                f"{len(r['counterexamples']):>4}  {claim}"
             )
         return "\n".join(lines)
     if verb == "classify":
@@ -373,33 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    guard = args.guard_override if args.guard_override is not None else DEFAULT_GUARD
-    corpus_guard = (
-        args.guard_override
-        if args.guard_override is not None
-        else verify.DEFAULT_CORPUS_GUARD
-    )
-    threads = max(1, args.threads)
-
     try:
-        if args.verb == "poly":
-            payload, ok = _run_poly(args, guard, threads)
-        elif args.verb == "cycle":
-            payload, ok = _run_cycle(args)
-        elif args.verb == "eval":
-            payload, ok = _run_eval(args, guard, threads)
-        elif args.verb == "gamma":
-            payload, ok = _run_gamma(args, guard)
-        elif args.verb == "verify":
-            payload, ok = _run_verify(args, guard, corpus_guard, threads)
-        elif args.verb == "search-partitions":
-            payload, ok = _run_search_partitions(args)
-        elif args.verb == "classify":
-            payload, ok = _run_classify(args, guard, corpus_guard, threads)
-        elif args.verb == "path-class":
-            payload, ok = _run_path_class(args, corpus_guard, threads)
-        else:
-            payload, ok = _run_wheel(args, corpus_guard, threads)
+        payload, ok = args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"dompoly: {exc}", file=sys.stderr)
         return 3

@@ -277,6 +277,8 @@ def has_duplicate_closed_neighborhoods(g: Graph) -> bool:
 
 _G6_MAX_N = (1 << 36) - 1
 _G6_HEADER = b">>graph6<<"
+# Each graph6 data byte, less 63, as its six bits, high bit first.
+_G6_SIX_BITS = tuple(format(x, "06b") for x in range(64))
 
 
 def parse_graph6(record: bytes | str) -> Graph:
@@ -302,23 +304,24 @@ def parse_graph6(record: bytes | str) -> Graph:
     if len(data) - pos > nbytes:
         raise Graph6ParseError("trailing bytes after bit vector", pos + nbytes)
 
+    groups = []
+    for i in range(pos, pos + nbytes):
+        if not 63 <= data[i] <= 126:
+            raise Graph6ParseError(f"byte {data[i]} outside graph6 range", i)
+        groups.append(_G6_SIX_BITS[data[i] - 63])
+    # Upper-triangle bits, column by column: (0,1), (0,2), (1,2), (0,3), ...
+    flags = "".join(groups)
+    if "1" in flags[nbits:]:
+        raise Graph6ParseError("nonzero padding bit", pos + nbytes - 1)
+
     closed = [1 << v for v in range(n)]
-    bit_index = 0
-    for i in range(nbytes):
-        byte = data[pos + i]
-        if not 63 <= byte <= 126:
-            raise Graph6ParseError(f"byte {byte} outside graph6 range", pos + i)
-        group = byte - 63
-        for k in range(5, -1, -1):
-            if bit_index >= nbits:
-                if (group >> k) & 1:
-                    raise Graph6ParseError("nonzero padding bit", pos + i)
-                continue
-            if (group >> k) & 1:
-                u, v = _EDGE_ORDER_CACHE.pair(bit_index)
+    k = 0
+    for v in range(1, n):
+        for u in range(v):
+            if flags[k] == "1":
                 closed[u] |= 1 << v
                 closed[v] |= 1 << u
-            bit_index += 1
+            k += 1
     return Graph(n, closed)
 
 
@@ -342,25 +345,6 @@ def _decode_bigendian(data: bytes, start: int, count: int) -> int:
             raise Graph6ParseError(f"invalid order byte {data[i]}", i)
         n = (n << 6) | (data[i] - 63)
     return n
-
-
-class _EdgeOrder:
-    """Maps bit positions of the upper-triangle, column-major bit vector
-    to vertex pairs: (0,1), (0,2), (1,2), (0,3), ..."""
-
-    def __init__(self):
-        self._pairs: list[tuple[int, int]] = []
-        self._next_v = 1
-
-    def pair(self, index: int) -> tuple[int, int]:
-        while index >= len(self._pairs):
-            v = self._next_v
-            self._pairs.extend((u, v) for u in range(v))
-            self._next_v += 1
-        return self._pairs[index]
-
-
-_EDGE_ORDER_CACHE = _EdgeOrder()
 
 
 def encode_graph6(g: Graph) -> bytes:

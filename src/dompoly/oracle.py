@@ -3,9 +3,8 @@
 This is the reference everything else is checked against, so it stays
 deliberately dumb: walk every nonempty vertex subset as a bitmask, OR the
 closed neighborhoods together, compare with the full-vertex mask. Two
-half-subset lookup tables make the per-mask work constant, and the mask
-range splits into contiguous chunks whose per-size counts add up, so the
-walk parallelizes without changing the answer.
+half-subset lookup tables make the per-mask work constant. The walk is
+one serial loop in one process.
 
 The enumeration is 2^n, so orders above a guard (default 24, ~16M masks)
 are refused unless the caller raises the guard explicitly.
@@ -13,7 +12,6 @@ are refused unless the caller raises the guard explicitly.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 from .errors import SizeGuardError
@@ -28,9 +26,6 @@ __all__ = [
 ]
 
 DEFAULT_GUARD = 24
-
-# Below this order the pool startup costs more than the enumeration.
-_PARALLEL_MIN_ORDER = 14
 
 
 def _check_guard(n: int, guard: int):
@@ -55,64 +50,29 @@ def _half_tables(closed: tuple[int, ...], n: int) -> tuple[list[int], list[int],
     return low, high, h
 
 
-def _count_chunk(closed: tuple[int, ...], n: int, lo: int, hi: int) -> list[int]:
-    """Per-size counts of dominating sets among masks in [lo, hi)."""
-    low, high, h = _half_tables(closed, n)
-    full = (1 << n) - 1
-    low_mask = (1 << h) - 1
-    counts = [0] * (n + 1)
-    for m in range(lo, hi):
-        if low[m & low_mask] | high[m >> h] == full:
-            counts[m.bit_count()] += 1
-    return counts
-
-
-def domination_profile(
-    g: Graph,
-    *,
-    guard: int = DEFAULT_GUARD,
-    threads: int = 1,
-    chunks: int | None = None,
-) -> tuple[int, ...]:
+def domination_profile(g: Graph, *, guard: int = DEFAULT_GUARD) -> tuple[int, ...]:
     """Exact counts (d(G,1), ..., d(G,n)) by brute-force enumeration.
 
-    `chunks` splits the mask range for parallel workers; the merged result
-    is identical for any chunk count. The null graph yields ().
+    The null graph yields ().
     """
     n = g.n
     _check_guard(n, guard)
     if n == 0:
         return ()
-    if chunks is None:
-        chunks = max(1, threads)
-    total = 1 << n
-    bounds = [total * i // chunks for i in range(chunks + 1)]
-    jobs = [
-        (g.closed, n, max(1, bounds[i]), bounds[i + 1])
-        for i in range(chunks)
-        if bounds[i + 1] > max(1, bounds[i])
-    ]
-    if threads > 1 and n >= _PARALLEL_MIN_ORDER and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_count_chunk_star, jobs))
-    else:
-        partials = [_count_chunk(*job) for job in jobs]
-    merged = [0] * (n + 1)
-    for part in partials:
-        for i, c in enumerate(part):
-            merged[i] += c
-    return tuple(merged[1:])
-
-
-def _count_chunk_star(job):
-    return _count_chunk(*job)
+    low, high, h = _half_tables(g.closed, n)
+    full = (1 << n) - 1
+    low_mask = (1 << h) - 1
+    counts = [0] * (n + 1)
+    for m in range(1, 1 << n):
+        if low[m & low_mask] | high[m >> h] == full:
+            counts[m.bit_count()] += 1
+    return tuple(counts[1:])
 
 
 def domination_polynomial(
     g: Graph,
     *,
     guard: int = DEFAULT_GUARD,
-    threads: int = 1,
     use_components: bool = False,
 ) -> IntPolynomial:
     """Brute-force domination polynomial; constant 1 for the null graph.
@@ -132,11 +92,9 @@ def domination_polynomial(
             result = IntPolynomial.one()
             for mask in comps:
                 sub = g.induced_subgraph(mask)
-                result = result * domination_polynomial(
-                    sub, guard=guard, threads=threads
-                )
+                result = result * domination_polynomial(sub, guard=guard)
             return result
-    counts = domination_profile(g, guard=guard, threads=threads)
+    counts = domination_profile(g, guard=guard)
     return IntPolynomial((0,) + counts)
 
 

@@ -16,10 +16,9 @@ evaluations at -1.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cycles import (
     alpha,
@@ -40,8 +39,8 @@ from .oracle import DEFAULT_GUARD, domination_number, domination_polynomial
 from .polynomials import IntPolynomial, ord_p
 
 __all__ = [
-    "LEMMA_IDS",
-    "LEMMA_DESCRIPTIONS",
+    "Check",
+    "CHECKS",
     "VerificationReport",
     "EquivalenceClassReport",
     "CorpusClassification",
@@ -65,37 +64,6 @@ __all__ = [
 ]
 
 DEFAULT_CORPUS_GUARD = 9
-
-LEMMA_IDS = (
-    "L2-union",
-    "L3-cycle",
-    "L4-gamma",
-    "L5-alpha",
-    "L6-ord3",
-    "R1-remark",
-    "REL2-beta",
-    "REL3-theta",
-    "T5-partitions",
-    "T5-ten-cases",
-    "COR-wheel",
-    "P-path-class",
-)
-
-LEMMA_DESCRIPTIONS = {
-    "L2-union": "domination polynomial of a disjoint union equals the product over components",
-    "L3-cycle": "three-term cycle recurrence reproduces the brute-force cycle polynomial",
-    "L4-gamma": "gamma(C_n) = ceil(n/3), and gamma adds over cycle partitions",
-    "L5-alpha": "D(C_n,-1) closed form (3 when 4|n, else -1)",
-    "L6-ord3": "ord_3 of D(C_n,-3) follows the ceil(n/3) table; 9 never divides b_n",
-    "R1-remark": "mod-27 residues {4,13,22} pin down the ambiguous ord_3 branch; b mod 9 has period 27",
-    "REL2-beta": "D'(C_n,-1) closed form (-n, n, 0, 0 by n mod 4)",
-    "REL3-theta": "D''(C_n,-1) closed form by n mod 4",
-    "T5-partitions": "only the trivial cycle partition reproduces D(C_n,x)",
-    "T5-ten-cases": "every alpha-compatible part triple falls in the 10-case table and is eliminated",
-    "COR-wheel": "the wheel's polynomial-equivalence class over a complete corpus is a singleton",
-    "P-path-class": "the path's class has exactly two members; the companion construction realizes it",
-}
-
 
 @dataclass
 class VerificationReport:
@@ -549,15 +517,9 @@ def _record_text(record: bytes | str) -> str:
     return record
 
 
-def _poly_key(job) -> tuple[int, ...]:
-    g, guard = job
-    return domination_polynomial(g, guard=guard).coeffs
-
-
 def classify_corpus(
     records: Iterable[bytes | str],
     *,
-    threads: int = 1,
     corpus_guard: int = DEFAULT_CORPUS_GUARD,
     guard: int = DEFAULT_GUARD,
 ) -> CorpusClassification:
@@ -569,7 +531,7 @@ def classify_corpus(
 
     Classes come back sorted by descending size, then by key polynomial
     (degree, then coefficients); members are sorted strings, so output is
-    deterministic regardless of input order or worker count.
+    deterministic regardless of input order.
     """
     parsed: list[tuple[str, Graph]] = []
     errors: list[dict] = []
@@ -590,15 +552,9 @@ def classify_corpus(
             )
         parsed.append((_record_text(rec), g))
 
-    jobs = [(g, guard) for _, g in parsed]
-    if threads > 1 and len(jobs) > 256:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            keys = list(pool.map(_poly_key, jobs, chunksize=256))
-    else:
-        keys = [_poly_key(job) for job in jobs]
-
     groups: dict[tuple[int, ...], list[str]] = {}
-    for (text, _), key in zip(parsed, keys):
+    for text, g in parsed:
+        key = domination_polynomial(g, guard=guard).coeffs
         groups.setdefault(key, []).append(text)
 
     classes = [
@@ -613,7 +569,6 @@ def verify_wheel_uniqueness(
     n: int,
     records: Iterable[bytes | str],
     *,
-    threads: int = 1,
     corpus_guard: int = DEFAULT_CORPUS_GUARD,
 ) -> VerificationReport:
     """Over a complete order-n corpus, W_n's class must be a singleton."""
@@ -621,7 +576,7 @@ def verify_wheel_uniqueness(
         raise ParameterDomainError(f"wheel uniqueness needs n >= 4, got {n}")
     t0 = time.perf_counter()
     target = domination_polynomial(wheel(n))
-    result = classify_corpus(records, threads=threads, corpus_guard=corpus_guard)
+    result = classify_corpus(records, corpus_guard=corpus_guard)
     cls = result.class_of(target)
     bad = []
     if cls is None:
@@ -659,7 +614,6 @@ def verify_path_class(
     n: int,
     records: Iterable[bytes | str],
     *,
-    threads: int = 1,
     corpus_guard: int = DEFAULT_CORPUS_GUARD,
 ) -> VerificationReport:
     """P_n (for 3 | n) has a class of exactly two members over the corpus.
@@ -679,7 +633,7 @@ def verify_path_class(
         companion = path_companion(n, variant)
         variant_matches[variant] = domination_polynomial(companion) == target
 
-    result = classify_corpus(records, threads=threads, corpus_guard=corpus_guard)
+    result = classify_corpus(records, corpus_guard=corpus_guard)
     cls = result.class_of(target)
     bad = []
     size = 0 if cls is None else cls.class_size
@@ -706,38 +660,101 @@ def verify_path_class(
 # Full suite
 # ---------------------------------------------------------------------------
 
-def run_all(
-    *,
-    corpora: dict[int, list[bytes]] | None = None,
-    threads: int = 1,
-) -> list[VerificationReport]:
-    """Run every check at its default range.
+
+@dataclass(frozen=True)
+class Check:
+    """One claim of the paper, runnable by its id.
+
+    A range check (`default_n` set) covers min_n..max_n and runs as
+    `run(max_n, guard=..., min_part=...)`. A corpus check (`default_n`
+    None) covers one order n out of min_n, min_n + step, ... and runs as
+    `run(n, records, corpus_guard=...)` over the complete corpus of that
+    order. Each runner looks its `verify_*` function up by module-global
+    name when called, so a wrapper bound to that name (a profiler, say)
+    sees the call.
+    """
+
+    claim: str
+    run: Callable[..., VerificationReport]
+    min_n: int
+    default_n: int | None = None
+    step: int = 1
+
+    def covers(self, n: int) -> bool:
+        return n >= self.min_n and (n - self.min_n) % self.step == 0
+
+
+# In `run_all` order: range checks first, then the corpus checks.
+CHECKS: dict[str, Check] = {
+    "L2-union": Check(
+        "domination polynomial of a disjoint union equals the product over components",
+        lambda n, guard=DEFAULT_GUARD, **_: verify_union_product(max_order=n, guard=guard),
+        1, 8,
+    ),
+    "L3-cycle": Check(
+        "three-term cycle recurrence reproduces the brute-force cycle polynomial",
+        lambda n, **_: verify_cycle_recurrence(n), 1, 15,
+    ),
+    "L4-gamma": Check(
+        "gamma(C_n) = ceil(n/3), and gamma adds over cycle partitions",
+        lambda n, **_: verify_gamma_additivity_and_ceiling(n), 1, 15,
+    ),
+    "L5-alpha": Check(
+        "D(C_n,-1) closed form (3 when 4|n, else -1)",
+        lambda n, **_: verify_alpha(n), 1, 200,
+    ),
+    "REL2-beta": Check(
+        "D'(C_n,-1) closed form (-n, n, 0, 0 by n mod 4)",
+        lambda n, **_: verify_beta(n), 1, 200,
+    ),
+    "REL3-theta": Check(
+        "D''(C_n,-1) closed form by n mod 4",
+        lambda n, **_: verify_theta(n), 1, 200,
+    ),
+    "L6-ord3": Check(
+        "ord_3 of D(C_n,-3) follows the ceil(n/3) table; 9 never divides b_n",
+        lambda n, **_: verify_ord3_table(n), 1, 1000,
+    ),
+    "R1-remark": Check(
+        "mod-27 residues {4,13,22} pin down the ambiguous ord_3 branch; b mod 9 has period 27",
+        lambda n, **_: verify_remark(n), 1, 1000,
+    ),
+    "T5-partitions": Check(
+        "only the trivial cycle partition reproduces D(C_n,x)",
+        lambda n, min_part=3, **_: verify_cycle_uniqueness_range(3, n, min_part), 3, 40,
+    ),
+    "T5-ten-cases": Check(
+        "every alpha-compatible part triple falls in the 10-case table and is eliminated",
+        lambda n, **_: verify_ten_case_table(n), 9, 60,
+    ),
+    "COR-wheel": Check(
+        "the wheel's polynomial-equivalence class over a complete corpus is a singleton",
+        lambda n, records, corpus_guard=DEFAULT_CORPUS_GUARD: verify_wheel_uniqueness(
+            n, records, corpus_guard=corpus_guard
+        ),
+        4,
+    ),
+    "P-path-class": Check(
+        "the path's class has exactly two members; the companion construction realizes it",
+        lambda n, records, corpus_guard=DEFAULT_CORPUS_GUARD: verify_path_class(
+            n, records, corpus_guard=corpus_guard
+        ),
+        6, step=3,
+    ),
+}
+
+
+def run_all(*, corpora: dict[int, list[bytes]] | None = None) -> list[VerificationReport]:
+    """Run every check in `CHECKS` at its default range.
 
     `corpora` maps graph order to graph6 records of the complete corpus
-    of that order; the corpus-backed checks (COR-wheel, P-path-class) run
-    for the orders provided and are omitted otherwise.
+    of that order; each corpus check runs for every provided order it
+    covers and is omitted otherwise.
     """
-    reports = [
-        verify_union_product(),
-        verify_cycle_recurrence(),
-        verify_gamma_additivity_and_ceiling(),
-        verify_alpha(),
-        verify_beta(),
-        verify_theta(),
-        verify_ord3_table(),
-        verify_remark(),
-        verify_cycle_uniqueness_range(),
-        verify_ten_case_table(),
-    ]
-    if corpora:
-        for n in sorted(corpora):
-            if n >= 4:
-                reports.append(
-                    verify_wheel_uniqueness(n, corpora[n], threads=threads)
-                )
-        for n in sorted(corpora):
-            if n >= 6 and n % 3 == 0:
-                reports.append(
-                    verify_path_class(n, corpora[n], threads=threads)
-                )
+    reports = [c.run(c.default_n) for c in CHECKS.values() if c.default_n is not None]
+    for check in CHECKS.values():
+        if check.default_n is None:
+            reports += [
+                check.run(n, corpora[n]) for n in sorted(corpora or ()) if check.covers(n)
+            ]
     return reports

@@ -26,9 +26,9 @@ def classified(corpus):
     """Memoized corpus classification, shared by corpus-heavy tests."""
     cache = {}
 
-    def get(n: int, threads: int = 1):
+    def get(n: int):
         if n not in cache:
-            cache[n] = classify_corpus(corpus(n), threads=threads)
+            cache[n] = classify_corpus(corpus(n))
         return cache[n]
 
     return get

@@ -102,7 +102,7 @@ def test_criterion_07_cycle_class_singleton_over_corpora(corpus, classified):
     t0 = time.perf_counter()
     ok = True
     for n in range(4, 9):
-        result = classified(n, threads=2)
+        result = classified(n)
         total = sum(c.class_size for c in result.classes)
         ok = ok and total == {4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}[n]
         cls = result.class_of(domination_polynomial(cycle(n)))

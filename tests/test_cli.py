@@ -1,11 +1,13 @@
+import argparse
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from dompoly.cli import main
+from dompoly.cli import build_parser, main
 from dompoly.graphs import complete, cycle, encode_graph6, path, wheel
-from dompoly.verify import path_companion
+from dompoly.verify import CHECKS, path_companion, run_all
 
 from conftest import CORPUS_DIR
 
@@ -96,9 +98,29 @@ def test_verify_all_with_corpus_dir(capsys):
     )
     assert code == 0
     ids = [r["lemma_id"] for r in json.loads(out)["reports"]]
-    assert ids.count("COR-wheel") == 5
-    assert ids.count("P-path-class") == 1
-    assert "T5-ten-cases" in ids
+    assert ids == [
+        "L2-union", "L3-cycle", "L4-gamma", "L5-alpha", "REL2-beta",
+        "REL3-theta", "L6-ord3", "R1-remark", "T5-partitions", "T5-ten-cases",
+        *["COR-wheel"] * 5, "P-path-class",
+    ]
+
+
+def test_verify_choices_are_the_check_registry():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    lemma = next(a for a in verbs.choices["verify"]._actions if a.dest == "lemma")
+    assert list(lemma.choices) == [*CHECKS, "all"]
+
+
+def test_verify_default_range_matches_run_all(capsys):
+    suite = {r.lemma_id: list(r.range_checked) for r in run_all()}
+    range_ids = [i for i, c in CHECKS.items() if c.default_n is not None]
+    assert list(suite) == range_ids
+    for lemma in range_ids:
+        code, out, _ = run(capsys, "verify", lemma)
+        assert code == 0, lemma
+        check = CHECKS[lemma]
+        assert json.loads(out)["range"] == suite[lemma] == [check.min_n, check.default_n]
 
 
 def test_exit_code_1_on_verification_failure(capsys, tmp_path):
@@ -132,6 +154,20 @@ def test_exit_code_3_on_input_errors(capsys, tmp_path):
     assert code == 3 and "guard" in err
     code, _, err = run(capsys, "verify", "COR-wheel")  # missing --n/--corpus
     assert code == 3
+    # a --max-n below the check's first n would pass over an empty range
+    for lemma, max_n in (("L5-alpha", "0"), ("T5-partitions", "2"),
+                         ("T5-ten-cases", "5"), ("L3-cycle", "-4")):
+        code, out, err = run(capsys, "verify", lemma, "--max-n", max_n)
+        assert code == 3 and "dompoly:" in err and out == "", lemma
+    code, out, err = run(capsys, "eval", "--family", "cycle:6", "--at", "-1",
+                         "--derivative", "-1")
+    assert code == 3 and "dompoly:" in err and out == ""
+    corpus_dir = tmp_path / "corpora"
+    corpus_dir.mkdir()
+    shutil.copy(CORPUS_DIR / "order4.g6", corpus_dir / "order4.g6")
+    (corpus_dir / "orderX.g6").write_bytes(b"@\n")
+    code, out, err = run(capsys, "verify", "all", "--corpus-dir", str(corpus_dir))
+    assert code == 3 and "orderX.g6" in err and out == ""
 
 
 def test_guard_override(capsys, tmp_path):
@@ -176,14 +212,6 @@ def test_common_flags_accepted_after_the_verb(capsys):
     code, after, _ = run(capsys, "verify", "L3-cycle", "--max-n", "8", "--format", "table")
     assert code == 0
     assert before == after
-
-
-def test_threads_flag_smoke(capsys, tmp_path):
-    f = tmp_path / "few.g6"
-    f.write_bytes(b"\n".join(encode_graph6(cycle(k)) for k in range(3, 9)) + b"\n")
-    code, out, _ = run(capsys, "--threads", "2", "classify", str(f))
-    assert code == 0
-    assert len(json.loads(out)["classes"]) == 6
 
 
 def test_eval_on_complete_family(capsys):

@@ -74,16 +74,6 @@ def test_union_product_law_random_pairs():
         )
 
 
-def test_chunking_and_threads_do_not_change_results():
-    g = cycle(11)
-    base = domination_profile(g)
-    for chunks in (2, 3, 7, 64):
-        assert domination_profile(g, chunks=chunks) == base
-    assert domination_profile(g, threads=2) == base
-    big = disjoint_union(cycle(8), cycle(7))
-    assert domination_profile(big, threads=2, chunks=8) == domination_profile(big)
-
-
 def test_relabeling_preserves_profile():
     # same structure, scrambled labels
     perm = [3, 0, 5, 1, 4, 2]

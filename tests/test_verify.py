@@ -244,7 +244,7 @@ def test_classify_order5_connected(corpus):
 
 def test_classify_is_deterministic_and_sound(corpus):
     result = classify_corpus(corpus(6))
-    again = classify_corpus(list(reversed(corpus(6))), threads=2)
+    again = classify_corpus(list(reversed(corpus(6))))
     assert [c.to_json_dict() for c in result.classes] == [
         c.to_json_dict() for c in again.classes
     ]
