@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -94,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_verb("verify", _run_verify, help="run a verification check (or 'all')")
     p.add_argument("lemma", choices=[*verify.CHECKS, "all"])
     p.add_argument("--max-n", type=int, default=None, metavar="N")
-    p.add_argument("--min-part", type=int, choices=(1, 3), default=3)
+    p.add_argument("--min-part", type=int, choices=(1, 3), default=None,
+                   help="T5-partitions only: smallest cycle part (default 3)")
     p.add_argument("--n", type=int, default=None,
                    help="graph order for corpus-backed checks")
     p.add_argument("--corpus", metavar="FILE",
@@ -234,6 +236,25 @@ def _run_gamma(args):
     return {"results": results}, True
 
 
+def _reject_ignored_verify_flags(args):
+    """A flag the chosen check would ignore is an input error, not a no-op."""
+    check = verify.CHECKS.get(args.lemma)
+    if check is None:
+        kind = "all"
+    else:
+        kind = "range" if check.default_n is not None else "corpus"
+    taken_by = (
+        ("--max-n", args.max_n, kind == "range"),
+        ("--min-part", args.min_part, args.lemma == "T5-partitions"),
+        ("--n", args.n, kind == "corpus"),
+        ("--corpus", args.corpus, kind == "corpus"),
+        ("--corpus-dir", args.corpus_dir, kind == "all"),
+    )
+    for flag, value, taken in taken_by:
+        if value is not None and not taken:
+            raise ParameterDomainError(f"verify {args.lemma} does not take {flag}")
+
+
 def _run_verify(args):
     def need(flag, value):
         if value is None:
@@ -242,6 +263,7 @@ def _run_verify(args):
             )
         return value
 
+    _reject_ignored_verify_flags(args)
     if args.lemma == "all":
         corpora = _read_corpus_dir(args.corpus_dir) if args.corpus_dir else None
         reports = verify.run_all(corpora=corpora)
@@ -259,16 +281,16 @@ def _run_verify(args):
                 f"verify {args.lemma} covers n >= {check.min_n}; --max-n {max_n} "
                 f"leaves nothing to check"
             )
-        rep = check.run(max_n, guard=_guard(args), min_part=args.min_part)
+        min_part = 3 if args.min_part is None else args.min_part
+        rep = check.run(max_n, guard=_guard(args), min_part=min_part)
     return rep.to_json_dict(), rep.passed
 
 
 def _run_search_partitions(args):
-    target = cycles.cycle_polynomial(args.n)
     rows = []
     matches = 0
     for parts in verify.enumerate_partitions(args.n, args.min_part):
-        hit = verify.partition_polynomial(parts) == target
+        hit = verify.partition_matches_cycle(parts)
         matches += hit
         rows.append({"parts": list(parts), "matches": hit})
     payload = {
@@ -356,10 +378,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"dompoly: {exc}", file=sys.stderr)
         return 3
 
-    if args.format == "table":
-        print(_render_table(args.verb, payload))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        if args.format == "table":
+            print(_render_table(args.verb, payload))
+        else:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`... | head`). As in Python's documented
+        # recipe, point stdout at devnull so the interpreter's final flush
+        # does not raise again, and report the run's own outcome.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if ok else 1
 
 

@@ -11,10 +11,20 @@ D(C_n, x); and over a complete small-order corpus, no graph at all shares
 a cycle's polynomial. The ten-case table check replays the elimination
 of three-part partitions at the level of first and second derivative
 evaluations at -1.
+
+Every cycle-partition check asks `partition_matches_cycle`, which works
+fingerprint first, full compare second: the product of the parts'
+values D(C_p, t) mod 2^61-1 at one fixed point t must equal D(C_n, t)
+mod 2^61-1 before the product polynomial is built and compared with
+D(C_n, x) coefficient by coefficient. Equal polynomials have equal
+values, so the fingerprint only ever rejects; a match is always decided
+by the exact compare.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
 from random import Random
@@ -46,6 +56,8 @@ __all__ = [
     "CorpusClassification",
     "enumerate_partitions",
     "partition_polynomial",
+    "cycle_fingerprint",
+    "partition_matches_cycle",
     "verify_union_product",
     "verify_cycle_recurrence",
     "verify_gamma_additivity_and_ceiling",
@@ -141,6 +153,42 @@ def partition_polynomial(parts: Iterable[int]) -> IntPolynomial:
     return result
 
 
+# A fingerprint is D(C_p, t) mod a prime at one fixed point t. Evaluation
+# at t is a ring map, so by the product law (L2) a partition whose
+# polynomial equals D(C_n) has the same fingerprint product as D(C_n).
+# The point stays away from -1, 0 and 1: at -1, D(C_n) takes only the
+# values 3 and -1 (L5-alpha), so that point would separate almost nothing.
+FINGERPRINT_MODULUS = 2**61 - 1
+FINGERPRINT_POINT = 1_000_003
+
+
+@functools.cache
+def cycle_fingerprint(p: int) -> int:
+    """D(C_p, FINGERPRINT_POINT) mod FINGERPRINT_MODULUS, by Horner's rule."""
+    value = 0
+    for c in reversed(cycle_polynomial(p).coeffs):
+        value = (value * FINGERPRINT_POINT + c) % FINGERPRINT_MODULUS
+    return value
+
+
+def _match_cycle(parts: tuple[int, ...]) -> bool | None:
+    """None when the fingerprints already differ, so no full compare ran;
+    otherwise whether the product polynomial equals D(C_n), n = sum(parts)."""
+    n = sum(parts)
+    if math.prod(map(cycle_fingerprint, parts)) % FINGERPRINT_MODULUS != cycle_fingerprint(n):
+        return None
+    return partition_polynomial(parts) == cycle_polynomial(n)
+
+
+def partition_matches_cycle(parts: tuple[int, ...]) -> bool:
+    """Whether the product of D(C_p) over the parts equals D(C_n), n = sum(parts).
+
+    The fingerprints are compared first; only a partition whose
+    fingerprint product agrees gets the exact polynomial compare.
+    """
+    return bool(_match_cycle(parts))
+
+
 # ---------------------------------------------------------------------------
 # Identity checks over the cycle family
 # ---------------------------------------------------------------------------
@@ -209,9 +257,8 @@ def verify_gamma_additivity_and_ceiling(n_max: int = 15) -> VerificationReport:
         if got != (n + 2) // 3:
             bad.append({"check": "oracle-gamma", "n": n, "gamma": got})
     for n in range(3, n_max + 1):
-        target = cycle_polynomial(n)
         for parts in enumerate_partitions(n, 3):
-            if partition_polynomial(parts) == target:
+            if partition_matches_cycle(parts):
                 ceilings = sum((p + 2) // 3 for p in parts)
                 if ceilings != (n + 2) // 3:
                     bad.append({
@@ -328,19 +375,20 @@ def verify_cycle_uniqueness(n: int, min_part: int = 3) -> VerificationReport:
     if n < 3:
         raise ParameterDomainError(f"cycle uniqueness check needs n >= 3, got {n}")
     t0 = time.perf_counter()
-    target = cycle_polynomial(n)
     matches = []
-    total = 0
+    total = full_compares = 0
     for parts in enumerate_partitions(n, min_part):
         total += 1
-        if partition_polynomial(parts) == target:
+        outcome = _match_cycle(parts)
+        full_compares += outcome is not None
+        if outcome:
             matches.append(parts)
     bad = [
         {
             "n": n,
             "partition": list(parts),
             "partition_polynomial": _poly_json(partition_polynomial(parts)),
-            "cycle_polynomial": _poly_json(target),
+            "cycle_polynomial": _poly_json(cycle_polynomial(n)),
         }
         for parts in matches
         if parts != (n,)
@@ -349,7 +397,7 @@ def verify_cycle_uniqueness(n: int, min_part: int = 3) -> VerificationReport:
         bad.append({"n": n, "error": "trivial partition did not match itself"})
     return _report(
         "T5-partitions", n, n, bad, t0,
-        {"partitions_checked": total, "min_part": min_part},
+        {"partitions_checked": total, "full_compares": full_compares, "min_part": min_part},
     )
 
 
@@ -358,14 +406,15 @@ def verify_cycle_uniqueness_range(
 ) -> VerificationReport:
     t0 = time.perf_counter()
     bad = []
-    total = 0
+    total = full_compares = 0
     for n in range(n_min, n_max + 1):
         rep = verify_cycle_uniqueness(n, min_part)
         bad.extend(rep.counterexamples)
         total += rep.details["partitions_checked"]
+        full_compares += rep.details["full_compares"]
     return _report(
         "T5-partitions", n_min, n_max, bad, t0,
-        {"partitions_checked": total, "min_part": min_part},
+        {"partitions_checked": total, "full_compares": full_compares, "min_part": min_part},
     )
 
 
@@ -413,11 +462,13 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
     bad = []
     case_counts = {k: 0 for k in range(1, 11)}
     compatible = 0
-    total = 0
+    total = full_compares = 0
     for n1, n2, n3 in _triples(n_max):
         total += 1
         n = n1 + n2 + n3
-        if partition_polynomial((n1, n2, n3)) == cycle_polynomial(n):
+        outcome = _match_cycle((n1, n2, n3))
+        full_compares += outcome is not None
+        if outcome:
             bad.append({
                 "check": "product-equals-cycle", "n": n, "partition": [n1, n2, n3],
             })
@@ -466,6 +517,7 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
         "T5-ten-cases", 9, n_max, bad, t0,
         {
             "triples_checked": total,
+            "full_compares": full_compares,
             "alpha_compatible": compatible,
             "case_counts": {str(k): v for k, v in case_counts.items()},
         },

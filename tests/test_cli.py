@@ -1,6 +1,8 @@
 import argparse
 import json
+import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -168,6 +170,53 @@ def test_exit_code_3_on_input_errors(capsys, tmp_path):
     (corpus_dir / "orderX.g6").write_bytes(b"@\n")
     code, out, err = run(capsys, "verify", "all", "--corpus-dir", str(corpus_dir))
     assert code == 3 and "orderX.g6" in err and out == ""
+    # a flag the chosen check would ignore
+    corpus6 = str(CORPUS_DIR / "order6.g6")
+    for argv in (
+        ("all", "--max-n", "0"),
+        ("all", "--min-part", "1"),
+        ("all", "--n", "6"),
+        ("all", "--corpus", corpus6),
+        ("COR-wheel", "--n", "6", "--corpus", corpus6, "--max-n", "6"),
+        ("COR-wheel", "--n", "6", "--corpus", corpus6, "--min-part", "3"),
+        ("P-path-class", "--n", "6", "--corpus", corpus6, "--corpus-dir", str(CORPUS_DIR)),
+        ("L5-alpha", "--min-part", "1"),
+        ("T5-ten-cases", "--min-part", "3"),
+        ("L5-alpha", "--n", "6"),
+        ("T5-partitions", "--corpus", corpus6),
+        ("L3-cycle", "--corpus-dir", str(CORPUS_DIR)),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3 and "dompoly:" in err and argv[-2] in err and out == "", argv
+
+
+def test_closed_stdout_is_not_a_traceback(capsys, monkeypatch, tmp_path):
+    class ClosedPipe:
+        def __init__(self):
+            self.fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    assert main(["--format", "table", "verify", "L3-cycle", "--max-n", "8"]) == 0
+    os.close(pipe.fd)
+    assert capsys.readouterr().err == ""
+    # a failing run keeps its own exit code
+    only_path = tmp_path / "only_path.g6"
+    only_path.write_bytes(encode_graph6(path(6)) + b"\n")
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    assert main(["path-class", "6", str(only_path)]) == 1
+    os.close(pipe.fd)
+    assert capsys.readouterr().err == ""
 
 
 def test_guard_override(capsys, tmp_path):

@@ -8,10 +8,15 @@ from dompoly.errors import ParameterDomainError, SizeGuardError
 from dompoly.graphs import cycle, disjoint_union, encode_graph6, complete, parse_graph6, path, wheel
 from dompoly.oracle import domination_polynomial
 from dompoly.polynomials import IntPolynomial
+from dompoly import verify
 from dompoly.verify import (
+    FINGERPRINT_MODULUS,
+    FINGERPRINT_POINT,
     TEN_CASES,
     classify_corpus,
+    cycle_fingerprint,
     enumerate_partitions,
+    partition_matches_cycle,
     partition_polynomial,
     path_companion,
     run_all,
@@ -86,6 +91,56 @@ def test_partition_polynomial():
     assert partition_polynomial(()) == IntPolynomial.one()
 
 
+def test_fingerprint_is_the_cycle_polynomial_value_mod_the_prime():
+    for p in range(1, 201):
+        expected = cycle_polynomial(p).eval_at(FINGERPRINT_POINT) % FINGERPRINT_MODULUS
+        assert cycle_fingerprint(p) == expected, p
+
+
+@pytest.mark.parametrize("min_part,n_max", ((3, 30), (1, 22)))
+def test_fingerprint_filter_keeps_every_match(min_part, n_max):
+    for n in range(3, n_max + 1):
+        exhaustive = [
+            parts for parts in enumerate_partitions(n, min_part)
+            if partition_polynomial(parts) == cycle_polynomial(n)
+        ]
+        filtered = [
+            parts for parts in enumerate_partitions(n, min_part)
+            if partition_matches_cycle(parts)
+        ]
+        assert filtered == exhaustive == [(n,)], n
+
+
+def test_fingerprint_filter_agrees_on_triples():
+    for n1 in range(3, 40):
+        for n2 in range(3, n1 + 1):
+            for n3 in range(3, min(n2, 45 - n1 - n2) + 1):
+                parts = (n1, n2, n3)
+                exhaustive = partition_polynomial(parts) == cycle_polynomial(sum(parts))
+                assert partition_matches_cycle(parts) == exhaustive, parts
+
+
+def _without_work_counters(report):
+    out = report.to_json_dict()
+    out.pop("timing_ms")
+    out["details"] = {k: v for k, v in out["details"].items() if k != "full_compares"}
+    return out
+
+
+def test_fingerprint_filter_only_rejects(monkeypatch):
+    """With a constant fingerprint nothing is filtered out; the answers stay
+    the same, so a match is always decided by the full compare."""
+    filtered = [verify_cycle_uniqueness_range(3, 20), verify_ten_case_table(40)]
+    monkeypatch.setattr(verify, "cycle_fingerprint", lambda p: 1)
+    unfiltered = [verify_cycle_uniqueness_range(3, 20), verify_ten_case_table(40)]
+    partitions, triples = unfiltered
+    assert partitions.details["full_compares"] == partitions.details["partitions_checked"]
+    assert triples.details["full_compares"] == triples.details["triples_checked"]
+    for before, after in zip(filtered, unfiltered):
+        assert before.details["full_compares"] < after.details["full_compares"]
+        assert _without_work_counters(before) == _without_work_counters(after)
+
+
 # ---------------------------------------------------------------------------
 # Identity reports
 # ---------------------------------------------------------------------------
@@ -143,6 +198,8 @@ def test_cycle_uniqueness_12():
     rep = verify_cycle_uniqueness(12)
     assert rep.passed
     assert rep.details["partitions_checked"] == 9
+    # only the trivial partition survives the fingerprint
+    assert rep.details["full_compares"] == 1
 
 
 def test_cycle_uniqueness_range():
