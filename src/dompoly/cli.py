@@ -180,9 +180,16 @@ def _corpus_guard(args) -> int:
     return args.guard_override
 
 
+def _reject_guard(args, what: str):
+    """--guard-override where nothing enumerates subsets is an input error, not a no-op."""
+    if args.guard_override is not None:
+        raise ParameterDomainError(f"{what} does not take --guard-override")
+
+
 def _run_poly(args):
     n_cycle = _cycle_order(args)
     if n_cycle is not None:
+        _reject_guard(args, f"poly --family {args.family}")
         poly = cycles.cycle_polynomial(n_cycle)
         results = [{"source": args.family, "order": n_cycle,
                     "coefficients": poly.coefficient_strings()}]
@@ -196,33 +203,32 @@ def _run_poly(args):
 
 
 def _run_cycle(args):
+    _reject_guard(args, "cycle")
     poly = cycles.cycle_polynomial(args.n)
     return {"n": args.n, "coefficients": poly.coefficient_strings()}, True
 
 
 def _run_eval(args):
-    if args.derivative < 0:
-        raise ParameterDomainError(f"--derivative must be >= 0, got {args.derivative}")
+    k = args.derivative
+    if k < 0:
+        raise ParameterDomainError(f"--derivative must be >= 0, got {k}")
     n_cycle = _cycle_order(args)
     if n_cycle is not None:
-        labeled = [(args.family, None)]
+        _reject_guard(args, f"eval --family {args.family}")
+        # The jet stops at D^(n): every higher derivative of D(C_n) is 0.
+        jet = cycles.cycle_jet(n_cycle, args.at, k)
+        values = [(args.family, jet[k] if k < len(jet) else 0)]
     else:
-        labeled = _input_graphs(args)
-    results = []
-    for label, g in labeled:
-        poly = (
-            cycles.cycle_polynomial(n_cycle)
-            if g is None
-            else domination_polynomial(g, guard=_guard(args))
-        )
-        for _ in range(args.derivative):
-            poly = poly.derivative()
-        results.append({
-            "source": label,
-            "point": str(args.at),
-            "derivative": args.derivative,
-            "value": str(poly.eval_at(args.at)),
-        })
+        values = []
+        for label, g in _input_graphs(args):
+            poly = domination_polynomial(g, guard=_guard(args))
+            for _ in range(k):
+                poly = poly.derivative()
+            values.append((label, poly.eval_at(args.at)))
+    results = [
+        {"source": label, "point": str(args.at), "derivative": k, "value": str(value)}
+        for label, value in values
+    ]
     return {"results": results}, True
 
 
@@ -243,7 +249,10 @@ def _reject_ignored_verify_flags(args):
         kind = "all"
     else:
         kind = "range" if check.default_n is not None else "corpus"
+    # Only these checks walk subsets (guard) or read a corpus (corpus guard).
+    reads_guard = kind == "corpus" or args.lemma in ("L2-union", "L3-cycle")
     taken_by = (
+        ("--guard-override", args.guard_override, reads_guard),
         ("--max-n", args.max_n, kind == "range"),
         ("--min-part", args.min_part, args.lemma == "T5-partitions"),
         ("--n", args.n, kind == "corpus"),
@@ -287,6 +296,7 @@ def _run_verify(args):
 
 
 def _run_search_partitions(args):
+    _reject_guard(args, "search-partitions")
     rows = []
     matches = 0
     for parts in verify.enumerate_partitions(args.n, args.min_part):
@@ -335,12 +345,12 @@ def _render_table(verb: str, payload: dict) -> str:
     else:
         reports = None
     if reports is not None:
-        lines.append(f"{'check':<14} {'range':<12} {'status':<6} {'cex':>4}  claim")
+        lines.append(f"{'check':<14} {'range':<12} {'status':<12} {'cex':>4}  claim")
         for r in reports:
             rng = f"{r['range'][0]}..{r['range'][1]}"
             claim = verify.CHECKS[r["lemma_id"]].claim
             lines.append(
-                f"{r['lemma_id']:<14} {rng:<12} {r['status']:<6} "
+                f"{r['lemma_id']:<14} {rng:<12} {r['status']:<12} "
                 f"{len(r['counterexamples']):>4}  {claim}"
             )
         return "\n".join(lines)

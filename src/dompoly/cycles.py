@@ -11,30 +11,33 @@ module is a scalar shadow of that recurrence:
     theta_n = D''(C_n, -1)         a_n    = D(C_n, -3)
     a_n     = (-1)^n * 3^ceil(n/3) * b_n
 
-Each sequence is provided twice, as a closed form and as a recurrence,
-and the test suite cross-asserts both routes against direct evaluation
-of the polynomial (or its derivatives) at the relevant point, so a wrong
-branch in any one route cannot survive.
+Each sequence has two routes, and the test suite cross-asserts both
+against direct evaluation of the polynomial (or its derivatives), so a
+wrong branch in one cannot survive: alpha, beta and theta are closed
+form vs. jet (`cycle_jets`: D, D', ... at one point, stepped through n),
+b is its 3-branch recurrence vs. factoring a_n, taken from the jet.
 
-All results are memoized behind a lock; returned values are immutable.
+The polynomials and b are memoized behind a lock; returned values are
+immutable.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .errors import InternalInconsistencyError, ParameterDomainError
 from .polynomials import IntPolynomial
 
 __all__ = [
     "cycle_polynomial",
+    "cycle_jets",
+    "cycle_jet",
     "alpha",
-    "alpha_by_recurrence",
     "beta",
-    "beta_by_recurrence",
     "theta",
-    "theta_by_recurrence",
     "a_value",
     "b_value",
     "b_value_by_factoring",
@@ -63,31 +66,12 @@ class _Cache:
             IntPolynomial((0, 2, 1)),       # D(C_2) = x^2 + 2x
             IntPolynomial((0, 3, 3, 1)),    # D(C_3) = x^3 + 3x^2 + 3x
         ]
-        self.alpha = [None, -1, -1, -1]
-        self.beta = [None, 1, 0, 0]
-        self.theta = [None, 0, 2, 0]
-        self.a = [None, -3, 3, -9]
         self.b = [None, 1, 1, 3]
 
     def extend_polys(self, n: int):
         p = self.polys
         while len(p) <= n:
             p.append((p[-1] + p[-2] + p[-3]).times_x())
-
-    def extend_scalars(self, n: int):
-        al, be, th, a, b = self.alpha, self.beta, self.theta, self.a, self.b
-        while len(al) <= n:
-            k = len(al)
-            al.append(-(al[k - 1] + al[k - 2] + al[k - 3]))
-            be.append(-(al[k] + be[k - 1] + be[k - 2] + be[k - 3]))
-            th.append(-2 * al[k] - 2 * be[k] - (th[k - 1] + th[k - 2] + th[k - 3]))
-            a.append(-3 * (a[k - 1] + a[k - 2] + a[k - 3]))
-            if k % 3 == 0:
-                b.append(3 * b[k - 1] - 3 * b[k - 2] + b[k - 3])
-            elif k % 3 == 1:
-                b.append(b[k - 1] - b[k - 2] + b[k - 3])
-            else:
-                b.append(3 * b[k - 1] - b[k - 2] + b[k - 3])
 
 
 _CACHE = _Cache()
@@ -106,17 +90,40 @@ def cycle_polynomial(n: int) -> IntPolynomial:
         return _CACHE.polys[n]
 
 
+def cycle_jets(t: int, k: int = 0) -> Iterator[tuple[int, ...]]:
+    """Yield the jet (D(C_n,t), D'(C_n,t), ..., D^(k)(C_n,t)) for n = 1, 2, ...
+
+    With S_n = D_{n-1} + D_{n-2} + D_{n-3}, the recurrence D_n = x * S_n
+    differentiates by the Leibniz rule to
+
+        D_n^(j)(t) = t * S_n^(j)(t) + j * S_n^(j-1)(t),
+
+    so each step needs only the last three jets: memory stays flat in n.
+    """
+    if k < 0:
+        raise ParameterDomainError(f"derivative order must be >= 0, got {k}")
+    # Run backwards, the recurrence forces the constants D_{-2} = D_{-1} = -1
+    # and D_0 = 3; seeded with them, it holds from n = 1.
+    zeros = (0,) * k
+    older, old, last = (-1, *zeros), (-1, *zeros), (3, *zeros)
+    while True:
+        s = [a + b + c for a, b, c in zip(older, old, last)]
+        jet = (t * s[0], *(t * s[j] + j * s[j - 1] for j in range(1, k + 1)))
+        yield jet
+        older, old, last = old, last, jet
+
+
+def cycle_jet(n: int, t: int, k: int = 0) -> tuple[int, ...]:
+    """(D(C_n,t), ..., D^(m)(C_n,t)) with m = min(k, n): the higher
+    derivatives of the degree-n D(C_n) vanish, so a huge k costs nothing."""
+    _require_positive(n)
+    return next(islice(cycle_jets(t, min(k, n)), n - 1, None))
+
+
 def alpha(n: int) -> int:
     """D(C_n, -1): 3 when 4 | n, else -1."""
     _require_positive(n)
     return 3 if n % 4 == 0 else -1
-
-
-def alpha_by_recurrence(n: int) -> int:
-    _require_positive(n)
-    with _CACHE.lock:
-        _CACHE.extend_scalars(n)
-        return _CACHE.alpha[n]
 
 
 def beta(n: int) -> int:
@@ -128,13 +135,6 @@ def beta(n: int) -> int:
     if r == 1:
         return n
     return 0
-
-
-def beta_by_recurrence(n: int) -> int:
-    _require_positive(n)
-    with _CACHE.lock:
-        _CACHE.extend_scalars(n)
-        return _CACHE.beta[n]
 
 
 def theta(n: int) -> int:
@@ -150,19 +150,10 @@ def theta(n: int) -> int:
     return 0
 
 
-def theta_by_recurrence(n: int) -> int:
-    _require_positive(n)
-    with _CACHE.lock:
-        _CACHE.extend_scalars(n)
-        return _CACHE.theta[n]
-
-
 def a_value(n: int) -> int:
-    """a_n = D(C_n, -3), via the integer recurrence a_n = -3(a_{n-1}+a_{n-2}+a_{n-3})."""
-    _require_positive(n)
-    with _CACHE.lock:
-        _CACHE.extend_scalars(n)
-        return _CACHE.a[n]
+    """a_n = D(C_n, -3). Each call walks the jet from n = 1; loops over n
+    walk `cycle_jets(-3)` once instead."""
+    return cycle_jet(n, -3)[0]
 
 
 def b_value(n: int) -> int:
@@ -173,14 +164,21 @@ def b_value(n: int) -> int:
     """
     _require_positive(n)
     with _CACHE.lock:
-        _CACHE.extend_scalars(n)
-        return _CACHE.b[n]
+        b = _CACHE.b
+        while len(b) <= n:
+            k = len(b)
+            if k % 3 == 0:
+                b.append(3 * b[k - 1] - 3 * b[k - 2] + b[k - 3])
+            elif k % 3 == 1:
+                b.append(b[k - 1] - b[k - 2] + b[k - 3])
+            else:
+                b.append(3 * b[k - 1] - b[k - 2] + b[k - 3])
+        return b[n]
 
 
-def b_value_by_factoring(n: int) -> int:
-    """b_n obtained by dividing a_n by its forced sign and 3-power."""
+def b_value_by_factoring(n: int, a_n: int) -> int:
+    """b_n obtained by dividing a_n = D(C_n, -3) by its forced sign and 3-power."""
     _require_positive(n)
-    a_n = a_value(n)
     q, r = divmod(a_n if n % 2 == 0 else -a_n, 3 ** _ceil3(n))
     if r != 0:
         raise InternalInconsistencyError(

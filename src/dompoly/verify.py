@@ -32,16 +32,13 @@ from typing import Callable, Iterable, Iterator
 
 from .cycles import (
     alpha,
-    alpha_by_recurrence,
-    a_value,
     b_value,
     b_value_by_factoring,
     beta,
-    beta_by_recurrence,
+    cycle_jets,
     cycle_polynomial,
     ord3_classification,
     theta,
-    theta_by_recurrence,
 )
 from .errors import Graph6FormatError, Graph6ParseError, ParameterDomainError, SizeGuardError
 from .graphs import Graph, cycle, disjoint_union, parse_graph6, path, wheel
@@ -69,6 +66,7 @@ __all__ = [
     "verify_cycle_uniqueness",
     "verify_cycle_uniqueness_range",
     "verify_ten_case_table",
+    "UNLABELED_GRAPH_COUNTS",
     "classify_corpus",
     "verify_wheel_uniqueness",
     "verify_path_class",
@@ -77,8 +75,18 @@ __all__ = [
 
 DEFAULT_CORPUS_GUARD = 9
 
+# Graphs on n unlabeled vertices for n = 0, 1, 2, ... (OEIS A000088): the
+# record count of a complete order-n corpus.
+UNLABELED_GRAPH_COUNTS = (
+    1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168, 1018997864, 165091172592,
+)
+
+
 @dataclass
 class VerificationReport:
+    """One check's outcome. `status` is "pass", "fail", or "inconclusive"
+    for a corpus check whose corpus cannot be certified complete."""
+
     lemma_id: str
     range_checked: tuple[int, int]
     status: str
@@ -225,13 +233,15 @@ def verify_union_product(
     return _report("L2-union", 1, max_order, bad, t0, {"pairs": pairs, "seed": seed})
 
 
-def verify_cycle_recurrence(n_max: int = 15) -> VerificationReport:
+def verify_cycle_recurrence(
+    n_max: int = 15, guard: int = DEFAULT_GUARD
+) -> VerificationReport:
     """Recurrence D(C_n) against the subset-enumeration oracle."""
     t0 = time.perf_counter()
     bad = []
     for n in range(1, n_max + 1):
         by_recurrence = cycle_polynomial(n)
-        by_oracle = domination_polynomial(cycle(n))
+        by_oracle = domination_polynomial(cycle(n), guard=guard)
         if by_recurrence != by_oracle:
             bad.append({
                 "n": n,
@@ -277,16 +287,17 @@ def verify_gamma_additivity_and_ceiling(n_max: int = 15) -> VerificationReport:
     return _report("L4-gamma", 1, n_max, bad, t0)
 
 
-def _scalar_identity_report(lemma_id, n_max, closed_form, by_recurrence, derivative_order):
+def _scalar_identity_report(lemma_id, n_max, closed_form, derivative_order):
+    """Closed form vs. the cycle jet at -1 vs. the differentiated polynomial."""
     t0 = time.perf_counter()
     bad = []
-    for n in range(1, n_max + 1):
+    for n, jet in zip(range(1, n_max + 1), cycle_jets(-1, derivative_order)):
         p = cycle_polynomial(n)
         for _ in range(derivative_order):
             p = p.derivative()
         evaluated = p.eval_at(-1)
         cf = closed_form(n)
-        rec = by_recurrence(n)
+        rec = jet[derivative_order]
         if not (cf == rec == evaluated):
             bad.append({
                 "n": n, "closed_form": str(cf), "recurrence": str(rec),
@@ -296,15 +307,15 @@ def _scalar_identity_report(lemma_id, n_max, closed_form, by_recurrence, derivat
 
 
 def verify_alpha(n_max: int = 200) -> VerificationReport:
-    return _scalar_identity_report("L5-alpha", n_max, alpha, alpha_by_recurrence, 0)
+    return _scalar_identity_report("L5-alpha", n_max, alpha, 0)
 
 
 def verify_beta(n_max: int = 200) -> VerificationReport:
-    return _scalar_identity_report("REL2-beta", n_max, beta, beta_by_recurrence, 1)
+    return _scalar_identity_report("REL2-beta", n_max, beta, 1)
 
 
 def verify_theta(n_max: int = 200) -> VerificationReport:
-    return _scalar_identity_report("REL3-theta", n_max, theta, theta_by_recurrence, 2)
+    return _scalar_identity_report("REL3-theta", n_max, theta, 2)
 
 
 # First 30 values of b_n mod 9; the golden vector the b recurrence must hit.
@@ -324,14 +335,14 @@ def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
     """
     t0 = time.perf_counter()
     bad = []
-    for n in range(1, n_max + 1):
+    for n, (a_n,) in zip(range(1, n_max + 1), cycle_jets(-3)):
         base = (n + 2) // 3
-        got = ord_p(a_value(n), 3)
+        got = ord_p(a_n, 3)
         allowed = {0: {base + 1}, 1: {base, base + 1}, 2: {base}}[n % 3]
         if got not in allowed:
             bad.append({"check": "ord3-bound", "n": n, "ord3": got, "allowed": sorted(allowed)})
         b_rec = b_value(n)
-        b_fac = b_value_by_factoring(n)
+        b_fac = b_value_by_factoring(n, a_n)
         if b_rec != b_fac:
             bad.append({"check": "b-routes", "n": n, "recurrence": str(b_rec), "factoring": str(b_fac)})
         if b_rec % 9 == 0:
@@ -358,9 +369,9 @@ def verify_remark(n_max: int = 1000) -> VerificationReport:
         if (b_value(t + 27) - b_value(t)) % 9 != 0:
             bad.append({"check": "period-27", "t": t,
                         "b_t_mod_9": b_value(t) % 9, "b_t27_mod_9": b_value(t + 27) % 9})
-    for n in range(1, n_max + 1):
+    for n, (a_n,) in zip(range(1, n_max + 1), cycle_jets(-3)):
         predicted = ord3_classification(n).predicted_ord
-        got = ord_p(a_value(n), 3)
+        got = ord_p(a_n, 3)
         if got != predicted:
             bad.append({"check": "exact-ord3", "n": n, "ord3": got, "predicted": predicted})
     return _report("R1-remark", 1, n_max, bad, t0)
@@ -556,6 +567,31 @@ class CorpusClassification:
                 return cls
         return None
 
+    def completeness_problems(self, n: int) -> list[str]:
+        """Why the classified records cannot be the complete order-n corpus.
+
+        Empty when there are no parse errors, every record has order n (the
+        degree of its key polynomial, as d(G, n) = 1), no record repeats
+        another byte for byte, and the record count is the number of graphs
+        on n unlabeled vertices. Two records of isomorphic graphs are not
+        detected: telling them apart needs canonical labelling, which this
+        package does not have.
+        """
+        problems = []
+        if self.parse_errors:
+            problems.append(f"unparseable records: {len(self.parse_errors)}")
+        wrong_order = sum(c.class_size for c in self.classes if c.key_polynomial.degree != n)
+        if wrong_order:
+            problems.append(f"records not of order {n}: {wrong_order}")
+        repeated = sum(c.class_size - len(set(c.members)) for c in self.classes)
+        if repeated:
+            problems.append(f"repeated records: {repeated}")
+        records = len(self.parse_errors) + sum(c.class_size for c in self.classes)
+        expected = UNLABELED_GRAPH_COUNTS[n] if n < len(UNLABELED_GRAPH_COUNTS) else "unknown"
+        if records != expected:
+            problems.append(f"records: {records}, graphs of order {n}: {expected}")
+        return problems
+
     def to_json_dict(self) -> dict:
         return {
             "classes": [c.to_json_dict() for c in self.classes],
@@ -617,13 +653,29 @@ def classify_corpus(
     return CorpusClassification(classes, errors)
 
 
+def _certified(
+    rep: VerificationReport, result: CorpusClassification, n: int
+) -> VerificationReport:
+    """A corpus check decides nothing over a corpus not certified complete:
+    its status becomes "inconclusive", and `details` lists the problems."""
+    problems = result.completeness_problems(n)
+    if problems:
+        rep.status = "inconclusive"
+        rep.details["corpus_problems"] = problems
+    return rep
+
+
 def verify_wheel_uniqueness(
     n: int,
     records: Iterable[bytes | str],
     *,
     corpus_guard: int = DEFAULT_CORPUS_GUARD,
 ) -> VerificationReport:
-    """Over a complete order-n corpus, W_n's class must be a singleton."""
+    """Over a complete order-n corpus, W_n's class must be a singleton.
+
+    The report is inconclusive unless the records certify as complete
+    (`CorpusClassification.completeness_problems`).
+    """
     if n < 4:
         raise ParameterDomainError(f"wheel uniqueness needs n >= 4, got {n}")
     t0 = time.perf_counter()
@@ -641,7 +693,7 @@ def verify_wheel_uniqueness(
         })
     details = {"corpus_size": sum(c.class_size for c in result.classes),
                "parse_errors": len(result.parse_errors)}
-    return _report("COR-wheel", n, n, bad, t0, details)
+    return _certified(_report("COR-wheel", n, n, bad, t0, details), result, n)
 
 
 def path_companion(n: int, variant: str) -> Graph:
@@ -673,6 +725,7 @@ def verify_path_class(
     Both companion constructions are built and compared against D(P_n) by
     brute force; the report records which variant (if either) matches, so
     the construction is decided by computation rather than assumption.
+    As for the wheel, an uncertified corpus makes the report inconclusive.
     """
     if n % 3 != 0 or n < 6:
         raise ParameterDomainError(
@@ -702,10 +755,8 @@ def verify_path_class(
             "error": "neither companion construction matches the path polynomial",
             "path_polynomial": _poly_json(target),
         })
-    return _report(
-        "P-path-class", n, n, bad, t0,
-        {"companion_variant_matches": variant_matches},
-    )
+    details = {"companion_variant_matches": variant_matches}
+    return _certified(_report("P-path-class", n, n, bad, t0, details), result, n)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +796,8 @@ CHECKS: dict[str, Check] = {
     ),
     "L3-cycle": Check(
         "three-term cycle recurrence reproduces the brute-force cycle polynomial",
-        lambda n, **_: verify_cycle_recurrence(n), 1, 15,
+        lambda n, guard=DEFAULT_GUARD, **_: verify_cycle_recurrence(n, guard=guard),
+        1, 15,
     ),
     "L4-gamma": Check(
         "gamma(C_n) = ceil(n/3), and gamma adds over cycle partitions",

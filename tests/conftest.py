@@ -7,9 +7,6 @@ from dompoly.verify import classify_corpus
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "data" / "corpora"
 
-# graphs on n unlabeled vertices; certifies corpus completeness
-CORPUS_SIZES = {4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
-
 
 def load_corpus(n: int) -> list[bytes]:
     path = CORPUS_DIR / f"order{n}.g6"

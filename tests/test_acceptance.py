@@ -9,10 +9,10 @@ from data/corpora/.
 import time
 
 from dompoly.cycles import (
-    a_value,
     alpha,
     b_value,
     beta,
+    cycle_jets,
     cycle_polynomial,
     ord3_classification,
     theta,
@@ -83,8 +83,8 @@ def test_criterion_05_ord3_golden_vector_period_and_table():
     ok = tuple(b_value(n) % 9 for n in range(1, 31)) == B_MOD9_FIRST_30
     for t in range(1, 974):
         ok = ok and (b_value(t + 27) - b_value(t)) % 9 == 0
-    for n in range(1, 1001):
-        ok = ok and ord_p(a_value(n), 3) == ord3_classification(n).predicted_ord
+    for n, (a_n,) in zip(range(1, 1001), cycle_jets(-3)):
+        ok = ok and ord_p(a_n, 3) == ord3_classification(n).predicted_ord
         ok = ok and b_value(n) % 9 != 0
     _criterion(5, "b mod 9 golden vector, period 27, ord_3 table with "
                   "exceptional set {4,13,22} mod 27, 9 never divides b",

@@ -72,6 +72,16 @@ def test_eval_uses_recurrence_for_large_cycles(capsys):
     code, out, _ = run(capsys, "eval", "--family", "cycle:9", "--at", "-1",
                        "--derivative", "1")
     assert json.loads(out)["results"][0]["value"] == "9"
+    # theta's closed form n(n-4)/4 at n = 100000, from a flat-memory jet walk
+    code, out, _ = run(capsys, "eval", "--family", "cycle:100000", "--at", "-1",
+                       "--derivative", "2")
+    assert code == 0
+    assert json.loads(out)["results"][0]["value"] == "2499900000"
+    # D(C_5) has degree 5, so its 50th derivative vanishes
+    code, out, _ = run(capsys, "eval", "--family", "cycle:5", "--at", "2",
+                       "--derivative", "50")
+    assert code == 0
+    assert json.loads(out)["results"][0]["value"] == "0"
 
 
 def test_poly_on_graph6_file(capsys, tmp_path):
@@ -126,12 +136,19 @@ def test_verify_default_range_matches_run_all(capsys):
 
 
 def test_exit_code_1_on_verification_failure(capsys, tmp_path):
-    # a corpus of just P_6 cannot have a size-two class
+    # a corpus of just P_6 is incomplete, so it decides nothing
     f = tmp_path / "only_path.g6"
     f.write_bytes(encode_graph6(path(6)) + b"\n")
     code, out, _ = run(capsys, "path-class", "6", str(f))
     assert code == 1
-    assert json.loads(out)["status"] == "fail"
+    assert json.loads(out)["status"] == "inconclusive"
+
+    # W_6's record plus one unparseable line is not the order-6 corpus
+    f = tmp_path / "wheel_and_junk.g6"
+    f.write_bytes(encode_graph6(wheel(6)) + b"\nnot a record!!\n")
+    code, out, _ = run(capsys, "wheel", "6", str(f))
+    assert code == 1
+    assert json.loads(out)["status"] == "inconclusive"
 
     f2 = tmp_path / "two_wheels.g6"
     f2.write_bytes(encode_graph6(wheel(5)) + b"\n" + encode_graph6(wheel(5)) + b"\n")
@@ -188,6 +205,17 @@ def test_exit_code_3_on_input_errors(capsys, tmp_path):
     ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 3 and "dompoly:" in err and argv[-2] in err and out == "", argv
+    # --guard-override where nothing walks subsets or reads a corpus
+    for argv in (
+        ("cycle", "6"),
+        ("search-partitions", "6"),
+        ("poly", "--family", "cycle:6"),
+        ("eval", "--family", "cycle:6", "--at", "-1"),
+        ("verify", "all"),
+        ("verify", "L5-alpha"),
+    ):
+        code, out, err = run(capsys, "--guard-override", "30", *argv)
+        assert code == 3 and "--guard-override" in err and out == "", argv
 
 
 def test_closed_stdout_is_not_a_traceback(capsys, monkeypatch, tmp_path):
@@ -227,6 +255,11 @@ def test_guard_override(capsys, tmp_path):
     code, out, _ = run(capsys, "--guard-override", "10", "classify", str(f))
     assert code == 0
     assert json.loads(out)["classes"][0]["class_size"] == 1
+    # L3-cycle's oracle walk takes the guard too
+    code, _, err = run(capsys, "--guard-override", "8", "verify", "L3-cycle", "--max-n", "10")
+    assert code == 3 and "guard (8)" in err
+    code, _, _ = run(capsys, "--guard-override", "10", "verify", "L3-cycle", "--max-n", "10")
+    assert code == 0
 
 
 def test_classify_reports_parse_errors_without_failing(capsys, tmp_path):

@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import pytest
 
@@ -6,15 +7,14 @@ from dompoly.cycles import (
     Ord3Class,
     a_value,
     alpha,
-    alpha_by_recurrence,
     b_value,
     b_value_by_factoring,
     beta,
-    beta_by_recurrence,
+    cycle_jet,
+    cycle_jets,
     cycle_polynomial,
     ord3_classification,
     theta,
-    theta_by_recurrence,
 )
 from dompoly.errors import ParameterDomainError
 from dompoly.graphs import cycle
@@ -58,6 +58,12 @@ def test_domain_errors():
         cycle_polynomial(0)
     with pytest.raises(ParameterDomainError):
         a_value(-2)
+    with pytest.raises(ParameterDomainError):
+        cycle_jet(0, 1)
+    with pytest.raises(ParameterDomainError):
+        cycle_jet(5, 1, -1)
+    with pytest.raises(ParameterDomainError):
+        next(cycle_jets(1, -1))
 
 
 def test_alpha_values():
@@ -89,14 +95,34 @@ def test_theta_values():
 @pytest.mark.parametrize("n", range(1, 101))
 def test_scalar_routes_agree(n):
     p = cycle_polynomial(n)
-    assert alpha(n) == alpha_by_recurrence(n) == p.eval_at(-1)
-    assert beta(n) == beta_by_recurrence(n) == p.derivative().eval_at(-1)
+    jet_alpha, jet_beta, jet_theta = next(islice(cycle_jets(-1, 2), n - 1, None))
+    assert alpha(n) == jet_alpha == p.eval_at(-1)
+    assert beta(n) == jet_beta == p.derivative().eval_at(-1)
     assert (
         theta(n)
-        == theta_by_recurrence(n)
+        == jet_theta
         == p.derivative().derivative().eval_at(-1)
     )
     assert a_value(n) == p.eval_at(-3)
+
+
+@pytest.mark.parametrize("t", (-3, -1, 0, 1, 2))
+def test_jet_matches_differentiated_polynomial(t):
+    for n in range(1, 201):
+        p = cycle_polynomial(n)
+        direct = []
+        for _ in range(4):
+            direct.append(p.eval_at(t))
+            p = p.derivative()
+        jet = cycle_jet(n, t, 3)
+        # derivatives above the degree n are left out of the jet
+        assert len(jet) == min(3, n) + 1, n
+        assert list(jet) + [0] * (4 - len(jet)) == direct, n
+
+
+def test_jet_clamps_the_derivative_order_to_n():
+    assert cycle_jet(5, 2, 10**9) == cycle_jet(5, 2, 5)
+    assert len(cycle_jet(5, 2, 10**9)) == 6
 
 
 def test_a_values():
@@ -111,7 +137,7 @@ def test_b_values():
     assert [b_value(n) % 9 for n in range(25, 31)] == [8, 1, 3, 1, 1, 3]
     assert [b_value(n) % 9 for n in range(1, 31)] == list(B_MOD9)
     for n in range(1, 201):
-        assert b_value(n) == b_value_by_factoring(n)
+        assert b_value(n) == b_value_by_factoring(n, a_value(n))
         assert b_value(n) % 9 != 0
         assert b_value(n) > 0
 

@@ -359,15 +359,52 @@ def test_path_class_over_order6_corpus(corpus):
 
 
 def test_path_class_restricted_corpus_n9():
+    # the class has its two members, but two records are not the 274668
+    # graphs of order 9, so the claim stays undecided
     records = [encode_graph6(path(9)), encode_graph6(path_companion(9, "one-each"))]
     rep = verify_path_class(9, records)
-    assert rep.passed
+    assert rep.status == "inconclusive"
+    assert rep.counterexamples == []
+    assert rep.details["corpus_problems"] == [
+        "records: 2, graphs of order 9: 274668"
+    ]
 
 
 def test_path_class_detects_wrong_size():
     rep = verify_path_class(6, [encode_graph6(path(6))])
     assert not rep.passed
     assert rep.counterexamples[0]["class_size"] == 1
+
+
+def test_corpus_checks_need_a_certified_corpus(corpus):
+    complete = list(corpus(6))
+    w6 = encode_graph6(wheel(6))
+    other = next(r for r in complete if r not in (w6, complete[-1]))
+    cases = {
+        "incomplete": ([w6, b"not a record!!"], [
+            "unparseable records: 1", "records: 2, graphs of order 6: 156",
+        ]),
+        "missing": ([r for r in complete if r != other], [
+            "records: 155, graphs of order 6: 156",
+        ]),
+        "wrong-order": ([encode_graph6(cycle(5)) if r == other else r for r in complete], [
+            "records not of order 6: 1",
+        ]),
+        "repeated": ([complete[-1] if r == other else r for r in complete], [
+            "repeated records: 1",
+        ]),
+    }
+    for name, (records, problems) in cases.items():
+        for rep in (verify_wheel_uniqueness(6, records), verify_path_class(6, records)):
+            assert rep.status == "inconclusive", (name, rep.lemma_id)
+            assert rep.details["corpus_problems"] == problems, (name, rep.lemma_id)
+    # the complete corpus certifies: its passing report gains no key
+    rep = verify_wheel_uniqueness(6, complete)
+    assert rep.passed and set(rep.details) == {"corpus_size", "parse_errors"}
+    assert classify_corpus(complete).completeness_problems(6) == []
+    assert classify_corpus([]).completeness_problems(20) == [
+        "records: 0, graphs of order 20: unknown"
+    ]
 
 
 def test_path_class_validation():
