@@ -132,7 +132,10 @@ def _read_corpus(path: str | Path) -> list[bytes]:
 
 
 def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:
-    """The order<k>.g6 files of a directory, keyed by k."""
+    """The order<k>.g6 files of a directory, keyed by k. A directory that
+    gives no corpus check an order to run on is an input error."""
+    if not Path(dir_str).is_dir():
+        raise ParameterDomainError(f"--corpus-dir {dir_str} is not a directory")
     corpora = {}
     for f in sorted(Path(dir_str).glob("order*.g6")):
         try:
@@ -142,6 +145,11 @@ def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:
                 f"corpus file {f} is not named order<k>.g6 with an integer k"
             ) from None
         corpora[order] = _read_corpus(f)
+    if not any(c.covers(k) for c in verify.CHECKS.values() if c.default_n is None
+               for k in corpora):
+        raise ParameterDomainError(
+            f"--corpus-dir {dir_str} holds no order<k>.g6 file of an order a corpus check covers"
+        )
     return corpora
 
 
@@ -314,9 +322,7 @@ def _run_search_partitions(args):
 
 def _run_classify(args):
     records = _read_corpus(args.corpus)
-    result = verify.classify_corpus(
-        records, corpus_guard=_corpus_guard(args), guard=_guard(args)
-    )
+    result = verify.classify_corpus(records, corpus_guard=_corpus_guard(args))
     return result.to_json_dict(), True
 
 

@@ -4,8 +4,9 @@ The domination polynomial of the cycle C_n satisfies, for n >= 4,
 
     D(C_n,x) = x * (D(C_{n-1},x) + D(C_{n-2},x) + D(C_{n-3},x))
 
-with C_1 = K_1 and C_2 = K_2 as base cases. Everything else in this
-module is a scalar shadow of that recurrence:
+with C_1 = K_1 and C_2 = K_2; seeded with D_{-2} = D_{-1} = -1 and
+D_0 = 3, it holds from n = 1. Everything else in this module is a scalar
+shadow of that recurrence:
 
     alpha_n = D(C_n, -1)           beta_n = D'(C_n, -1)
     theta_n = D''(C_n, -1)         a_n    = D(C_n, -3)
@@ -17,21 +18,22 @@ wrong branch in one cannot survive: alpha, beta and theta are closed
 form vs. jet (`cycle_jets`: D, D', ... at one point, stepped through n),
 b is its 3-branch recurrence vs. factoring a_n, taken from the jet.
 
-The polynomials and b are memoized behind a lock; returned values are
-immutable.
+Nothing is memoized: `cycle_polynomials`, `cycle_jets` and `b_values`
+are generators holding three terms; the single-n functions take the n-th
+item of a fresh walk, so loops over n walk a generator instead.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice, zip_longest
 from typing import Iterator
 
 from .errors import InternalInconsistencyError, ParameterDomainError
 from .polynomials import IntPolynomial
 
 __all__ = [
+    "cycle_polynomials",
     "cycle_polynomial",
     "cycle_jets",
     "cycle_jet",
@@ -39,6 +41,7 @@ __all__ = [
     "beta",
     "theta",
     "a_value",
+    "b_values",
     "b_value",
     "b_value_by_factoring",
     "Ord3Class",
@@ -55,39 +58,31 @@ def _ceil3(n: int) -> int:
     return (n + 2) // 3
 
 
-class _Cache:
-    """Monotone memo tables for the cycle recurrences, lock-serialized."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.polys = [
-            None,
-            IntPolynomial((0, 1)),          # D(C_1) = x
-            IntPolynomial((0, 2, 1)),       # D(C_2) = x^2 + 2x
-            IntPolynomial((0, 3, 3, 1)),    # D(C_3) = x^3 + 3x^2 + 3x
-        ]
-        self.b = [None, 1, 1, 3]
-
-    def extend_polys(self, n: int):
-        p = self.polys
-        while len(p) <= n:
-            p.append((p[-1] + p[-2] + p[-3]).times_x())
-
-
-_CACHE = _Cache()
-
-
 def _require_positive(n: int):
     if n < 1:
         raise ParameterDomainError(f"cycle sequences need n >= 1, got {n}")
 
 
-def cycle_polynomial(n: int) -> IntPolynomial:
-    """D(C_n, x), exactly, via the memoized three-term recurrence."""
+def _nth(walk: Iterator, n: int):
+    """The n-th item (from 1) of a walk that starts at n = 1."""
     _require_positive(n)
-    with _CACHE.lock:
-        _CACHE.extend_polys(n)
-        return _CACHE.polys[n]
+    return next(islice(walk, n - 1, None))
+
+
+def cycle_polynomials() -> Iterator[IntPolynomial]:
+    """Yield D(C_1, x), D(C_2, x), ..., holding the last three coefficient
+    tuples: D_n's x^(i+1) coefficient sums the x^i ones of D_{n-1..n-3}."""
+    # The constants that `cycle_jets` is seeded with: D_{-2}, D_{-1}, D_0.
+    older, old, last = (-1,), (-1,), (3,)
+    while True:
+        coeffs = (0, *(a + b + c for a, b, c in zip_longest(older, old, last, fillvalue=0)))
+        yield IntPolynomial(coeffs)
+        older, old, last = old, last, coeffs
+
+
+def cycle_polynomial(n: int) -> IntPolynomial:
+    """D(C_n, x), exactly: the n-th item of a fresh `cycle_polynomials()`."""
+    return _nth(cycle_polynomials(), n)
 
 
 def cycle_jets(t: int, k: int = 0) -> Iterator[tuple[int, ...]]:
@@ -116,8 +111,7 @@ def cycle_jets(t: int, k: int = 0) -> Iterator[tuple[int, ...]]:
 def cycle_jet(n: int, t: int, k: int = 0) -> tuple[int, ...]:
     """(D(C_n,t), ..., D^(m)(C_n,t)) with m = min(k, n): the higher
     derivatives of the degree-n D(C_n) vanish, so a huge k costs nothing."""
-    _require_positive(n)
-    return next(islice(cycle_jets(t, min(k, n)), n - 1, None))
+    return _nth(cycle_jets(t, min(k, n)), n)
 
 
 def alpha(n: int) -> int:
@@ -156,24 +150,30 @@ def a_value(n: int) -> int:
     return cycle_jet(n, -3)[0]
 
 
-def b_value(n: int) -> int:
-    """b_n with a_n = (-1)^n * 3^ceil(n/3) * b_n, via the 3-branch recurrence.
+def b_values() -> Iterator[int]:
+    """Yield b_1, b_2, ... with a_n = (-1)^n * 3^ceil(n/3) * b_n, by the
+    3-branch recurrence, holding the last three.
 
     The recurrence is the fast route; `b_value_by_factoring` recomputes the
-    same number from a_n and is used as a cross-check.
+    same numbers from a_n and is used as a cross-check.
     """
-    _require_positive(n)
-    with _CACHE.lock:
-        b = _CACHE.b
-        while len(b) <= n:
-            k = len(b)
-            if k % 3 == 0:
-                b.append(3 * b[k - 1] - 3 * b[k - 2] + b[k - 3])
-            elif k % 3 == 1:
-                b.append(b[k - 1] - b[k - 2] + b[k - 3])
-            else:
-                b.append(3 * b[k - 1] - b[k - 2] + b[k - 3])
-        return b[n]
+    # b_{-2}, b_{-1}, b_0: the jet's constants D_{-2}, D_{-1}, D_0 at -3,
+    # factored the same way.
+    older, old, last = -1, 1, 3
+    for n in count(1):
+        if n % 3 == 0:
+            b = 3 * last - 3 * old + older
+        elif n % 3 == 1:
+            b = last - old + older
+        else:
+            b = 3 * last - old + older
+        yield b
+        older, old, last = old, last, b
+
+
+def b_value(n: int) -> int:
+    """b_n from a fresh walk of `b_values()`."""
+    return _nth(b_values(), n)
 
 
 def b_value_by_factoring(n: int, a_n: int) -> int:

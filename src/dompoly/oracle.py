@@ -69,31 +69,16 @@ def domination_profile(g: Graph, *, guard: int = DEFAULT_GUARD) -> tuple[int, ..
     return tuple(counts[1:])
 
 
-def domination_polynomial(
-    g: Graph,
-    *,
-    guard: int = DEFAULT_GUARD,
-    use_components: bool = False,
-) -> IntPolynomial:
+def domination_polynomial(g: Graph, *, guard: int = DEFAULT_GUARD) -> IntPolynomial:
     """Brute-force domination polynomial; constant 1 for the null graph.
 
     The null-graph convention makes the components product law hold with
-    an empty product. With `use_components` the graph is factored into
-    connected components first and the per-component polynomials are
-    multiplied; the raw single-pass enumeration stays the default so an
-    independent ground truth is always available.
+    an empty product; the graph is not factored into components, so the
+    walk stays an independent ground truth for that law.
     """
     _check_guard(g.n, guard)
     if g.n == 0:
         return IntPolynomial.one()
-    if use_components:
-        comps = g.component_masks()
-        if len(comps) > 1:
-            result = IntPolynomial.one()
-            for mask in comps:
-                sub = g.induced_subgraph(mask)
-                result = result * domination_polynomial(sub, guard=guard)
-            return result
     counts = domination_profile(g, guard=guard)
     return IntPolynomial((0,) + counts)
 

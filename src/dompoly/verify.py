@@ -27,16 +27,19 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from random import Random
 from typing import Callable, Iterable, Iterator
 
 from .cycles import (
     alpha,
-    b_value,
     b_value_by_factoring,
+    b_values,
     beta,
+    cycle_jet,
     cycle_jets,
     cycle_polynomial,
+    cycle_polynomials,
     ord3_classification,
     theta,
 )
@@ -154,10 +157,16 @@ def enumerate_partitions(n: int, min_part: int = 3) -> Iterator[tuple[int, ...]]
 
 
 def partition_polynomial(parts: Iterable[int]) -> IntPolynomial:
-    """Product of cycle polynomials over the parts (1 for no parts)."""
+    """Product of cycle polynomials over the parts (1 for no parts), in the
+    parts' order; one walk up to the largest part supplies the factors."""
+    parts = tuple(parts)
+    if parts and min(parts) < 1:
+        raise ParameterDomainError(f"cycle parts must be >= 1, got {list(parts)}")
+    walk = zip(range(1, max(parts, default=0) + 1), cycle_polynomials())
+    factors = {p: poly for p, poly in walk if p in parts}
     result = IntPolynomial.one()
     for p in parts:
-        result = result * cycle_polynomial(p)
+        result = result * factors[p]
     return result
 
 
@@ -172,11 +181,8 @@ FINGERPRINT_POINT = 1_000_003
 
 @functools.cache
 def cycle_fingerprint(p: int) -> int:
-    """D(C_p, FINGERPRINT_POINT) mod FINGERPRINT_MODULUS, by Horner's rule."""
-    value = 0
-    for c in reversed(cycle_polynomial(p).coeffs):
-        value = (value * FINGERPRINT_POINT + c) % FINGERPRINT_MODULUS
-    return value
+    """D(C_p, FINGERPRINT_POINT) mod FINGERPRINT_MODULUS, from the cycle jet."""
+    return cycle_jet(p, FINGERPRINT_POINT)[0] % FINGERPRINT_MODULUS
 
 
 def _match_cycle(parts: tuple[int, ...]) -> bool | None:
@@ -239,8 +245,7 @@ def verify_cycle_recurrence(
     """Recurrence D(C_n) against the subset-enumeration oracle."""
     t0 = time.perf_counter()
     bad = []
-    for n in range(1, n_max + 1):
-        by_recurrence = cycle_polynomial(n)
+    for n, by_recurrence in zip(range(1, n_max + 1), cycle_polynomials()):
         by_oracle = domination_polynomial(cycle(n), guard=guard)
         if by_recurrence != by_oracle:
             bad.append({
@@ -291,8 +296,8 @@ def _scalar_identity_report(lemma_id, n_max, closed_form, derivative_order):
     """Closed form vs. the cycle jet at -1 vs. the differentiated polynomial."""
     t0 = time.perf_counter()
     bad = []
-    for n, jet in zip(range(1, n_max + 1), cycle_jets(-1, derivative_order)):
-        p = cycle_polynomial(n)
+    walk = zip(range(1, n_max + 1), cycle_jets(-1, derivative_order), cycle_polynomials())
+    for n, jet, p in walk:
         for _ in range(derivative_order):
             p = p.derivative()
         evaluated = p.eval_at(-1)
@@ -335,23 +340,21 @@ def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
     """
     t0 = time.perf_counter()
     bad = []
-    for n, (a_n,) in zip(range(1, n_max + 1), cycle_jets(-3)):
+    for n, (a_n,), b_rec in zip(range(1, n_max + 1), cycle_jets(-3), b_values()):
         base = (n + 2) // 3
         got = ord_p(a_n, 3)
         allowed = {0: {base + 1}, 1: {base, base + 1}, 2: {base}}[n % 3]
         if got not in allowed:
             bad.append({"check": "ord3-bound", "n": n, "ord3": got, "allowed": sorted(allowed)})
-        b_rec = b_value(n)
         b_fac = b_value_by_factoring(n, a_n)
         if b_rec != b_fac:
             bad.append({"check": "b-routes", "n": n, "recurrence": str(b_rec), "factoring": str(b_fac)})
         if b_rec % 9 == 0:
             bad.append({"check": "nine-divides-b", "n": n, "b": str(b_rec)})
-    for n in range(1, min(n_max, 30) + 1):
-        if b_value(n) % 9 != _B_MOD9_FIRST_30[n - 1]:
+        if n <= 30 and b_rec % 9 != _B_MOD9_FIRST_30[n - 1]:
             bad.append({
                 "check": "golden-vector", "n": n,
-                "b_mod_9": b_value(n) % 9, "expected": _B_MOD9_FIRST_30[n - 1],
+                "b_mod_9": b_rec % 9, "expected": _B_MOD9_FIRST_30[n - 1],
             })
     return _report("L6-ord3", 1, n_max, bad, t0)
 
@@ -365,10 +368,11 @@ def verify_remark(n_max: int = 1000) -> VerificationReport:
     """
     t0 = time.perf_counter()
     bad = []
-    for t in range(1, n_max - 27 + 1):
-        if (b_value(t + 27) - b_value(t)) % 9 != 0:
+    b = list(islice(b_values(), max(n_max, 0)))
+    for t, (b_t, b_t27) in enumerate(zip(b, b[27:]), start=1):
+        if (b_t27 - b_t) % 9 != 0:
             bad.append({"check": "period-27", "t": t,
-                        "b_t_mod_9": b_value(t) % 9, "b_t27_mod_9": b_value(t + 27) % 9})
+                        "b_t_mod_9": b_t % 9, "b_t27_mod_9": b_t27 % 9})
     for n, (a_n,) in zip(range(1, n_max + 1), cycle_jets(-3)):
         predicted = ord3_classification(n).predicted_ord
         got = ord_p(a_n, 3)
@@ -609,13 +613,13 @@ def classify_corpus(
     records: Iterable[bytes | str],
     *,
     corpus_guard: int = DEFAULT_CORPUS_GUARD,
-    guard: int = DEFAULT_GUARD,
 ) -> CorpusClassification:
     """Group graph6 records into exact polynomial-equivalence classes.
 
     Per-record parse failures are collected, not fatal. An order above
     `corpus_guard` (default 9; a full order-10 corpus is ~12M graphs) is
-    fatal, since it means the whole file is at the wrong scale.
+    fatal, since it means the whole file is at the wrong scale. The oracle
+    runs under the same guard, which every record that passes it meets.
 
     Classes come back sorted by descending size, then by key polynomial
     (degree, then coefficients); members are sorted strings, so output is
@@ -642,7 +646,7 @@ def classify_corpus(
 
     groups: dict[tuple[int, ...], list[str]] = {}
     for text, g in parsed:
-        key = domination_polynomial(g, guard=guard).coeffs
+        key = domination_polynomial(g, guard=corpus_guard).coeffs
         groups.setdefault(key, []).append(text)
 
     classes = [

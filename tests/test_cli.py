@@ -187,6 +187,13 @@ def test_exit_code_3_on_input_errors(capsys, tmp_path):
     (corpus_dir / "orderX.g6").write_bytes(b"@\n")
     code, out, err = run(capsys, "verify", "all", "--corpus-dir", str(corpus_dir))
     assert code == 3 and "orderX.g6" in err and out == ""
+    # a --corpus-dir that gives no corpus check anything to run on
+    no_covered_order = tmp_path / "small"
+    no_covered_order.mkdir()
+    shutil.copy(CORPUS_DIR / "order4.g6", no_covered_order / "order3.g6")
+    for corpus_dir in (CORPUS_DIR.parent / "corpra", CORPUS_DIR / "order6.g6", no_covered_order):
+        code, out, err = run(capsys, "verify", "all", "--corpus-dir", str(corpus_dir))
+        assert code == 3 and "dompoly: --corpus-dir" in err and out == "", corpus_dir
     # a flag the chosen check would ignore
     corpus6 = str(CORPUS_DIR / "order6.g6")
     for argv in (

@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
@@ -9,10 +10,12 @@ from dompoly.cycles import (
     alpha,
     b_value,
     b_value_by_factoring,
+    b_values,
     beta,
     cycle_jet,
     cycle_jets,
     cycle_polynomial,
+    cycle_polynomials,
     ord3_classification,
     theta,
 )
@@ -106,18 +109,24 @@ def test_scalar_routes_agree(n):
     assert a_value(n) == p.eval_at(-3)
 
 
+def _direct_jet(p, t):
+    """p and its first three derivatives at t, from the polynomial."""
+    out = []
+    for _ in range(4):
+        out.append(p.eval_at(t))
+        p = p.derivative()
+    return out
+
+
 @pytest.mark.parametrize("t", (-3, -1, 0, 1, 2))
 def test_jet_matches_differentiated_polynomial(t):
-    for n in range(1, 201):
-        p = cycle_polynomial(n)
-        direct = []
-        for _ in range(4):
-            direct.append(p.eval_at(t))
-            p = p.derivative()
+    for n, p, jet in zip(range(1, 201), cycle_polynomials(), cycle_jets(t, 3)):
+        assert list(jet) == _direct_jet(p, t), n
+    # cycle_jet leaves out the derivatives above the degree n
+    for n in range(1, 6):
         jet = cycle_jet(n, t, 3)
-        # derivatives above the degree n are left out of the jet
         assert len(jet) == min(3, n) + 1, n
-        assert list(jet) + [0] * (4 - len(jet)) == direct, n
+        assert list(jet) + [0] * (4 - len(jet)) == _direct_jet(cycle_polynomial(n), t), n
 
 
 def test_jet_clamps_the_derivative_order_to_n():
@@ -140,6 +149,9 @@ def test_b_values():
         assert b_value(n) == b_value_by_factoring(n, a_value(n))
         assert b_value(n) % 9 != 0
         assert b_value(n) > 0
+    walked = list(islice(b_values(), 200))
+    a_walk = (a for (a,) in cycle_jets(-3))
+    assert walked == [b_value_by_factoring(n, a) for n, a in zip(range(1, 201), a_walk)]
 
 
 def test_b_period_27_mod_9():
@@ -161,6 +173,18 @@ def test_ord3_classification():
     assert ord3_classification(31).predicted_ord == 12  # 31 mod 27 = 4, ceil+1
     for n in range(1, 301):
         assert ord3_classification(n).predicted_ord == ord_p(a_value(n), 3)
+
+
+def test_cycle_polynomial_holds_no_memory_after_return():
+    tracemalloc.start()
+    try:
+        p = cycle_polynomial(600)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.degree == 600
+    # D(C_600) itself is about 40 kB; a memo of D(C_1..C_600) is about 9 MB
+    assert held < 1_000_000, held
 
 
 def test_concurrent_cache_access():

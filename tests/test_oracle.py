@@ -94,14 +94,5 @@ def test_size_guard():
     assert domination_profile(g, guard=6) == (0, 3, 14, 15, 6, 1)
 
 
-def test_use_components_matches_raw():
-    rng = random.Random(3)
-    for _ in range(15):
-        g = disjoint_union(_random_graph(rng, 5), _random_graph(rng, 5))
-        assert domination_polynomial(g, use_components=True) == domination_polynomial(g)
-    lone = path(4)
-    assert domination_polynomial(lone, use_components=True) == domination_polynomial(lone)
-
-
 def test_path_profile():
     assert domination_profile(path(6)) == (0, 1, 10, 13, 6, 1)

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from dompoly.cycles import cycle_polynomial
+from dompoly.cycles import cycle_polynomial, cycle_polynomials
 from dompoly.errors import ParameterDomainError, SizeGuardError
 from dompoly.graphs import cycle, disjoint_union, encode_graph6, complete, parse_graph6, path, wheel
 from dompoly.oracle import domination_polynomial
@@ -92,17 +92,18 @@ def test_partition_polynomial():
 
 
 def test_fingerprint_is_the_cycle_polynomial_value_mod_the_prime():
-    for p in range(1, 201):
-        expected = cycle_polynomial(p).eval_at(FINGERPRINT_POINT) % FINGERPRINT_MODULUS
+    for p, poly in zip(range(1, 201), cycle_polynomials()):
+        expected = poly.eval_at(FINGERPRINT_POINT) % FINGERPRINT_MODULUS
         assert cycle_fingerprint(p) == expected, p
 
 
 @pytest.mark.parametrize("min_part,n_max", ((3, 30), (1, 22)))
 def test_fingerprint_filter_keeps_every_match(min_part, n_max):
     for n in range(3, n_max + 1):
+        target = cycle_polynomial(n)
         exhaustive = [
             parts for parts in enumerate_partitions(n, min_part)
-            if partition_polynomial(parts) == cycle_polynomial(n)
+            if partition_polynomial(parts) == target
         ]
         filtered = [
             parts for parts in enumerate_partitions(n, min_part)
@@ -112,11 +113,12 @@ def test_fingerprint_filter_keeps_every_match(min_part, n_max):
 
 
 def test_fingerprint_filter_agrees_on_triples():
+    cycle_polys = dict(zip(range(1, 46), cycle_polynomials()))
     for n1 in range(3, 40):
         for n2 in range(3, n1 + 1):
             for n3 in range(3, min(n2, 45 - n1 - n2) + 1):
                 parts = (n1, n2, n3)
-                exhaustive = partition_polynomial(parts) == cycle_polynomial(sum(parts))
+                exhaustive = partition_polynomial(parts) == cycle_polys[sum(parts)]
                 assert partition_matches_cycle(parts) == exhaustive, parts
 
 
