@@ -9,6 +9,7 @@ error, 3 input error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lemma", choices=[*verify.CHECKS, "all"])
     p.add_argument("--max-n", type=int, default=None, metavar="N")
     p.add_argument("--min-part", type=int, choices=(1, 3), default=None,
-                   help="T5-partitions only: smallest cycle part (default 3)")
+                   help="cycle-partition check only: smallest cycle part (default 3)")
     p.add_argument("--n", type=int, default=None,
                    help="graph order for corpus-backed checks")
     p.add_argument("--corpus", metavar="FILE",
@@ -112,13 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_verb("classify", _run_classify, help="group a graph6 corpus by domination polynomial")
     p.add_argument("corpus", metavar="FILE")
 
-    p = add_verb("path-class", _run_path_class, help="check the size-two class of P_n over a corpus")
-    p.add_argument("n", type=int)
-    p.add_argument("corpus", metavar="FILE")
-
-    p = add_verb("wheel", _run_wheel, help="check that W_n's class is a singleton over a corpus")
-    p.add_argument("n", type=int)
-    p.add_argument("corpus", metavar="FILE")
+    # The corpus verbs are `verify COR-wheel|P-path-class --n N --corpus FILE`
+    # under another name.
+    for verb, lemma, help_text in (
+        ("path-class", "P-path-class", "check the size-two class of P_n over a corpus"),
+        ("wheel", "COR-wheel", "check that W_n's class is a singleton over a corpus"),
+    ):
+        p = add_verb(verb, _run_verify, help=help_text)
+        p.set_defaults(lemma=lemma, max_n=None, min_part=None, corpus_dir=None)
+        p.add_argument("n", type=int)
+        p.add_argument("corpus", metavar="FILE")
 
     return parser
 
@@ -254,15 +258,16 @@ def _reject_ignored_verify_flags(args):
     """A flag the chosen check would ignore is an input error, not a no-op."""
     check = verify.CHECKS.get(args.lemma)
     if check is None:
-        kind = "all"
+        kind, options = "all", {}
     else:
         kind = "range" if check.default_n is not None else "corpus"
-    # Only these checks walk subsets (guard) or read a corpus (corpus guard).
-    reads_guard = kind == "corpus" or args.lemma in ("L2-union", "L3-cycle")
+        options = inspect.signature(check.run).parameters
+    # A corpus check reads the corpus guard; a range check reads the
+    # options its runner declares.
     taken_by = (
-        ("--guard-override", args.guard_override, reads_guard),
+        ("--guard-override", args.guard_override, kind == "corpus" or "guard" in options),
         ("--max-n", args.max_n, kind == "range"),
-        ("--min-part", args.min_part, args.lemma == "T5-partitions"),
+        ("--min-part", args.min_part, "min_part" in options),
         ("--n", args.n, kind == "corpus"),
         ("--corpus", args.corpus, kind == "corpus"),
         ("--corpus-dir", args.corpus_dir, kind == "all"),
@@ -290,7 +295,8 @@ def _run_verify(args):
     check = verify.CHECKS[args.lemma]
     if check.default_n is None:
         records = _read_corpus(need("--corpus", args.corpus))
-        rep = check.run(need("--n", args.n), records, corpus_guard=_corpus_guard(args))
+        n = need("--n", args.n)
+        rep = check.run(n, verify.classify_corpus(records, corpus_guard=_corpus_guard(args)))
     else:
         max_n = check.default_n if args.max_n is None else args.max_n
         if max_n < check.min_n:
@@ -298,8 +304,8 @@ def _run_verify(args):
                 f"verify {args.lemma} covers n >= {check.min_n}; --max-n {max_n} "
                 f"leaves nothing to check"
             )
-        min_part = 3 if args.min_part is None else args.min_part
-        rep = check.run(max_n, guard=_guard(args), min_part=min_part)
+        given = {"guard": args.guard_override, "min_part": args.min_part}
+        rep = check.run(max_n, **{k: v for k, v in given.items() if v is not None})
     return rep.to_json_dict(), rep.passed
 
 
@@ -324,18 +330,6 @@ def _run_classify(args):
     records = _read_corpus(args.corpus)
     result = verify.classify_corpus(records, corpus_guard=_corpus_guard(args))
     return result.to_json_dict(), True
-
-
-def _run_path_class(args):
-    records = _read_corpus(args.corpus)
-    rep = verify.verify_path_class(args.n, records, corpus_guard=_corpus_guard(args))
-    return rep.to_json_dict(), rep.passed
-
-
-def _run_wheel(args):
-    records = _read_corpus(args.corpus)
-    rep = verify.verify_wheel_uniqueness(args.n, records, corpus_guard=_corpus_guard(args))
-    return rep.to_json_dict(), rep.passed
 
 
 # ---------------------------------------------------------------------------

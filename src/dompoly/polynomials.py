@@ -84,12 +84,6 @@ class IntPolynomial:
                 out[i + j] += ai * bj
         return IntPolynomial(out)
 
-    def times_x(self) -> "IntPolynomial":
-        """Multiply by x (shift every coefficient up one index)."""
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) + self.coeffs)
-
     def eval_at(self, t: int) -> int:
         """Exact evaluation at the integer t, by Horner's rule."""
         acc = 0

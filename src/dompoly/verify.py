@@ -387,46 +387,37 @@ def verify_remark(n_max: int = 1000) -> VerificationReport:
 
 def verify_cycle_uniqueness(n: int, min_part: int = 3) -> VerificationReport:
     """Exactly one partition of n (the trivial {n}) reproduces D(C_n,x)."""
-    if n < 3:
-        raise ParameterDomainError(f"cycle uniqueness check needs n >= 3, got {n}")
-    t0 = time.perf_counter()
-    matches = []
-    total = full_compares = 0
-    for parts in enumerate_partitions(n, min_part):
-        total += 1
-        outcome = _match_cycle(parts)
-        full_compares += outcome is not None
-        if outcome:
-            matches.append(parts)
-    bad = [
-        {
-            "n": n,
-            "partition": list(parts),
-            "partition_polynomial": _poly_json(partition_polynomial(parts)),
-            "cycle_polynomial": _poly_json(cycle_polynomial(n)),
-        }
-        for parts in matches
-        if parts != (n,)
-    ]
-    if (n,) not in matches:
-        bad.append({"n": n, "error": "trivial partition did not match itself"})
-    return _report(
-        "T5-partitions", n, n, bad, t0,
-        {"partitions_checked": total, "full_compares": full_compares, "min_part": min_part},
-    )
+    return verify_cycle_uniqueness_range(n, n, min_part)
 
 
 def verify_cycle_uniqueness_range(
     n_min: int = 3, n_max: int = 40, min_part: int = 3
 ) -> VerificationReport:
+    """For every n in n_min..n_max, only the trivial partition {n} reproduces D(C_n,x)."""
+    if n_min < 3:
+        raise ParameterDomainError(f"cycle uniqueness check needs n >= 3, got {n_min}")
     t0 = time.perf_counter()
     bad = []
     total = full_compares = 0
     for n in range(n_min, n_max + 1):
-        rep = verify_cycle_uniqueness(n, min_part)
-        bad.extend(rep.counterexamples)
-        total += rep.details["partitions_checked"]
-        full_compares += rep.details["full_compares"]
+        trivial_matched = False
+        for parts in enumerate_partitions(n, min_part):
+            total += 1
+            outcome = _match_cycle(parts)
+            full_compares += outcome is not None
+            if not outcome:
+                continue
+            if parts == (n,):
+                trivial_matched = True
+                continue
+            bad.append({
+                "n": n,
+                "partition": list(parts),
+                "partition_polynomial": _poly_json(partition_polynomial(parts)),
+                "cycle_polynomial": _poly_json(cycle_polynomial(n)),
+            })
+        if not trivial_matched:
+            bad.append({"n": n, "error": "trivial partition did not match itself"})
     return _report(
         "T5-partitions", n_min, n_max, bad, t0,
         {"partitions_checked": total, "full_compares": full_compares, "min_part": min_part},
@@ -669,22 +660,17 @@ def _certified(
     return rep
 
 
-def verify_wheel_uniqueness(
-    n: int,
-    records: Iterable[bytes | str],
-    *,
-    corpus_guard: int = DEFAULT_CORPUS_GUARD,
-) -> VerificationReport:
+def verify_wheel_uniqueness(n: int, result: CorpusClassification) -> VerificationReport:
     """Over a complete order-n corpus, W_n's class must be a singleton.
 
-    The report is inconclusive unless the records certify as complete
+    `result` is the corpus's `classify_corpus` output. The report is
+    inconclusive unless it certifies as complete
     (`CorpusClassification.completeness_problems`).
     """
     if n < 4:
         raise ParameterDomainError(f"wheel uniqueness needs n >= 4, got {n}")
     t0 = time.perf_counter()
     target = domination_polynomial(wheel(n))
-    result = classify_corpus(records, corpus_guard=corpus_guard)
     cls = result.class_of(target)
     bad = []
     if cls is None:
@@ -718,13 +704,9 @@ def path_companion(n: int, variant: str) -> Graph:
     return Graph.from_edges(n, base.edges() + extra)
 
 
-def verify_path_class(
-    n: int,
-    records: Iterable[bytes | str],
-    *,
-    corpus_guard: int = DEFAULT_CORPUS_GUARD,
-) -> VerificationReport:
-    """P_n (for 3 | n) has a class of exactly two members over the corpus.
+def verify_path_class(n: int, result: CorpusClassification) -> VerificationReport:
+    """P_n (for 3 | n) has a class of exactly two members over the corpus
+    that `result` classifies.
 
     Both companion constructions are built and compared against D(P_n) by
     brute force; the report records which variant (if either) matches, so
@@ -742,7 +724,6 @@ def verify_path_class(
         companion = path_companion(n, variant)
         variant_matches[variant] = domination_polynomial(companion) == target
 
-    result = classify_corpus(records, corpus_guard=corpus_guard)
     cls = result.class_of(target)
     bad = []
     size = 0 if cls is None else cls.class_size
@@ -773,12 +754,13 @@ class Check:
     """One claim of the paper, runnable by its id.
 
     A range check (`default_n` set) covers min_n..max_n and runs as
-    `run(max_n, guard=..., min_part=...)`. A corpus check (`default_n`
-    None) covers one order n out of min_n, min_n + step, ... and runs as
-    `run(n, records, corpus_guard=...)` over the complete corpus of that
-    order. Each runner looks its `verify_*` function up by module-global
-    name when called, so a wrapper bound to that name (a profiler, say)
-    sees the call.
+    `run(max_n)`; the keyword parameters its runner declares (`guard`,
+    `min_part`) are the only options it reads, and their defaults live
+    there. A corpus check (`default_n` None) covers one order n out of
+    min_n, min_n + step, ... and runs as `run(n, classify_corpus(records))`
+    over the complete corpus of that order. Each runner looks its
+    `verify_*` function up by module-global name when called, so a wrapper
+    bound to that name (a profiler, say) sees the call.
     """
 
     claim: str
@@ -795,59 +777,53 @@ class Check:
 CHECKS: dict[str, Check] = {
     "L2-union": Check(
         "domination polynomial of a disjoint union equals the product over components",
-        lambda n, guard=DEFAULT_GUARD, **_: verify_union_product(max_order=n, guard=guard),
+        lambda n, guard=DEFAULT_GUARD: verify_union_product(max_order=n, guard=guard),
         1, 8,
     ),
     "L3-cycle": Check(
         "three-term cycle recurrence reproduces the brute-force cycle polynomial",
-        lambda n, guard=DEFAULT_GUARD, **_: verify_cycle_recurrence(n, guard=guard),
+        lambda n, guard=DEFAULT_GUARD: verify_cycle_recurrence(n, guard=guard),
         1, 15,
     ),
     "L4-gamma": Check(
         "gamma(C_n) = ceil(n/3), and gamma adds over cycle partitions",
-        lambda n, **_: verify_gamma_additivity_and_ceiling(n), 1, 15,
+        lambda n: verify_gamma_additivity_and_ceiling(n), 1, 15,
     ),
     "L5-alpha": Check(
         "D(C_n,-1) closed form (3 when 4|n, else -1)",
-        lambda n, **_: verify_alpha(n), 1, 200,
+        lambda n: verify_alpha(n), 1, 200,
     ),
     "REL2-beta": Check(
         "D'(C_n,-1) closed form (-n, n, 0, 0 by n mod 4)",
-        lambda n, **_: verify_beta(n), 1, 200,
+        lambda n: verify_beta(n), 1, 200,
     ),
     "REL3-theta": Check(
         "D''(C_n,-1) closed form by n mod 4",
-        lambda n, **_: verify_theta(n), 1, 200,
+        lambda n: verify_theta(n), 1, 200,
     ),
     "L6-ord3": Check(
         "ord_3 of D(C_n,-3) follows the ceil(n/3) table; 9 never divides b_n",
-        lambda n, **_: verify_ord3_table(n), 1, 1000,
+        lambda n: verify_ord3_table(n), 1, 1000,
     ),
     "R1-remark": Check(
         "mod-27 residues {4,13,22} pin down the ambiguous ord_3 branch; b mod 9 has period 27",
-        lambda n, **_: verify_remark(n), 1, 1000,
+        lambda n: verify_remark(n), 1, 1000,
     ),
     "T5-partitions": Check(
         "only the trivial cycle partition reproduces D(C_n,x)",
-        lambda n, min_part=3, **_: verify_cycle_uniqueness_range(3, n, min_part), 3, 40,
+        lambda n, min_part=3: verify_cycle_uniqueness_range(3, n, min_part), 3, 40,
     ),
     "T5-ten-cases": Check(
         "every alpha-compatible part triple falls in the 10-case table and is eliminated",
-        lambda n, **_: verify_ten_case_table(n), 9, 60,
+        lambda n: verify_ten_case_table(n), 9, 60,
     ),
     "COR-wheel": Check(
         "the wheel's polynomial-equivalence class over a complete corpus is a singleton",
-        lambda n, records, corpus_guard=DEFAULT_CORPUS_GUARD: verify_wheel_uniqueness(
-            n, records, corpus_guard=corpus_guard
-        ),
-        4,
+        lambda n, result: verify_wheel_uniqueness(n, result), 4,
     ),
     "P-path-class": Check(
         "the path's class has exactly two members; the companion construction realizes it",
-        lambda n, records, corpus_guard=DEFAULT_CORPUS_GUARD: verify_path_class(
-            n, records, corpus_guard=corpus_guard
-        ),
-        6, step=3,
+        lambda n, result: verify_path_class(n, result), 6, step=3,
     ),
 }
 
@@ -856,13 +832,17 @@ def run_all(*, corpora: dict[int, list[bytes]] | None = None) -> list[Verificati
     """Run every check in `CHECKS` at its default range.
 
     `corpora` maps graph order to graph6 records of the complete corpus
-    of that order; each corpus check runs for every provided order it
-    covers and is omitted otherwise.
+    of that order. Each order some corpus check covers is classified once,
+    and every corpus check runs on each classified order it covers; a
+    corpus check with no such order is omitted.
     """
     reports = [c.run(c.default_n) for c in CHECKS.values() if c.default_n is not None]
-    for check in CHECKS.values():
-        if check.default_n is None:
-            reports += [
-                check.run(n, corpora[n]) for n in sorted(corpora or ()) if check.covers(n)
-            ]
+    corpus_checks = [c for c in CHECKS.values() if c.default_n is None]
+    classified = {
+        n: classify_corpus(records)
+        for n, records in sorted((corpora or {}).items())
+        if any(c.covers(n) for c in corpus_checks)
+    }
+    for check in corpus_checks:
+        reports += [check.run(n, result) for n, result in classified.items() if check.covers(n)]
     return reports

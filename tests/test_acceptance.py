@@ -127,9 +127,9 @@ def test_criterion_08_wheel_class_singleton_over_corpora(classified):
                ok, time.perf_counter() - t0, 300)
 
 
-def test_criterion_09_path_class_of_size_two(corpus):
+def test_criterion_09_path_class_of_size_two(classified):
     t0 = time.perf_counter()
-    report = verify_path_class(6, corpus(6))
+    report = verify_path_class(6, classified(6))
     ok = report.passed and any(
         report.details["companion_variant_matches"].values()
     )

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from dompoly import verify
 from dompoly.cli import build_parser, main
-from dompoly.graphs import complete, cycle, encode_graph6, path, wheel
-from dompoly.verify import CHECKS, path_companion, run_all
+from dompoly.graphs import complete, cycle, encode_graph6, parse_graph6, path, wheel
+from dompoly.verify import CHECKS, classify_corpus, path_companion, run_all
 
 from conftest import CORPUS_DIR
 
@@ -115,6 +116,47 @@ def test_verify_all_with_corpus_dir(capsys):
         "REL3-theta", "L6-ord3", "R1-remark", "T5-partitions", "T5-ten-cases",
         *["COR-wheel"] * 5, "P-path-class",
     ]
+
+
+def test_verify_all_classifies_each_corpus_order_once(capsys, monkeypatch):
+    orders = []
+
+    def counting(records, **kwargs):
+        records = list(records)
+        orders.append(parse_graph6(records[0]).n)
+        return classify_corpus(records, **kwargs)
+
+    monkeypatch.setattr(verify, "classify_corpus", counting)
+    code, _, _ = run(capsys, "verify", "all", "--corpus-dir", str(CORPUS_DIR))
+    assert code == 0
+    # order 6 serves both COR-wheel and P-path-class
+    assert orders == [4, 5, 6, 7, 8]
+
+
+def _without_timing(out: str):
+    payload = json.loads(out) if out else None
+    if payload is not None:
+        payload.pop("timing_ms")
+    return payload
+
+
+@pytest.mark.parametrize("verb,lemma", [("wheel", "COR-wheel"), ("path-class", "P-path-class")])
+@pytest.mark.parametrize("n,complete_corpus,expected_code", [
+    (6, True, 0),
+    (6, False, 1),  # two records are not the order-6 corpus: inconclusive
+    (3, True, 3),  # below either check's first order
+])
+def test_corpus_verbs_are_the_verify_checks(
+    capsys, tmp_path, verb, lemma, n, complete_corpus, expected_code
+):
+    corpus = CORPUS_DIR / "order6.g6"
+    if not complete_corpus:
+        corpus = tmp_path / "two.g6"
+        corpus.write_bytes(encode_graph6(wheel(6)) + b"\n" + encode_graph6(path(6)) + b"\n")
+    code, out, err = run(capsys, verb, str(n), str(corpus))
+    assert code == expected_code
+    again = run(capsys, "verify", lemma, "--n", str(n), "--corpus", str(corpus))
+    assert (again[0], _without_timing(again[1]), again[2]) == (code, _without_timing(out), err)
 
 
 def test_verify_choices_are_the_check_registry():

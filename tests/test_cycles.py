@@ -1,5 +1,4 @@
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import pytest
@@ -185,10 +184,3 @@ def test_cycle_polynomial_holds_no_memory_after_return():
     assert p.degree == 600
     # D(C_600) itself is about 40 kB; a memo of D(C_1..C_600) is about 9 MB
     assert held < 1_000_000, held
-
-
-def test_concurrent_cache_access():
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(cycle_polynomial, [150] * 16))
-    assert all(p == results[0] for p in results)
-    assert results[0].degree == 150

@@ -37,13 +37,6 @@ def test_mul_examples():
     assert X * IntPolynomial((0, 2, 1)) == IntPolynomial((0, 0, 2, 1))
 
 
-def test_times_x():
-    # x * (x^3 + 4x^2 + 6x) is D(C_4)
-    assert IntPolynomial((0, 6, 4, 1)).times_x() == DC4
-    assert IntPolynomial.zero().times_x().is_zero
-    assert IntPolynomial.one().times_x() == X
-
-
 def test_eval_examples():
     assert DC2.eval_at(-1) == -1
     assert DC4.eval_at(-1) == 3
@@ -105,7 +98,7 @@ def test_leibniz_rule(p, q):
 
 @given(polys, polys)
 def test_canonical_form_closed_under_operations(p, q):
-    for result in (p + q, p * q, p.times_x(), p.derivative()):
+    for result in (p + q, p * q, p.derivative()):
         assert not result.coeffs or result.coeffs[-1] != 0
 
 

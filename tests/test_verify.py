@@ -315,10 +315,9 @@ def test_classify_is_deterministic_and_sound(corpus):
             assert domination_polynomial(g) == cls.key_polynomial
 
 
-def test_cycle_class_is_singleton_small_orders(corpus):
+def test_cycle_class_is_singleton_small_orders(classified):
     for n in (4, 5, 6, 7):
-        result = classify_corpus(corpus(n))
-        cls = result.class_of(domination_polynomial(cycle(n)))
+        cls = classified(n).class_of(domination_polynomial(cycle(n)))
         assert cls is not None and cls.class_size == 1
 
 
@@ -326,9 +325,9 @@ def test_cycle_class_is_singleton_small_orders(corpus):
 # Wheel and path class checks
 # ---------------------------------------------------------------------------
 
-def test_wheel_uniqueness(corpus):
+def test_wheel_uniqueness(corpus, classified):
     for n in (4, 5, 6):
-        rep = verify_wheel_uniqueness(n, corpus(n))
+        rep = verify_wheel_uniqueness(n, classified(n))
         assert rep.passed, rep.counterexamples
         assert rep.details["corpus_size"] == len(corpus(n))
 
@@ -336,7 +335,7 @@ def test_wheel_uniqueness(corpus):
 def test_wheel_uniqueness_fails_on_padded_corpus(corpus):
     # duplicating the wheel record makes the class size 2
     records = list(corpus(5)) + [encode_graph6(wheel(5))]
-    rep = verify_wheel_uniqueness(5, records)
+    rep = verify_wheel_uniqueness(5, classify_corpus(records))
     assert not rep.passed
     assert rep.counterexamples[0]["class_size"] == 2
 
@@ -351,8 +350,8 @@ def test_path_companion_variants():
     assert domination_polynomial(path_companion(9, "one-each")) == target9
 
 
-def test_path_class_over_order6_corpus(corpus):
-    rep = verify_path_class(6, corpus(6))
+def test_path_class_over_order6_corpus(classified):
+    rep = verify_path_class(6, classified(6))
     assert rep.passed, rep.counterexamples
     assert rep.details["companion_variant_matches"] == {
         "one-each": True,
@@ -364,7 +363,7 @@ def test_path_class_restricted_corpus_n9():
     # the class has its two members, but two records are not the 274668
     # graphs of order 9, so the claim stays undecided
     records = [encode_graph6(path(9)), encode_graph6(path_companion(9, "one-each"))]
-    rep = verify_path_class(9, records)
+    rep = verify_path_class(9, classify_corpus(records))
     assert rep.status == "inconclusive"
     assert rep.counterexamples == []
     assert rep.details["corpus_problems"] == [
@@ -373,12 +372,12 @@ def test_path_class_restricted_corpus_n9():
 
 
 def test_path_class_detects_wrong_size():
-    rep = verify_path_class(6, [encode_graph6(path(6))])
+    rep = verify_path_class(6, classify_corpus([encode_graph6(path(6))]))
     assert not rep.passed
     assert rep.counterexamples[0]["class_size"] == 1
 
 
-def test_corpus_checks_need_a_certified_corpus(corpus):
+def test_corpus_checks_need_a_certified_corpus(corpus, classified):
     complete = list(corpus(6))
     w6 = encode_graph6(wheel(6))
     other = next(r for r in complete if r not in (w6, complete[-1]))
@@ -397,13 +396,14 @@ def test_corpus_checks_need_a_certified_corpus(corpus):
         ]),
     }
     for name, (records, problems) in cases.items():
-        for rep in (verify_wheel_uniqueness(6, records), verify_path_class(6, records)):
+        result = classify_corpus(records)
+        for rep in (verify_wheel_uniqueness(6, result), verify_path_class(6, result)):
             assert rep.status == "inconclusive", (name, rep.lemma_id)
             assert rep.details["corpus_problems"] == problems, (name, rep.lemma_id)
     # the complete corpus certifies: its passing report gains no key
-    rep = verify_wheel_uniqueness(6, complete)
+    rep = verify_wheel_uniqueness(6, classified(6))
     assert rep.passed and set(rep.details) == {"corpus_size", "parse_errors"}
-    assert classify_corpus(complete).completeness_problems(6) == []
+    assert classified(6).completeness_problems(6) == []
     assert classify_corpus([]).completeness_problems(20) == [
         "records: 0, graphs of order 20: unknown"
     ]
@@ -411,9 +411,9 @@ def test_corpus_checks_need_a_certified_corpus(corpus):
 
 def test_path_class_validation():
     with pytest.raises(ParameterDomainError):
-        verify_path_class(7, [])
+        verify_path_class(7, classify_corpus([]))
     with pytest.raises(ParameterDomainError):
-        verify_path_class(3, [])
+        verify_path_class(3, classify_corpus([]))
 
 
 # ---------------------------------------------------------------------------
