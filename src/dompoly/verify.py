@@ -12,13 +12,23 @@ a cycle's polynomial. The ten-case table check replays the elimination
 of three-part partitions at the level of first and second derivative
 evaluations at -1.
 
-Every cycle-partition check asks `partition_matches_cycle`, which works
-fingerprint first, full compare second: the product of the parts'
-values D(C_p, t) mod 2^61-1 at one fixed point t must equal D(C_n, t)
-mod 2^61-1 before the product polynomial is built and compared with
-D(C_n, x) coefficient by coefficient. Equal polynomials have equal
-values, so the fingerprint only ever rejects; a match is always decided
-by the exact compare.
+T5-partitions enumerates no partition: the divisibility sieve
+(`verify_cycle_uniqueness_by_divisibility`) shows that no D(C_p) with
+3 <= p < n divides D(C_n) in Z[x], which a product of cycle polynomials
+equal to D(C_n) would need of each factor. Each rejection is a ring map
+out of Z[x] (reduction mod a small prime at a residue, evaluation at an
+integer) under which D(C_p) does not divide D(C_n); a pair no map
+rejects gets exact long division, and an n with a true divisor is
+decided by enumeration.
+
+Enumeration is the reference route (`verify_cycle_uniqueness_range`) and
+the route of every other partition search. Each partition is matched by
+`partition_matches_cycle`, fingerprint first, full compare second: the
+product of the parts' values D(C_p, t) mod 2^61-1 at one fixed point t
+must equal D(C_n, t) mod 2^61-1 before the product polynomial is built
+and compared with D(C_n, x) coefficient by coefficient. Equal
+polynomials have equal values, so the fingerprint only ever rejects; a
+match is always decided by the exact compare.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from .cycles import (
     cycle_jets,
     cycle_polynomial,
     cycle_polynomials,
+    cycle_residues,
     ord3_classification,
     theta,
 )
@@ -68,6 +79,7 @@ __all__ = [
     "verify_remark",
     "verify_cycle_uniqueness",
     "verify_cycle_uniqueness_range",
+    "verify_cycle_uniqueness_by_divisibility",
     "verify_ten_case_table",
     "UNLABELED_GRAPH_COUNTS",
     "classify_corpus",
@@ -141,19 +153,49 @@ def enumerate_partitions(n: int, min_part: int = 3) -> Iterator[tuple[int, ...]]
         raise ParameterDomainError(f"min_part must be 1 or 3, got {min_part}")
     if n < 1:
         raise ParameterDomainError(f"partition target must be >= 1, got {n}")
+    return _partitions(n, min_part)
 
-    def rec(remaining: int, largest: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), min_part - 1, -1):
-            rest = remaining - first
-            if rest and rest < min_part:
-                continue
-            for tail in rec(rest, first):
-                yield (first,) + tail
 
-    return rec(n, n)
+def _partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts >= k, each the successor of the last
+    in one list: pop parts until one can shrink, then refill the popped
+    total with the largest parts that leave a rest still fillable.
+
+    A total splits into parts in [k, largest] exactly when its fewest
+    parts, ceil(total / largest) of them, can each be >= k.
+    """
+    if n < k:
+        return
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        total = 0
+        while True:
+            if not parts:
+                return
+            last = parts.pop()
+            total += last
+            largest = last - 1
+            if largest >= k and -(-total // largest) * k <= total:
+                break
+        while total:
+            first = min(largest, total)
+            rest = total - first
+            while rest and -(-rest // first) * k > rest:
+                first -= 1
+                rest += 1
+            parts.append(first)
+            total = rest
+            largest = first
+
+
+def _items_at(walk: Iterator, wanted: set[int]) -> dict:
+    """The items of a walk that starts at n = 1, at the indices in `wanted`."""
+    return {n: item for n, item in zip(range(1, max(wanted, default=0) + 1), walk) if n in wanted}
+
+
+def _product(parts: tuple[int, ...], factors: dict[int, IntPolynomial]) -> IntPolynomial:
+    return math.prod((factors[p] for p in parts), start=IntPolynomial.one())
 
 
 def partition_polynomial(parts: Iterable[int]) -> IntPolynomial:
@@ -162,12 +204,7 @@ def partition_polynomial(parts: Iterable[int]) -> IntPolynomial:
     parts = tuple(parts)
     if parts and min(parts) < 1:
         raise ParameterDomainError(f"cycle parts must be >= 1, got {list(parts)}")
-    walk = zip(range(1, max(parts, default=0) + 1), cycle_polynomials())
-    factors = {p: poly for p, poly in walk if p in parts}
-    result = IntPolynomial.one()
-    for p in parts:
-        result = result * factors[p]
-    return result
+    return _product(parts, _items_at(cycle_polynomials(), set(parts)))
 
 
 # A fingerprint is D(C_p, t) mod a prime at one fixed point t. Evaluation
@@ -191,7 +228,8 @@ def _match_cycle(parts: tuple[int, ...]) -> bool | None:
     n = sum(parts)
     if math.prod(map(cycle_fingerprint, parts)) % FINGERPRINT_MODULUS != cycle_fingerprint(n):
         return None
-    return partition_polynomial(parts) == cycle_polynomial(n)
+    factors = _items_at(cycle_polynomials(), {*parts, n})
+    return _product(parts, factors) == factors[n]
 
 
 def partition_matches_cycle(parts: tuple[int, ...]) -> bool:
@@ -390,37 +428,162 @@ def verify_cycle_uniqueness(n: int, min_part: int = 3) -> VerificationReport:
     return verify_cycle_uniqueness_range(n, n, min_part)
 
 
+def _partition_search(n: int, min_part: int) -> tuple[list[dict], int, int]:
+    """Every partition of n against D(C_n): the counterexamples, the number
+    of partitions, and how many of them reached the exact compare."""
+    bad = []
+    total = full_compares = 0
+    trivial_matched = False
+    for parts in enumerate_partitions(n, min_part):
+        total += 1
+        outcome = _match_cycle(parts)
+        full_compares += outcome is not None
+        if not outcome:
+            continue
+        if parts == (n,):
+            trivial_matched = True
+            continue
+        bad.append({
+            "n": n,
+            "partition": list(parts),
+            "partition_polynomial": _poly_json(partition_polynomial(parts)),
+            "cycle_polynomial": _poly_json(cycle_polynomial(n)),
+        })
+    if not trivial_matched:
+        bad.append({"n": n, "error": "trivial partition did not match itself"})
+    return bad, total, full_compares
+
+
 def verify_cycle_uniqueness_range(
     n_min: int = 3, n_max: int = 40, min_part: int = 3
 ) -> VerificationReport:
-    """For every n in n_min..n_max, only the trivial partition {n} reproduces D(C_n,x)."""
+    """For every n in n_min..n_max, only the trivial partition {n} reproduces
+    D(C_n,x): the reference route, which enumerates every partition."""
     if n_min < 3:
         raise ParameterDomainError(f"cycle uniqueness check needs n >= 3, got {n_min}")
     t0 = time.perf_counter()
     bad = []
     total = full_compares = 0
     for n in range(n_min, n_max + 1):
-        trivial_matched = False
-        for parts in enumerate_partitions(n, min_part):
-            total += 1
-            outcome = _match_cycle(parts)
-            full_compares += outcome is not None
-            if not outcome:
-                continue
-            if parts == (n,):
-                trivial_matched = True
-                continue
-            bad.append({
-                "n": n,
-                "partition": list(parts),
-                "partition_polynomial": _poly_json(partition_polynomial(parts)),
-                "cycle_polynomial": _poly_json(cycle_polynomial(n)),
-            })
-        if not trivial_matched:
-            bad.append({"n": n, "error": "trivial partition did not match itself"})
+        found, partitions, compares = _partition_search(n, min_part)
+        bad += found
+        total += partitions
+        full_compares += compares
     return _report(
         "T5-partitions", n_min, n_max, bad, t0,
         {"partitions_checked": total, "full_compares": full_compares, "min_part": min_part},
+    )
+
+
+# The divisibility sieve. D(C_p) is monic with integer coefficients, so a
+# product of them equal to D(C_n) makes each factor divide D(C_n) in Z[x];
+# every ring map out of Z[x] keeps that, and each stage of the sieve rejects
+# a pair (p, n) only where one such map shows that D(C_p) does not divide
+# D(C_n). Stage 1 maps x to each residue mod each of SIEVE_MODULI, stage 2
+# to each integer of SIEVE_POINTS.
+SIEVE_MODULI = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+SIEVE_POINTS = (1, 2, 3, -2, 5, 7)
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _residue_survivors(n_min: int, n_max: int) -> dict[int, int]:
+    """For each n in n_min..n_max, a bitmask of the p in 3..n-1 such that
+    every (q, r) with D(C_p, r) = 0 mod q has D(C_n, r) = 0 mod q too."""
+    modulus = math.prod(SIEVE_MODULI)
+    survivors = {n: (1 << n) - 8 for n in range(n_min, n_max + 1)}
+    if not survivors:
+        return survivors
+    # The residue r of every modulus q > r is reached by evaluating at t = r,
+    # so the points 1..max(q)-1 cover every nonzero residue, and one walk
+    # mod the product serves all the moduli: gcd(D(C_n, t), modulus) is the
+    # product of the moduli that divide D(C_n, t).
+    for t in range(1, max(SIEVE_MODULI, default=1)):
+        key = [0, *(math.gcd(v, modulus) for v in islice(cycle_residues(t, modulus), n_max))]
+        with_key: dict[int, int] = {}
+        for p in range(3, n_max):
+            with_key[key[p]] = with_key.get(key[p], 0) | 1 << p
+        allowed = {
+            kn: sum(ps for kp, ps in with_key.items() if kn % kp == 0)
+            for kn in set(key[n_min:])
+        }
+        for n in survivors:
+            survivors[n] &= allowed[key[n]]
+    return survivors
+
+
+def _monic_divides(divisor: IntPolynomial, dividend: IntPolynomial) -> bool:
+    """Whether the monic `divisor` divides `dividend` in Z[x], by long division."""
+    d = divisor.coeffs
+    k = len(d) - 1
+    rem = list(dividend.coeffs)
+    for top in range(len(rem) - 1, k - 1, -1):
+        c = rem[top]
+        if c:
+            for j in range(k):
+                rem[top - k + j] -= c * d[j]
+    return not any(rem[:k])
+
+
+def verify_cycle_uniqueness_by_divisibility(
+    n_min: int = 3, n_max: int = 1000, min_part: int = 3
+) -> VerificationReport:
+    """For every n in n_min..n_max, only the trivial partition {n} reproduces
+    D(C_n,x), proved by showing that no D(C_p) with 3 <= p < n divides D(C_n).
+
+    Pairs (p, n) pass three stages: residue signatures mod SIEVE_MODULI,
+    divisibility of the values at SIEVE_POINTS, and exact long division.
+    An n with a true divisor is decided by enumerating its partitions, as
+    is, with min_part 1, an n where D(C_n, -2) = 0 (a part 2 could divide,
+    as D(C_2) = x(x + 2)) or D(C_n, 1) = 1 (D(C_n) could be x^n, the
+    product of n parts 1).
+    """
+    if n_min < 3:
+        raise ParameterDomainError(f"cycle uniqueness check needs n >= 3, got {n_min}")
+    if min_part not in (1, 3):
+        raise ParameterDomainError(f"min_part must be 1 or 3, got {min_part}")
+    t0 = time.perf_counter()
+    pairs = [
+        (p, n) for n, mask in _residue_survivors(n_min, n_max).items() for p in _set_bits(mask)
+    ]
+    residue_survivors = len(pairs)
+    for t in SIEVE_POINTS:
+        if not pairs:
+            break
+        jet = _items_at(cycle_jets(t), {i for pair in pairs for i in pair})
+        pairs = [(p, n) for p, n in pairs if jet[p][0] == 0 or jet[n][0] % jet[p][0] == 0]
+    value_survivors = len(pairs)
+    divisors = []
+    if pairs:
+        poly = _items_at(cycle_polynomials(), {i for pair in pairs for i in pair})
+        divisors = [[p, n] for p, n in pairs if _monic_divides(poly[p], poly[n])]
+    undecided = {n for _, n in divisors}
+    if min_part == 1:
+        walk = zip(range(1, n_max + 1), cycle_jets(-2), cycle_jets(1))
+        undecided.update(
+            n for n, (at_minus_two,), (at_one,) in walk
+            if n >= n_min and (at_minus_two == 0 or at_one == 1)
+        )
+    bad = [ex for n in sorted(undecided) for ex in _partition_search(n, min_part)[0]]
+    return _report(
+        "T5-partitions", n_min, n_max, bad, t0,
+        {
+            "route": "divisibility",
+            "moduli": list(SIEVE_MODULI),
+            "points": list(SIEVE_POINTS),
+            "pairs_tested": sum(n - 3 for n in range(n_min, n_max + 1)),
+            "residue_survivors": residue_survivors,
+            "value_survivors": value_survivors,
+            "exact_divisions": value_survivors,
+            "divisors": divisors,
+            "enumerated": sorted(undecided),
+            "min_part": min_part,
+        },
     )
 
 
@@ -811,7 +974,7 @@ CHECKS: dict[str, Check] = {
     ),
     "T5-partitions": Check(
         "only the trivial cycle partition reproduces D(C_n,x)",
-        lambda n, min_part=3: verify_cycle_uniqueness_range(3, n, min_part), 3, 40,
+        lambda n, min_part=3: verify_cycle_uniqueness_by_divisibility(3, n, min_part), 3, 1000,
     ),
     "T5-ten-cases": Check(
         "every alpha-compatible part triple falls in the 10-case table and is eliminated",

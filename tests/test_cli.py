@@ -104,6 +104,13 @@ def test_verify_verbs(capsys):
     assert code == 0
     assert json.loads(out)["details"]["min_part"] == 3
 
+    code, out, _ = run(capsys, "verify", "T5-partitions")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["range"] == [3, 1000]
+    assert payload["status"] == "pass"
+    assert payload["details"]["route"] == "divisibility"
+
 
 def test_verify_all_with_corpus_dir(capsys):
     code, out, _ = run(

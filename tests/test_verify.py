@@ -24,6 +24,7 @@ from dompoly.verify import (
     verify_beta,
     verify_cycle_recurrence,
     verify_cycle_uniqueness,
+    verify_cycle_uniqueness_by_divisibility,
     verify_cycle_uniqueness_range,
     verify_gamma_additivity_and_ceiling,
     verify_ord3_table,
@@ -72,6 +73,22 @@ def test_partition_count_matches_recurrence(min_part, n_max):
     for n in range(1, n_max + 1):
         expected = _count_partitions(n, n, min_part)
         assert sum(1 for _ in enumerate_partitions(n, min_part)) == expected
+
+
+def _naive_partitions(n: int, largest: int, min_part: int):
+    if n == 0:
+        return [()]
+    return [
+        (first, *rest)
+        for first in range(min(n, largest), min_part - 1, -1)
+        for rest in _naive_partitions(n - first, first, min_part)
+    ]
+
+
+@pytest.mark.parametrize("min_part", (1, 3))
+def test_enumerate_partitions_matches_naive_recursion(min_part):
+    for n in range(1, 31):
+        assert list(enumerate_partitions(n, min_part)) == _naive_partitions(n, n, min_part), n
 
 
 def test_enumerate_partitions_validation():
@@ -214,6 +231,114 @@ def test_cycle_uniqueness_min_part_one():
     rep = verify_cycle_uniqueness(8, min_part=1)
     assert rep.passed
     assert rep.details["min_part"] == 1
+
+
+def _answer(report):
+    return report.status, report.counterexamples
+
+
+@pytest.mark.parametrize("min_part,n_max", ((3, 40), (1, 25)))
+def test_divisibility_sieve_agrees_with_enumeration(min_part, n_max):
+    for n in range(3, n_max + 1):
+        sieve = verify_cycle_uniqueness_by_divisibility(n, n, min_part)
+        assert _answer(sieve) == _answer(verify_cycle_uniqueness(n, min_part)) == ("pass", []), n
+        assert sieve.details["enumerated"] == []
+    sieve = verify_cycle_uniqueness_by_divisibility(3, n_max, min_part)
+    assert _answer(sieve) == _answer(verify_cycle_uniqueness_range(3, n_max, min_part))
+    assert sieve.range_checked == (3, n_max)
+
+
+def test_divisibility_sieve_default_range():
+    rep = verify_cycle_uniqueness_by_divisibility()
+    assert rep.passed and rep.range_checked == (3, 1000)
+    details = rep.details
+    assert details["route"] == "divisibility"
+    assert details["pairs_tested"] == 997 * 998 // 2
+    assert details["pairs_tested"] >= details["residue_survivors"] >= details["value_survivors"]
+    assert details["exact_divisions"] == details["value_survivors"]
+    assert details["divisors"] == details["enumerated"] == []
+    assert details["min_part"] == 3
+    assert "partitions_checked" not in details and "full_compares" not in details
+
+
+def _sieve_without_stages(monkeypatch):
+    """No modulus and no point: every pair reaches the exact division."""
+    monkeypatch.setattr(verify, "SIEVE_MODULI", ())
+    monkeypatch.setattr(verify, "SIEVE_POINTS", ())
+
+
+@pytest.mark.parametrize("min_part", (1, 3))
+def test_divisibility_sieve_stages_only_reject(monkeypatch, min_part):
+    """With stages 1 and 2 emptied, exact division alone rejects every pair,
+    and the answer is the same."""
+    sieved = verify_cycle_uniqueness_by_divisibility(3, 20, min_part)
+    _sieve_without_stages(monkeypatch)
+    divided = verify_cycle_uniqueness_by_divisibility(3, 20, min_part)
+    assert divided.details["residue_survivors"] == divided.details["pairs_tested"]
+    assert divided.details["exact_divisions"] == divided.details["pairs_tested"] == 153
+    assert divided.details["divisors"] == []
+    assert sieved.details["exact_divisions"] < divided.details["exact_divisions"]
+    assert _answer(sieved) == _answer(divided) == ("pass", [])
+
+
+def test_divisibility_sieve_decides_a_planted_divisor_by_enumeration(monkeypatch):
+    _sieve_without_stages(monkeypatch)
+    divides = verify._monic_divides
+    monkeypatch.setattr(
+        verify, "_monic_divides",
+        lambda d, f: (d.degree, f.degree) == (5, 12) or divides(d, f),
+    )
+    enumerated = []
+
+    def spy(n, min_part=3):
+        enumerated.append((n, min_part))
+        return enumerate_partitions(n, min_part)
+
+    monkeypatch.setattr(verify, "enumerate_partitions", spy)
+    rep = verify_cycle_uniqueness_by_divisibility(3, 15)
+    assert rep.details["divisors"] == [[5, 12]]
+    assert rep.details["enumerated"] == [12]
+    assert enumerated == [(12, 3)]
+    assert _answer(rep) == ("pass", [])
+
+    # A counterexample the enumeration finds is reported as the reference
+    # route reports it.
+    matches = verify._match_cycle
+    monkeypatch.setattr(verify, "_match_cycle", lambda parts: parts == (9, 3) or matches(parts))
+    rep = verify_cycle_uniqueness_by_divisibility(3, 15)
+    assert rep.status == "fail"
+    assert [ex["partition"] for ex in rep.counterexamples] == [[9, 3]]
+    assert _answer(rep) == _answer(verify_cycle_uniqueness_range(12, 12))
+
+
+@pytest.mark.parametrize("point,value", ((-2, 0), (1, 1)))
+def test_divisibility_sieve_enumerates_when_small_parts_could_match(monkeypatch, point, value):
+    """With min_part 1, D(C_n, -2) = 0 (a part 2 could divide) or
+    D(C_n, 1) = 1 (D(C_n) could be x^n) sends that n to enumeration."""
+    jets = verify.cycle_jets
+
+    def planted(t, k=0):
+        for n, jet in enumerate(jets(t, k), start=1):
+            yield (value,) if (t, n) == (point, 7) else jet
+
+    monkeypatch.setattr(verify, "cycle_jets", planted)
+    assert verify_cycle_uniqueness_by_divisibility(3, 10, 1).details["enumerated"] == [7]
+    assert verify_cycle_uniqueness_by_divisibility(3, 10, 3).details["enumerated"] == []
+
+
+def test_monic_divides():
+    c3 = cycle_polynomial(3)
+    assert verify._monic_divides(c3, partition_polynomial((4, 3)))
+    assert verify._monic_divides(IntPolynomial.x(), cycle_polynomial(9))
+    assert not verify._monic_divides(c3, cycle_polynomial(7))
+    assert not verify._monic_divides(cycle_polynomial(4), partition_polynomial((3, 3, 3)))
+
+
+def test_divisibility_sieve_validation():
+    with pytest.raises(ParameterDomainError):
+        verify_cycle_uniqueness_by_divisibility(2, 10)
+    with pytest.raises(ParameterDomainError):
+        verify_cycle_uniqueness_by_divisibility(3, 10, min_part=2)
 
 
 # ---------------------------------------------------------------------------
