@@ -24,7 +24,7 @@ from .errors import (
     SizeGuardError,
     ValuationError,
 )
-from .graphs import Graph, iter_graph6_records, parse_family_spec, parse_graph6
+from .graphs import Graph, iter_graph6_records, parse_family_spec, parse_graph6, split_family_spec
 from .oracle import DEFAULT_GUARD, domination_number, domination_polynomial
 
 _INPUT_ERRORS = (
@@ -170,11 +170,9 @@ def _input_graphs(args) -> list[tuple[str, Graph]]:
 
 def _cycle_order(args) -> int | None:
     """Order n when the input is the cycle family (recurrence applies)."""
-    if args.family and args.family.startswith("cycle:"):
-        try:
-            return int(args.family.split(":", 1)[1])
-        except ValueError:
-            return None
+    match split_family_spec(args.family) if args.family else None:
+        case ("cycle", (n,)):
+            return n
     return None
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "wheel",
     "complete_cycle_join",
     "build_family",
+    "split_family_spec",
     "parse_family_spec",
     "FAMILY_NAMES",
     "disjoint_union",
@@ -231,15 +232,21 @@ def build_family(name: str, *params: int) -> Graph:
     return builder(*params)
 
 
-def parse_family_spec(spec: str) -> Graph:
-    """Parse "name:params" strings such as "cycle:7" or "complete-cycle-join:2,5"."""
+def split_family_spec(spec: str) -> tuple[str, tuple[int, ...]]:
+    """Split "name:params" strings such as "cycle:7" or
+    "complete-cycle-join:2,5" into the name and the integer parameters."""
     name, sep, rest = spec.partition(":")
     if not sep:
         raise ParameterDomainError(f"family spec {spec!r} is missing ':params'")
     try:
-        params = tuple(int(p) for p in rest.split(","))
+        return name, tuple(int(p) for p in rest.split(","))
     except ValueError:
         raise ParameterDomainError(f"non-integer parameter in family spec {spec!r}") from None
+
+
+def parse_family_spec(spec: str) -> Graph:
+    """Build the graph a "name:params" spec names."""
+    name, params = split_family_spec(spec)
     return build_family(name, *params)
 
 

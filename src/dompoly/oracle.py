@@ -36,18 +36,12 @@ def _check_guard(n: int, guard: int):
         )
 
 
-def _half_tables(closed: tuple[int, ...], n: int) -> tuple[list[int], list[int], int]:
-    """Coverage masks for every subset of the low and high vertex halves."""
-    h = (n + 1) // 2
-    low = [0] * (1 << h)
-    for s in range(1, 1 << h):
-        v = (s & -s).bit_length() - 1
-        low[s] = low[s & (s - 1)] | closed[v]
-    high = [0] * (1 << (n - h))
-    for s in range(1, 1 << (n - h)):
-        v = (s & -s).bit_length() - 1
-        high[s] = high[s & (s - 1)] | closed[h + v]
-    return low, high, h
+def _cover_table(closed: tuple[int, ...]) -> list[int]:
+    """The union of the given closed neighborhoods over every subset of them."""
+    table = [0] * (1 << len(closed))
+    for s in range(1, len(table)):
+        table[s] = table[s & (s - 1)] | closed[(s & -s).bit_length() - 1]
+    return table
 
 
 def domination_profile(g: Graph, *, guard: int = DEFAULT_GUARD) -> tuple[int, ...]:
@@ -59,7 +53,9 @@ def domination_profile(g: Graph, *, guard: int = DEFAULT_GUARD) -> tuple[int, ..
     _check_guard(n, guard)
     if n == 0:
         return ()
-    low, high, h = _half_tables(g.closed, n)
+    # Coverage masks for every subset of the low and high vertex halves.
+    h = (n + 1) // 2
+    low, high = _cover_table(g.closed[:h]), _cover_table(g.closed[h:])
     full = (1 << n) - 1
     low_mask = (1 << h) - 1
     counts = [0] * (n + 1)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dompoly import verify
+from dompoly import graphs, verify
 from dompoly.cli import build_parser, main
 from dompoly.graphs import complete, cycle, encode_graph6, parse_graph6, path, wheel
 from dompoly.verify import CHECKS, classify_corpus, path_companion, run_all
@@ -85,6 +85,30 @@ def test_eval_uses_recurrence_for_large_cycles(capsys):
     assert json.loads(out)["results"][0]["value"] == "0"
 
 
+def test_cycle_family_takes_the_recurrence_route(capsys, monkeypatch):
+    """poly and eval answer cycle:n from the recurrence and never build C_n;
+    a malformed cycle spec fails as the graph builder would fail on it."""
+    def no_graph(*args):
+        raise AssertionError(f"built a graph for {args}")
+
+    monkeypatch.setattr(graphs, "build_family", no_graph)
+    for verb, extra, n in (("poly", (), 100), ("eval", ("--at", "-1"), 100000)):
+        code, out, _ = run(capsys, verb, "--family", f"cycle:{n}", *extra)
+        assert code == 0 and json.loads(out)["results"][0]["source"] == f"cycle:{n}"
+        for spec, message in (
+            ("cycle:0", "cycle sequences need n >= 1, got 0"),
+            ("cycle:abc", "non-integer parameter in family spec 'cycle:abc'"),
+            ("cycle", "family spec 'cycle' is missing ':params'"),
+        ):
+            code, out, err = run(capsys, verb, "--family", spec, *extra)
+            assert (code, out, err) == (3, "", f"dompoly: {message}\n"), spec
+        code, _, err = run(capsys, "--guard-override", "5", verb, "--family", "cycle:7", *extra)
+        refusal = f"dompoly: {verb} --family cycle:7 does not take --guard-override\n"
+        assert (code, err) == (3, refusal)
+        with pytest.raises(AssertionError, match="built a graph"):
+            run(capsys, verb, "--family", "cycle:3,4", *extra)
+
+
 def test_poly_on_graph6_file(capsys, tmp_path):
     f = tmp_path / "k3.g6"
     f.write_bytes(b">>graph6<<\nBw\n")
@@ -112,20 +136,7 @@ def test_verify_verbs(capsys):
     assert payload["details"]["route"] == "divisibility"
 
 
-def test_verify_all_with_corpus_dir(capsys):
-    code, out, _ = run(
-        capsys, "verify", "all", "--corpus-dir", str(CORPUS_DIR),
-    )
-    assert code == 0
-    ids = [r["lemma_id"] for r in json.loads(out)["reports"]]
-    assert ids == [
-        "L2-union", "L3-cycle", "L4-gamma", "L5-alpha", "REL2-beta",
-        "REL3-theta", "L6-ord3", "R1-remark", "T5-partitions", "T5-ten-cases",
-        *["COR-wheel"] * 5, "P-path-class",
-    ]
-
-
-def test_verify_all_classifies_each_corpus_order_once(capsys, monkeypatch):
+def test_verify_all_with_corpus_dir(capsys, monkeypatch):
     orders = []
 
     def counting(records, **kwargs):
@@ -134,9 +145,16 @@ def test_verify_all_classifies_each_corpus_order_once(capsys, monkeypatch):
         return classify_corpus(records, **kwargs)
 
     monkeypatch.setattr(verify, "classify_corpus", counting)
-    code, _, _ = run(capsys, "verify", "all", "--corpus-dir", str(CORPUS_DIR))
+    code, out, _ = run(capsys, "verify", "all", "--corpus-dir", str(CORPUS_DIR))
     assert code == 0
-    # order 6 serves both COR-wheel and P-path-class
+    ids = [r["lemma_id"] for r in json.loads(out)["reports"]]
+    assert ids == [
+        "L2-union", "L3-cycle", "L4-gamma", "L5-alpha", "REL2-beta",
+        "REL3-theta", "L6-ord3", "R1-remark", "T5-partitions", "T5-ten-cases",
+        *["COR-wheel"] * 5, "P-path-class",
+    ]
+    # each corpus order is classified once: order 6 serves both COR-wheel
+    # and P-path-class
     assert orders == [4, 5, 6, 7, 8]
 
 

@@ -12,6 +12,7 @@ from dompoly.graphs import (
     join,
     parse_family_spec,
     path,
+    split_family_spec,
     wheel,
 )
 
@@ -92,6 +93,9 @@ def test_parameter_domain_errors():
 
 
 def test_parse_family_spec():
+    assert split_family_spec("cycle:6") == ("cycle", (6,))
+    assert split_family_spec("cycle:0") == ("cycle", (0,))
+    assert split_family_spec("complete-cycle-join:2,5") == ("complete-cycle-join", (2, 5))
     assert parse_family_spec("cycle:6") == cycle(6)
     assert parse_family_spec("complete-cycle-join:2,5") == complete_cycle_join(2, 5)
     with pytest.raises(ParameterDomainError):

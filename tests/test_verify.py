@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from dompoly.cycles import cycle_polynomial, cycle_polynomials
+from dompoly.cycles import alpha, cycle_polynomial, cycle_polynomials
 from dompoly.errors import ParameterDomainError, SizeGuardError
 from dompoly.graphs import cycle, disjoint_union, encode_graph6, complete, parse_graph6, path, wheel
 from dompoly.oracle import domination_polynomial
@@ -147,17 +147,14 @@ def _without_work_counters(report):
 
 
 def test_fingerprint_filter_only_rejects(monkeypatch):
-    """With a constant fingerprint nothing is filtered out; the answers stay
+    """With a constant fingerprint nothing is filtered out; the answer stays
     the same, so a match is always decided by the full compare."""
-    filtered = [verify_cycle_uniqueness_range(3, 20), verify_ten_case_table(40)]
+    filtered = verify_cycle_uniqueness_range(3, 20)
     monkeypatch.setattr(verify, "cycle_fingerprint", lambda p: 1)
-    unfiltered = [verify_cycle_uniqueness_range(3, 20), verify_ten_case_table(40)]
-    partitions, triples = unfiltered
-    assert partitions.details["full_compares"] == partitions.details["partitions_checked"]
-    assert triples.details["full_compares"] == triples.details["triples_checked"]
-    for before, after in zip(filtered, unfiltered):
-        assert before.details["full_compares"] < after.details["full_compares"]
-        assert _without_work_counters(before) == _without_work_counters(after)
+    unfiltered = verify_cycle_uniqueness_range(3, 20)
+    assert unfiltered.details["full_compares"] == unfiltered.details["partitions_checked"]
+    assert filtered.details["full_compares"] < unfiltered.details["full_compares"]
+    assert _without_work_counters(filtered) == _without_work_counters(unfiltered)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +361,67 @@ def test_ten_cases_table_is_exactly_the_alpha_compatible_patterns():
     assert len(case_ids) == 10
 
 
+def test_triples_are_the_part_triples_up_to_n_max_in_order():
+    for n_max in (0, 8, 9, 10, 17, 30):
+        naive = [
+            (n1, n2, n3)
+            for n1 in range(3, n_max + 1) for n2 in range(3, n1 + 1) for n3 in range(3, n2 + 1)
+            if n1 + n2 + n3 <= n_max
+        ]
+        assert list(verify._triples(n_max)) == naive, n_max
+
+
+def test_jet_product_is_the_jet_of_the_product():
+    def jet(p, t):
+        return (p.eval_at(t), p.derivative().eval_at(t), p.derivative().derivative().eval_at(t))
+
+    rng = random.Random(8)
+    for _ in range(50):
+        f = IntPolynomial(tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6))))
+        g = IntPolynomial(tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6))))
+        for t in (-1, 0, 2):
+            assert verify._jet_product(jet(f, t), jet(g, t)) == jet(f * g, t), (f, g, t)
+
+
+def test_ten_case_table_reads_no_fingerprint_and_compares_nothing(monkeypatch):
+    """At -1 the 2-jet alone eliminates every triple to n = 150."""
+    calls = []
+
+    def spy(name):
+        real = getattr(verify, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("cycle_fingerprint", "partition_matches_cycle", "_match_cycle"):
+        monkeypatch.setattr(verify, name, spy(name))
+    rep = verify_ten_case_table(150)
+    assert rep.passed and rep.range_checked == (9, 150)
+    assert rep.details["full_compares"] == 0
+    assert calls == []
+
+
+def test_ten_case_jet_only_rejects(monkeypatch):
+    """With beta and theta planted as 0 every alpha-compatible triple's jet
+    agrees with n's; the exact compare then decides each of them, and finds
+    no product equal to D(C_n), so the jet never decides a match."""
+    compared = []
+
+    def matches(parts):
+        compared.append(parts)
+        return partition_matches_cycle(parts)
+
+    monkeypatch.setattr(verify, "beta", lambda n: 0)
+    monkeypatch.setattr(verify, "theta", lambda n: 0)
+    monkeypatch.setattr(verify, "partition_matches_cycle", matches)
+    rep = verify_ten_case_table(40)
+    alpha_compatible = [
+        (n1, n2, n3) for n1, n2, n3 in verify._triples(40)
+        if alpha(n1 + n2 + n3) == alpha(n1) * alpha(n2) * alpha(n3)
+    ]
+    assert compared == alpha_compatible
+    assert rep.details["full_compares"] == rep.details["alpha_compatible"] == len(compared) > 0
+    assert all(ex["check"] != "product-equals-cycle" for ex in rep.counterexamples)
+
+
 def test_ten_case_report_examples():
     rep = verify_ten_case_table(30)
     assert rep.passed
@@ -371,7 +429,6 @@ def test_ten_case_report_examples():
     assert all(counts[str(k)] > 0 for k in range(1, 11))
 
     # (5,4,3): alpha-compatible, case 1 pattern
-    from dompoly.cycles import alpha
     assert alpha(12) == alpha(5) * alpha(4) * alpha(3)
     assert TEN_CASES[(0, (0, 1, 3))] == 1
 
