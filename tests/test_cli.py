@@ -136,7 +136,20 @@ def test_verify_verbs(capsys):
     assert payload["details"]["route"] == "divisibility"
 
 
-def test_verify_all_with_corpus_dir(capsys, monkeypatch):
+def test_verify_all_with_corpus_dir(capsys):
+    code, out, _ = run(
+        capsys, "verify", "all", "--corpus-dir", str(CORPUS_DIR),
+    )
+    assert code == 0
+    ids = [r["lemma_id"] for r in json.loads(out)["reports"]]
+    assert ids == [
+        "L2-union", "L3-cycle", "L4-gamma", "L5-alpha", "REL2-beta",
+        "REL3-theta", "L6-ord3", "R1-remark", "T5-partitions", "T5-ten-cases",
+        *["COR-wheel"] * 5, "P-path-class",
+    ]
+
+
+def test_verify_all_classifies_each_corpus_order_once(capsys, monkeypatch):
     orders = []
 
     def counting(records, **kwargs):
@@ -145,16 +158,9 @@ def test_verify_all_with_corpus_dir(capsys, monkeypatch):
         return classify_corpus(records, **kwargs)
 
     monkeypatch.setattr(verify, "classify_corpus", counting)
-    code, out, _ = run(capsys, "verify", "all", "--corpus-dir", str(CORPUS_DIR))
+    code, _, _ = run(capsys, "verify", "all", "--corpus-dir", str(CORPUS_DIR))
     assert code == 0
-    ids = [r["lemma_id"] for r in json.loads(out)["reports"]]
-    assert ids == [
-        "L2-union", "L3-cycle", "L4-gamma", "L5-alpha", "REL2-beta",
-        "REL3-theta", "L6-ord3", "R1-remark", "T5-partitions", "T5-ten-cases",
-        *["COR-wheel"] * 5, "P-path-class",
-    ]
-    # each corpus order is classified once: order 6 serves both COR-wheel
-    # and P-path-class
+    # order 6 serves both COR-wheel and P-path-class
     assert orders == [4, 5, 6, 7, 8]
 
 
