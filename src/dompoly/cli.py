@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import cycles, verify
+from . import cycles, graphs, verify
 from .errors import (
     Graph6FormatError,
     Graph6ParseError,
@@ -25,7 +25,7 @@ from .errors import (
     ValuationError,
 )
 from .graphs import Graph, iter_graph6_records, parse_family_spec, parse_graph6, split_family_spec
-from .oracle import DEFAULT_GUARD, domination_number, domination_polynomial
+from .oracle import DEFAULT_GUARD, _check_guard, domination_number, domination_polynomial
 
 _INPUT_ERRORS = (
     ParameterDomainError,
@@ -160,6 +160,12 @@ def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:
 def _input_graphs(args) -> list[tuple[str, Graph]]:
     """Resolve --family / --graph6 into labeled graphs."""
     if args.family:
+        # A family's order is the sum of its parameters, so an oversized one is
+        # refused before it is built; a spec the builder rejects (unknown name,
+        # wrong parameter count, a parameter below 1) gets the builder's message.
+        name, params = split_family_spec(args.family)
+        if len(params) == graphs.FAMILY_NAMES.get(name, (None, None))[1] and min(params) >= 1:
+            _check_guard(sum(params), _guard(args))
         return [(args.family, parse_family_spec(args.family))]
     records = _read_corpus(args.graph6)
     out = []
@@ -309,17 +315,15 @@ def _run_verify(args):
 
 def _run_search_partitions(args):
     _reject_guard(args, "search-partitions")
-    rows = []
-    matches = 0
-    for parts in verify.enumerate_partitions(args.n, args.min_part):
-        hit = verify.partition_matches_cycle(parts)
-        matches += hit
-        rows.append({"parts": list(parts), "matches": hit})
+    rows = [
+        {"parts": list(parts), "matches": bool(outcome)}
+        for parts, outcome in verify.match_partitions(args.n, args.min_part)
+    ]
     payload = {
         "n": args.n,
         "min_part": args.min_part,
         "partitions": rows,
-        "match_count": matches,
+        "match_count": sum(row["matches"] for row in rows),
     }
     return payload, True
 

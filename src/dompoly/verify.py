@@ -25,18 +25,18 @@ decided by enumeration.
 
 Enumeration is the reference route (`verify_cycle_uniqueness_range`) and
 the route of the other searches that enumerate partitions (L4-gamma's
-ceiling identity, `search-partitions`). Each partition is matched by
-`partition_matches_cycle`, fingerprint first, full compare second: the
+ceiling identity, `search-partitions`). All of them take each partition
+from `match_partitions`, fingerprint first, full compare second: the
 product of the parts' values D(C_p, t) mod 2^61-1 at one fixed point t
 must equal D(C_n, t) mod 2^61-1 before the product polynomial is built
 and compared with D(C_n, x) coefficient by coefficient. Equal
 polynomials have equal values, so the fingerprint only ever rejects; a
-match is always decided by the exact compare.
+match is always decided by the exact compare. One `cycle_residues` walk
+to n gives a search's fingerprints, and nothing is cached between searches.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -49,7 +49,6 @@ from .cycles import (
     b_value_by_factoring,
     b_values,
     beta,
-    cycle_jet,
     cycle_jets,
     cycle_polynomial,
     cycle_polynomials,
@@ -70,7 +69,7 @@ __all__ = [
     "CorpusClassification",
     "enumerate_partitions",
     "partition_polynomial",
-    "cycle_fingerprint",
+    "match_partitions",
     "partition_matches_cycle",
     "verify_union_product",
     "verify_cycle_recurrence",
@@ -193,7 +192,8 @@ def _items_at(walk: Iterator, wanted: set[int]) -> dict:
     return {n: item for n, item in zip(range(1, max(wanted, default=0) + 1), walk) if n in wanted}
 
 
-def _product(parts: tuple[int, ...], factors: dict[int, IntPolynomial]) -> IntPolynomial:
+def _product(parts: tuple[int, ...], factors) -> IntPolynomial:
+    """Product of factors[p] over the parts, in the parts' order."""
     return math.prod((factors[p] for p in parts), start=IntPolynomial.one())
 
 
@@ -215,29 +215,34 @@ FINGERPRINT_MODULUS = 2**61 - 1
 FINGERPRINT_POINT = 1_000_003
 
 
-@functools.cache
-def cycle_fingerprint(p: int) -> int:
-    """D(C_p, FINGERPRINT_POINT) mod FINGERPRINT_MODULUS, from the cycle jet."""
-    return cycle_jet(p, FINGERPRINT_POINT)[0] % FINGERPRINT_MODULUS
+def match_partitions(n: int, min_part: int = 3) -> Iterator[tuple[tuple[int, ...], bool | None]]:
+    """Yield (parts, outcome) for every partition of n into parts >=
+    min_part, in `enumerate_partitions` order.
 
-
-def _match_cycle(parts: tuple[int, ...]) -> bool | None:
-    """None when the fingerprints already differ, so no full compare ran;
-    otherwise whether the product polynomial equals D(C_n), n = sum(parts)."""
-    n = sum(parts)
-    if math.prod(map(cycle_fingerprint, parts)) % FINGERPRINT_MODULUS != cycle_fingerprint(n):
-        return None
-    factors = _items_at(cycle_polynomials(), {*parts, n})
-    return _product(parts, factors) == factors[n]
+    The outcome is None when the parts' fingerprint product differs from
+    D(C_n)'s, so no full compare ran; otherwise it is whether the product
+    polynomial equals D(C_n). One `cycle_residues` walk to n gives every
+    fingerprint and one `cycle_polynomials` walk every factor.
+    """
+    partitions = enumerate_partitions(n, min_part)  # checks n >= 1 before the walks
+    modulus = FINGERPRINT_MODULUS
+    fingerprints = [0, *islice(cycle_residues(FINGERPRINT_POINT, modulus), n)]
+    factors = [None, *islice(cycle_polynomials(), n)]
+    for parts in partitions:
+        if math.prod(fingerprints[p] for p in parts) % modulus != fingerprints[n]:
+            yield parts, None
+        else:
+            yield parts, _product(parts, factors) == factors[n]
 
 
 def partition_matches_cycle(parts: tuple[int, ...]) -> bool:
-    """Whether the product of D(C_p) over the parts equals D(C_n), n = sum(parts).
-
-    The fingerprints are compared first; only a partition whose
-    fingerprint product agrees gets the exact polynomial compare.
-    """
-    return bool(_match_cycle(parts))
+    """Whether the product of D(C_p) over the parts equals D(C_n), n =
+    sum(parts), by the exact compare; one walk to n supplies every factor."""
+    if not parts or min(parts) < 1:
+        raise ParameterDomainError(f"cycle parts must be >= 1, got {list(parts)}")
+    n = sum(parts)
+    factors = _items_at(cycle_polynomials(), {*parts, n})
+    return _product(parts, factors) == factors[n]
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +314,13 @@ def verify_gamma_additivity_and_ceiling(n_max: int = 15) -> VerificationReport:
         if got != (n + 2) // 3:
             bad.append({"check": "oracle-gamma", "n": n, "gamma": got})
     for n in range(3, n_max + 1):
-        for parts in enumerate_partitions(n, 3):
-            if partition_matches_cycle(parts):
-                ceilings = sum((p + 2) // 3 for p in parts)
-                if ceilings != (n + 2) // 3:
-                    bad.append({
-                        "check": "ceiling-identity", "n": n, "partition": list(parts),
-                    })
+        for parts, outcome in match_partitions(n):
+            if outcome and sum((p + 2) // 3 for p in parts) != (n + 2) // 3:
+                bad.append({"check": "ceiling-identity", "n": n, "partition": list(parts)})
+    factors = _items_at(cycle_polynomials(), set(range(3, min(n_max, 20) + 1)))
     for n in range(3, min(n_max, 20) + 1):
         for parts in enumerate_partitions(n, 3):
-            poly = partition_polynomial(parts)
+            poly = _product(parts, factors)
             lowest = next(i for i, c in enumerate(poly) if c != 0)
             if lowest != sum((p + 2) // 3 for p in parts):
                 bad.append({
@@ -427,32 +429,6 @@ def verify_cycle_uniqueness(n: int, min_part: int = 3) -> VerificationReport:
     return verify_cycle_uniqueness_range(n, n, min_part)
 
 
-def _partition_search(n: int, min_part: int) -> tuple[list[dict], int, int]:
-    """Every partition of n against D(C_n): the counterexamples, the number
-    of partitions, and how many of them reached the exact compare."""
-    bad = []
-    total = full_compares = 0
-    trivial_matched = False
-    for parts in enumerate_partitions(n, min_part):
-        total += 1
-        outcome = _match_cycle(parts)
-        full_compares += outcome is not None
-        if not outcome:
-            continue
-        if parts == (n,):
-            trivial_matched = True
-            continue
-        bad.append({
-            "n": n,
-            "partition": list(parts),
-            "partition_polynomial": partition_polynomial(parts).coefficient_strings(),
-            "cycle_polynomial": cycle_polynomial(n).coefficient_strings(),
-        })
-    if not trivial_matched:
-        bad.append({"n": n, "error": "trivial partition did not match itself"})
-    return bad, total, full_compares
-
-
 def verify_cycle_uniqueness_range(
     n_min: int = 3, n_max: int = 40, min_part: int = 3
 ) -> VerificationReport:
@@ -464,10 +440,23 @@ def verify_cycle_uniqueness_range(
     bad = []
     total = full_compares = 0
     for n in range(n_min, n_max + 1):
-        found, partitions, compares = _partition_search(n, min_part)
-        bad += found
-        total += partitions
-        full_compares += compares
+        trivial_matched = False
+        for parts, outcome in match_partitions(n, min_part):
+            total += 1
+            full_compares += outcome is not None
+            if not outcome:
+                continue
+            if parts == (n,):
+                trivial_matched = True
+                continue
+            bad.append({
+                "n": n,
+                "partition": list(parts),
+                "partition_polynomial": partition_polynomial(parts).coefficient_strings(),
+                "cycle_polynomial": cycle_polynomial(n).coefficient_strings(),
+            })
+        if not trivial_matched:
+            bad.append({"n": n, "error": "trivial partition did not match itself"})
     return _report(
         "T5-partitions", n_min, n_max, bad, t0,
         {"partitions_checked": total, "full_compares": full_compares, "min_part": min_part},
@@ -566,7 +555,10 @@ def verify_cycle_uniqueness_by_divisibility(
             n for n, (at_minus_two,), (at_one,) in walk
             if n >= n_min and (at_minus_two == 0 or at_one == 1)
         )
-    bad = [ex for n in sorted(undecided) for ex in _partition_search(n, min_part)[0]]
+    bad = [
+        ex for n in sorted(undecided)
+        for ex in verify_cycle_uniqueness(n, min_part).counterexamples
+    ]
     return _report(
         "T5-partitions", n_min, n_max, bad, t0,
         {

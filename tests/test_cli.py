@@ -109,6 +109,36 @@ def test_cycle_family_takes_the_recurrence_route(capsys, monkeypatch):
             run(capsys, verb, "--family", "cycle:3,4", *extra)
 
 
+def test_family_guard_refuses_before_building(capsys, monkeypatch):
+    """A family's order is the sum of its parameters, so an order above the
+    guard is refused with the oracle's message before any builder runs; an
+    unknown name, a wrong parameter count or a parameter below 1 is still
+    the builder's error."""
+    built = []
+    for name, (builder, arity) in list(graphs.FAMILY_NAMES.items()):
+        spy = lambda *params, builder=builder: built.append(params) or builder(*params)
+        monkeypatch.setitem(graphs.FAMILY_NAMES, name, (spy, arity))
+    refusal = ("dompoly: order {} exceeds the enumeration guard ({}); raise it via "
+               "the guard argument (CLI: --guard-override)\n")
+    for verb, extra in (("gamma", ()), ("poly", ()), ("eval", ("--at", "2"))):
+        code, out, err = run(capsys, verb, "--family", "complete:100000", *extra)
+        assert (code, out, err) == (3, "", refusal.format(100000, 24)), verb
+    code, out, err = run(capsys, "--guard-override", "30", "gamma",
+                         "--family", "complete-cycle-join:20,20")
+    assert (code, out, err) == (3, "", refusal.format(40, 30))
+    assert built == []
+    for spec, message in (
+        ("nosuch:100", "unknown family 'nosuch'"),
+        ("complete:50,50", "family 'complete' takes 1 parameter(s), got 2"),
+        ("complete-cycle-join:-1,100", "complete-cycle-join needs m, n >= 1, got (-1,100)"),
+    ):
+        code, out, err = run(capsys, "gamma", "--family", spec)
+        assert code == 3 and out == "" and err.startswith(f"dompoly: {message}"), spec
+    code, out, _ = run(capsys, "gamma", "--family", "complete:24")
+    assert code == 0 and json.loads(out)["results"][0]["gamma"] == 1
+    assert built == [(-1, 100), (24,)]
+
+
 def test_poly_on_graph6_file(capsys, tmp_path):
     f = tmp_path / "k3.g6"
     f.write_bytes(b">>graph6<<\nBw\n")

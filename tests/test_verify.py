@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from dompoly.cycles import alpha, cycle_polynomial, cycle_polynomials
+from dompoly.cycles import alpha, cycle_polynomial, cycle_polynomials, cycle_residues
 from dompoly.errors import ParameterDomainError, SizeGuardError
 from dompoly.graphs import cycle, disjoint_union, encode_graph6, complete, parse_graph6, path, wheel
 from dompoly.oracle import domination_polynomial
@@ -14,8 +14,8 @@ from dompoly.verify import (
     FINGERPRINT_POINT,
     TEN_CASES,
     classify_corpus,
-    cycle_fingerprint,
     enumerate_partitions,
+    match_partitions,
     partition_matches_cycle,
     partition_polynomial,
     path_companion,
@@ -109,9 +109,9 @@ def test_partition_polynomial():
 
 
 def test_fingerprint_is_the_cycle_polynomial_value_mod_the_prime():
-    for p, poly in zip(range(1, 201), cycle_polynomials()):
-        expected = poly.eval_at(FINGERPRINT_POINT) % FINGERPRINT_MODULUS
-        assert cycle_fingerprint(p) == expected, p
+    fingerprints = cycle_residues(FINGERPRINT_POINT, FINGERPRINT_MODULUS)
+    for p, poly, fingerprint in zip(range(1, 201), cycle_polynomials(), fingerprints):
+        assert fingerprint == poly.eval_at(FINGERPRINT_POINT) % FINGERPRINT_MODULUS, p
 
 
 @pytest.mark.parametrize("min_part,n_max", ((3, 30), (1, 22)))
@@ -122,11 +122,21 @@ def test_fingerprint_filter_keeps_every_match(min_part, n_max):
             parts for parts in enumerate_partitions(n, min_part)
             if partition_polynomial(parts) == target
         ]
-        filtered = [
-            parts for parts in enumerate_partitions(n, min_part)
-            if partition_matches_cycle(parts)
-        ]
+        filtered = [parts for parts, outcome in match_partitions(n, min_part) if outcome]
         assert filtered == exhaustive == [(n,)], n
+
+
+@pytest.mark.parametrize("min_part,n_max", ((3, 30), (1, 22)))
+def test_match_partitions_yields_every_partition_and_the_exact_answer(min_part, n_max):
+    """The parts come in `enumerate_partitions` order, and an outcome that
+    is not None is the exact compare's answer."""
+    for n in range(1, n_max + 1):
+        target = cycle_polynomial(n)
+        matched = list(match_partitions(n, min_part))
+        assert [parts for parts, _ in matched] == list(enumerate_partitions(n, min_part)), n
+        for parts, outcome in matched:
+            if outcome is not None:
+                assert outcome == (partition_polynomial(parts) == target), parts
 
 
 def test_fingerprint_filter_agrees_on_triples():
@@ -147,10 +157,10 @@ def _without_work_counters(report):
 
 
 def test_fingerprint_filter_only_rejects(monkeypatch):
-    """With a constant fingerprint nothing is filtered out; the answer stays
-    the same, so a match is always decided by the full compare."""
+    """Modulo 1 every fingerprint is 0, so nothing is filtered out; the
+    answer stays the same, so a match is always decided by the full compare."""
     filtered = verify_cycle_uniqueness_range(3, 20)
-    monkeypatch.setattr(verify, "cycle_fingerprint", lambda p: 1)
+    monkeypatch.setattr(verify, "FINGERPRINT_MODULUS", 1)
     unfiltered = verify_cycle_uniqueness_range(3, 20)
     assert unfiltered.details["full_compares"] == unfiltered.details["partitions_checked"]
     assert filtered.details["full_compares"] < unfiltered.details["full_compares"]
@@ -300,8 +310,13 @@ def test_divisibility_sieve_decides_a_planted_divisor_by_enumeration(monkeypatch
 
     # A counterexample the enumeration finds is reported as the reference
     # route reports it.
-    matches = verify._match_cycle
-    monkeypatch.setattr(verify, "_match_cycle", lambda parts: parts == (9, 3) or matches(parts))
+    matches = verify.match_partitions
+
+    def planted(n, min_part=3):
+        for parts, outcome in matches(n, min_part):
+            yield parts, parts == (9, 3) or outcome
+
+    monkeypatch.setattr(verify, "match_partitions", planted)
     rep = verify_cycle_uniqueness_by_divisibility(3, 15)
     assert rep.status == "fail"
     assert [ex["partition"] for ex in rep.counterexamples] == [[9, 3]]
@@ -391,7 +406,7 @@ def test_ten_case_table_reads_no_fingerprint_and_compares_nothing(monkeypatch):
         real = getattr(verify, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("cycle_fingerprint", "partition_matches_cycle", "_match_cycle"):
+    for name in ("match_partitions", "partition_matches_cycle", "cycle_residues"):
         monkeypatch.setattr(verify, name, spy(name))
     rep = verify_ten_case_table(150)
     assert rep.passed and rep.range_checked == (9, 150)
