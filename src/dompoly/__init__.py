@@ -6,13 +6,10 @@ a cycle's domination polynomial identifies it uniquely.
 """
 
 from .cycles import (
-    Ord3Class,
-    a_value,
     alpha,
-    b_value,
     beta,
     cycle_polynomial,
-    ord3_classification,
+    predicted_ord3,
     theta,
 )
 from .errors import (
@@ -32,10 +29,8 @@ from .graphs import (
     cycle,
     disjoint_union,
     encode_graph6,
-    has_duplicate_closed_neighborhoods,
     iter_graph6_records,
     join,
-    parse_family_spec,
     parse_graph6,
     path,
     wheel,
@@ -55,7 +50,7 @@ from .verify import (
     enumerate_partitions,
     partition_polynomial,
     run_all,
-    verify_cycle_uniqueness,
+    verify_cycle_uniqueness_range,
     verify_path_class,
     verify_ten_case_table,
     verify_wheel_uniqueness,

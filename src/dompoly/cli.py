@@ -24,7 +24,7 @@ from .errors import (
     SizeGuardError,
     ValuationError,
 )
-from .graphs import Graph, iter_graph6_records, parse_family_spec, parse_graph6, split_family_spec
+from .graphs import Graph, iter_graph6_records, parse_graph6, split_family_spec
 from .oracle import DEFAULT_GUARD, _check_guard, domination_number, domination_polynomial
 
 _INPUT_ERRORS = (
@@ -166,7 +166,7 @@ def _input_graphs(args) -> list[tuple[str, Graph]]:
         name, params = split_family_spec(args.family)
         if len(params) == graphs.FAMILY_NAMES.get(name, (None, None))[1] and min(params) >= 1:
             _check_guard(sum(params), _guard(args))
-        return [(args.family, parse_family_spec(args.family))]
+        return [(args.family, graphs.build_family(name, *params))]
     records = _read_corpus(args.graph6)
     out = []
     for i, rec in enumerate(records):
@@ -262,14 +262,13 @@ def _reject_ignored_verify_flags(args):
     """A flag the chosen check would ignore is an input error, not a no-op."""
     check = verify.CHECKS.get(args.lemma)
     if check is None:
-        kind, options = "all", {}
+        # `all` hands the guard to the corpus classification and checks only.
+        kind, options = "all", {"guard"} if args.corpus_dir else set()
     else:
         kind = "range" if check.default_n is not None else "corpus"
         options = inspect.signature(check.run).parameters
-    # A corpus check reads the corpus guard; a range check reads the
-    # options its runner declares.
     taken_by = (
-        ("--guard-override", args.guard_override, kind == "corpus" or "guard" in options),
+        ("--guard-override", args.guard_override, "guard" in options),
         ("--max-n", args.max_n, kind == "range"),
         ("--min-part", args.min_part, "min_part" in options),
         ("--n", args.n, kind == "corpus"),
@@ -292,15 +291,17 @@ def _run_verify(args):
     _reject_ignored_verify_flags(args)
     if args.lemma == "all":
         corpora = _read_corpus_dir(args.corpus_dir) if args.corpus_dir else None
-        reports = verify.run_all(corpora=corpora)
+        reports = verify.run_all(corpora=corpora, guard=args.guard_override)
         ok = all(r.passed for r in reports)
         return {"reports": [r.to_json_dict() for r in reports]}, ok
 
     check = verify.CHECKS[args.lemma]
+    given = {"guard": args.guard_override, "min_part": args.min_part}
+    options = {k: v for k, v in given.items() if v is not None}
     if check.default_n is None:
         records = _read_corpus(need("--corpus", args.corpus))
         n = need("--n", args.n)
-        rep = check.run(n, verify.classify_corpus(records, corpus_guard=_corpus_guard(args)))
+        rep = check.run(n, verify.classify_corpus(records, corpus_guard=_corpus_guard(args)), **options)
     else:
         max_n = check.default_n if args.max_n is None else args.max_n
         if max_n < check.min_n:
@@ -308,8 +309,7 @@ def _run_verify(args):
                 f"verify {args.lemma} covers n >= {check.min_n}; --max-n {max_n} "
                 f"leaves nothing to check"
             )
-        given = {"guard": args.guard_override, "min_part": args.min_part}
-        rep = check.run(max_n, **{k: v for k, v in given.items() if v is not None})
+        rep = check.run(max_n, **options)
     return rep.to_json_dict(), rep.passed
 
 

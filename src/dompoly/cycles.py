@@ -26,7 +26,6 @@ item of a fresh walk, so loops over n walk a generator instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice, zip_longest
 from typing import Iterator
 
@@ -42,12 +41,9 @@ __all__ = [
     "alpha",
     "beta",
     "theta",
-    "a_value",
     "b_values",
-    "b_value",
     "b_value_by_factoring",
-    "Ord3Class",
-    "ord3_classification",
+    "predicted_ord3",
     "REMARK_RESIDUES_MOD_27",
 ]
 
@@ -157,12 +153,6 @@ def theta(n: int) -> int:
     return 0
 
 
-def a_value(n: int) -> int:
-    """a_n = D(C_n, -3). Each call walks the jet from n = 1; loops over n
-    walk `cycle_jets(-3)` once instead."""
-    return cycle_jet(n, -3)[0]
-
-
 def b_values() -> Iterator[int]:
     """Yield b_1, b_2, ... with a_n = (-1)^n * 3^ceil(n/3) * b_n, by the
     3-branch recurrence, holding the last three.
@@ -184,11 +174,6 @@ def b_values() -> Iterator[int]:
         older, old, last = old, last, b
 
 
-def b_value(n: int) -> int:
-    """b_n from a fresh walk of `b_values()`."""
-    return _nth(b_values(), n)
-
-
 def b_value_by_factoring(n: int, a_n: int) -> int:
     """b_n obtained by dividing a_n = D(C_n, -3) by its forced sign and 3-power."""
     _require_positive(n)
@@ -200,18 +185,8 @@ def b_value_by_factoring(n: int, a_n: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class Ord3Class:
-    """Predicted 3-adic valuation of a_n = D(C_n, -3)."""
-
-    n: int
-    predicted_ord: int
-    residue_class: int            # n mod 3
-    remark_exceptional: bool      # n mod 27 in {4, 13, 22}
-
-
-def ord3_classification(n: int) -> Ord3Class:
-    """Classify ord_3(a_n) from n alone.
+def predicted_ord3(n: int) -> int:
+    """ord_3(a_n), a_n = D(C_n, -3), predicted from n alone.
 
     Baseline ceil(n/3); one higher when 3 | n, and, within the
     n % 3 == 1 residue class, exactly when n mod 27 is in {4, 13, 22}.
@@ -219,13 +194,8 @@ def ord3_classification(n: int) -> Ord3Class:
     _require_positive(n)
     base = _ceil3(n)
     r = n % 3
-    exceptional = n % 27 in REMARK_RESIDUES_MOD_27
     if r == 0:
-        predicted = base + 1
-    elif r == 1:
-        predicted = base + 1 if exceptional else base
-    else:
-        predicted = base
-    return Ord3Class(
-        n=n, predicted_ord=predicted, residue_class=r, remark_exceptional=exceptional
-    )
+        return base + 1
+    if r == 1:
+        return base + 1 if n % 27 in REMARK_RESIDUES_MOD_27 else base
+    return base

@@ -30,11 +30,9 @@ __all__ = [
     "complete_cycle_join",
     "build_family",
     "split_family_spec",
-    "parse_family_spec",
     "FAMILY_NAMES",
     "disjoint_union",
     "join",
-    "has_duplicate_closed_neighborhoods",
     "parse_graph6",
     "encode_graph6",
     "iter_graph6_records",
@@ -83,10 +81,6 @@ class Graph:
             closed[v] |= 1 << u
         return cls(n, closed)
 
-    def closed_set(self, v: int) -> frozenset[int]:
-        """N[v] as a set of vertex indices."""
-        return frozenset(_bits(self.closed[v]))
-
     def degree(self, v: int) -> int:
         return self.closed[v].bit_count() - 1
 
@@ -101,9 +95,6 @@ class Graph:
                 m >>= 1
                 u += 1
         return out
-
-    def edge_count(self) -> int:
-        return sum(self.closed[v].bit_count() - 1 for v in range(self.n)) // 2
 
     def component_masks(self) -> list[int]:
         """Vertex masks of the connected components."""
@@ -147,10 +138,6 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.n, self.closed))
-
-    def __reduce__(self):
-        # default pickling would setattr onto the frozen instance
-        return (Graph, (self.n, self.closed))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -244,12 +231,6 @@ def split_family_spec(spec: str) -> tuple[str, tuple[int, ...]]:
         raise ParameterDomainError(f"non-integer parameter in family spec {spec!r}") from None
 
 
-def parse_family_spec(spec: str) -> Graph:
-    """Build the graph a "name:params" spec names."""
-    name, params = split_family_spec(spec)
-    return build_family(name, *params)
-
-
 # ---------------------------------------------------------------------------
 # Graph operations
 # ---------------------------------------------------------------------------
@@ -270,19 +251,14 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(n, closed)
 
 
-def has_duplicate_closed_neighborhoods(g: Graph) -> bool:
-    """True iff two distinct vertices have identical closed neighborhoods."""
-    return len(set(g.closed)) < g.n
-
-
 # ---------------------------------------------------------------------------
-# graph6 codec (format of the nauty tool suite). Short form covers
-# n <= 62; the 4- and 8-byte headers cover n up to 2^36 - 1. sparse6 and
-# digraph6 records are recognized and rejected so a wrong corpus file
-# fails loudly.
+# graph6 codec (format of the nauty tool suite), short form only: one
+# order byte, n <= 62. The long-form headers serve orders no 2^n walk can
+# reach, so they are refused; so are sparse6 and digraph6 records, so a
+# wrong corpus file fails loudly.
 # ---------------------------------------------------------------------------
 
-_G6_MAX_N = (1 << 36) - 1
+_G6_MAX_N = 62
 _G6_HEADER = b">>graph6<<"
 # Each graph6 data byte, less 63, as its six bits, high bit first.
 _G6_SIX_BITS = tuple(format(x, "06b") for x in range(64))
@@ -301,25 +277,29 @@ def parse_graph6(record: bytes | str) -> Graph:
     if data[0:1] == b"&":
         raise Graph6FormatError("digraph6 records are not supported")
 
-    n, pos = _decode_order(data)
+    if data[0] == 126:
+        raise Graph6RangeError(f"graph6 orders above {_G6_MAX_N} are not supported")
+    if not 63 <= data[0] <= 125:
+        raise Graph6ParseError(f"invalid order byte {data[0]}", 0)
+    n = data[0] - 63
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) - pos < nbytes:
+    if len(data) - 1 < nbytes:
         raise Graph6ParseError(
             f"truncated bit vector: need {nbytes} bytes for n={n}", len(data)
         )
-    if len(data) - pos > nbytes:
-        raise Graph6ParseError("trailing bytes after bit vector", pos + nbytes)
+    if len(data) - 1 > nbytes:
+        raise Graph6ParseError("trailing bytes after bit vector", 1 + nbytes)
 
     groups = []
-    for i in range(pos, pos + nbytes):
+    for i in range(1, 1 + nbytes):
         if not 63 <= data[i] <= 126:
             raise Graph6ParseError(f"byte {data[i]} outside graph6 range", i)
         groups.append(_G6_SIX_BITS[data[i] - 63])
     # Upper-triangle bits, column by column: (0,1), (0,2), (1,2), (0,3), ...
     flags = "".join(groups)
     if "1" in flags[nbits:]:
-        raise Graph6ParseError("nonzero padding bit", pos + nbytes - 1)
+        raise Graph6ParseError("nonzero padding bit", nbytes)
 
     closed = [1 << v for v in range(n)]
     k = 0
@@ -332,40 +312,11 @@ def parse_graph6(record: bytes | str) -> Graph:
     return Graph(n, closed)
 
 
-def _decode_order(data: bytes) -> tuple[int, int]:
-    b0 = data[0]
-    if b0 != 126:
-        if not 63 <= b0 <= 125:
-            raise Graph6ParseError(f"invalid order byte {b0}", 0)
-        return b0 - 63, 1
-    if len(data) >= 2 and data[1] == 126:
-        return _decode_bigendian(data, 2, 6), 8
-    return _decode_bigendian(data, 1, 3), 4
-
-
-def _decode_bigendian(data: bytes, start: int, count: int) -> int:
-    if len(data) < start + count:
-        raise Graph6ParseError("truncated order field", len(data))
-    n = 0
-    for i in range(start, start + count):
-        if not 63 <= data[i] <= 126:
-            raise Graph6ParseError(f"invalid order byte {data[i]}", i)
-        n = (n << 6) | (data[i] - 63)
-    return n
-
-
 def encode_graph6(g: Graph) -> bytes:
     """Encode a Graph as one graph6 record (no header, no newline)."""
     n = g.n
     if n > _G6_MAX_N:
-        raise Graph6RangeError(f"graph6 supports n <= {_G6_MAX_N}, got {n}")
-    if n <= 62:
-        head = bytes([n + 63])
-    elif n <= 258047:
-        head = bytes([126]) + _encode_bigendian(n, 3)
-    else:
-        head = bytes([126, 126]) + _encode_bigendian(n, 6)
-
+        raise Graph6RangeError(f"graph6 orders above {_G6_MAX_N} are not supported")
     bits = bytearray()
     group = 0
     filled = 0
@@ -380,14 +331,7 @@ def encode_graph6(g: Graph) -> bytes:
                 filled = 0
     if filled:
         bits.append((group << (6 - filled)) + 63)
-    return head + bytes(bits)
-
-
-def _encode_bigendian(n: int, count: int) -> bytes:
-    out = bytearray()
-    for shift in range(6 * (count - 1), -1, -6):
-        out.append(((n >> shift) & 0x3F) + 63)
-    return bytes(out)
+    return bytes([n + 63]) + bytes(bits)
 
 
 def iter_graph6_records(lines: Iterable[bytes | str]) -> Iterator[bytes]:

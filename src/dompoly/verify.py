@@ -53,7 +53,7 @@ from .cycles import (
     cycle_polynomial,
     cycle_polynomials,
     cycle_residues,
-    ord3_classification,
+    predicted_ord3,
     theta,
 )
 from .errors import Graph6FormatError, Graph6ParseError, ParameterDomainError, SizeGuardError
@@ -79,7 +79,6 @@ __all__ = [
     "verify_theta",
     "verify_ord3_table",
     "verify_remark",
-    "verify_cycle_uniqueness",
     "verify_cycle_uniqueness_range",
     "verify_cycle_uniqueness_by_divisibility",
     "verify_ten_case_table",
@@ -413,7 +412,7 @@ def verify_remark(n_max: int = 1000) -> VerificationReport:
             bad.append({"check": "period-27", "t": t,
                         "b_t_mod_9": b_t % 9, "b_t27_mod_9": b_t27 % 9})
     for n, (a_n,) in zip(range(1, n_max + 1), cycle_jets(-3)):
-        predicted = ord3_classification(n).predicted_ord
+        predicted = predicted_ord3(n)
         got = ord_p(a_n, 3)
         if got != predicted:
             bad.append({"check": "exact-ord3", "n": n, "ord3": got, "predicted": predicted})
@@ -423,11 +422,6 @@ def verify_remark(n_max: int = 1000) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Uniqueness among unions of cycles
 # ---------------------------------------------------------------------------
-
-def verify_cycle_uniqueness(n: int, min_part: int = 3) -> VerificationReport:
-    """Exactly one partition of n (the trivial {n}) reproduces D(C_n,x)."""
-    return verify_cycle_uniqueness_range(n, n, min_part)
-
 
 def verify_cycle_uniqueness_range(
     n_min: int = 3, n_max: int = 40, min_part: int = 3
@@ -557,7 +551,7 @@ def verify_cycle_uniqueness_by_divisibility(
         )
     bad = [
         ex for n in sorted(undecided)
-        for ex in verify_cycle_uniqueness(n, min_part).counterexamples
+        for ex in verify_cycle_uniqueness_range(n, n, min_part).counterexamples
     ]
     return _report(
         "T5-partitions", n_min, n_max, bad, t0,
@@ -813,17 +807,19 @@ def _certified(
     return rep
 
 
-def verify_wheel_uniqueness(n: int, result: CorpusClassification) -> VerificationReport:
+def verify_wheel_uniqueness(
+    n: int, result: CorpusClassification, guard: int = DEFAULT_GUARD
+) -> VerificationReport:
     """Over a complete order-n corpus, W_n's class must be a singleton.
 
-    `result` is the corpus's `classify_corpus` output. The report is
-    inconclusive unless it certifies as complete
-    (`CorpusClassification.completeness_problems`).
+    `result` is the corpus's `classify_corpus` output, and W_n's walk runs
+    under `guard`. The report is inconclusive unless the corpus certifies
+    as complete (`CorpusClassification.completeness_problems`).
     """
     if n < 4:
         raise ParameterDomainError(f"wheel uniqueness needs n >= 4, got {n}")
     t0 = time.perf_counter()
-    target = domination_polynomial(wheel(n))
+    target = domination_polynomial(wheel(n), guard=guard)
     cls = result.class_of(target)
     bad = []
     if cls is None:
@@ -857,13 +853,16 @@ def path_companion(n: int, variant: str) -> Graph:
     return Graph.from_edges(n, base.edges() + extra)
 
 
-def verify_path_class(n: int, result: CorpusClassification) -> VerificationReport:
+def verify_path_class(
+    n: int, result: CorpusClassification, guard: int = DEFAULT_GUARD
+) -> VerificationReport:
     """P_n (for 3 | n) has a class of exactly two members over the corpus
     that `result` classifies.
 
     Both companion constructions are built and compared against D(P_n) by
-    brute force; the report records which variant (if either) matches, so
-    the construction is decided by computation rather than assumption.
+    brute force under `guard`; the report records which variant (if
+    either) matches, so the construction is decided by computation rather
+    than assumption.
     As for the wheel, an uncertified corpus makes the report inconclusive.
     """
     if n % 3 != 0 or n < 6:
@@ -871,11 +870,11 @@ def verify_path_class(n: int, result: CorpusClassification) -> VerificationRepor
             f"path class check needs n >= 6 with 3 | n, got {n}"
         )
     t0 = time.perf_counter()
-    target = domination_polynomial(path(n))
+    target = domination_polynomial(path(n), guard=guard)
     variant_matches = {}
     for variant in ("one-each", "both-to-both"):
         companion = path_companion(n, variant)
-        variant_matches[variant] = domination_polynomial(companion) == target
+        variant_matches[variant] = domination_polynomial(companion, guard=guard) == target
 
     cls = result.class_of(target)
     bad = []
@@ -907,11 +906,11 @@ class Check:
     """One claim of the paper, runnable by its id.
 
     A range check (`default_n` set) covers min_n..max_n and runs as
-    `run(max_n)`; the keyword parameters its runner declares (`guard`,
-    `min_part`) are the only options it reads, and their defaults live
-    there. A corpus check (`default_n` None) covers one order n out of
-    min_n, min_n + step, ... and runs as `run(n, classify_corpus(records))`
-    over the complete corpus of that order. Each runner looks its
+    `run(max_n)`. A corpus check (`default_n` None) covers one order n out
+    of min_n, min_n + step, ... and runs as `run(n, classify_corpus(records))`
+    over the complete corpus of that order. Either way, the keyword
+    parameters its runner declares (`guard`, `min_part`) are the only
+    options it reads, and their defaults live there. Each runner looks its
     `verify_*` function up by module-global name when called, so a wrapper
     bound to that name (a profiler, say) sees the call.
     """
@@ -972,30 +971,38 @@ CHECKS: dict[str, Check] = {
     ),
     "COR-wheel": Check(
         "the wheel's polynomial-equivalence class over a complete corpus is a singleton",
-        lambda n, result: verify_wheel_uniqueness(n, result), 4,
+        lambda n, result, guard=DEFAULT_GUARD: verify_wheel_uniqueness(n, result, guard), 4,
     ),
     "P-path-class": Check(
         "the path's class has exactly two members; the companion construction realizes it",
-        lambda n, result: verify_path_class(n, result), 6, step=3,
+        lambda n, result, guard=DEFAULT_GUARD: verify_path_class(n, result, guard), 6, step=3,
     ),
 }
 
 
-def run_all(*, corpora: dict[int, list[bytes]] | None = None) -> list[VerificationReport]:
+def run_all(
+    *, corpora: dict[int, list[bytes]] | None = None, guard: int | None = None
+) -> list[VerificationReport]:
     """Run every check in `CHECKS` at its default range.
 
     `corpora` maps graph order to graph6 records of the complete corpus
     of that order. Each order some corpus check covers is classified once,
     and every corpus check runs on each classified order it covers; a
-    corpus check with no such order is omitted.
+    corpus check with no such order is omitted. A `guard` replaces the
+    corpus guard of the classification and the enumeration guard of the
+    corpus checks' walks; the range checks keep their own.
     """
     reports = [c.run(c.default_n) for c in CHECKS.values() if c.default_n is not None]
     corpus_checks = [c for c in CHECKS.values() if c.default_n is None]
+    corpus_guard = DEFAULT_CORPUS_GUARD if guard is None else guard
+    walk_guard = DEFAULT_GUARD if guard is None else guard
     classified = {
-        n: classify_corpus(records)
+        n: classify_corpus(records, corpus_guard=corpus_guard)
         for n, records in sorted((corpora or {}).items())
         if any(c.covers(n) for c in corpus_checks)
     }
     for check in corpus_checks:
-        reports += [check.run(n, result) for n, result in classified.items() if check.covers(n)]
+        reports += [
+            check.run(n, result, walk_guard) for n, result in classified.items() if check.covers(n)
+        ]
     return reports

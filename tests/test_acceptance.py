@@ -16,7 +16,7 @@ from dompoly.cycles import (
     cycle_jets,
     cycle_polynomial,
     cycle_polynomials,
-    ord3_classification,
+    predicted_ord3,
     theta,
 )
 from dompoly.graphs import cycle, parse_graph6, wheel
@@ -86,7 +86,7 @@ def test_criterion_05_ord3_golden_vector_period_and_table():
     for t in range(1, 974):
         ok = ok and (b[t + 26] - b[t - 1]) % 9 == 0
     for n, (a_n,) in zip(range(1, 1001), cycle_jets(-3)):
-        ok = ok and ord_p(a_n, 3) == ord3_classification(n).predicted_ord
+        ok = ok and ord_p(a_n, 3) == predicted_ord3(n)
         ok = ok and b[n - 1] % 9 != 0
     _criterion(5, "b mod 9 golden vector, period 27, ord_3 table with "
                   "exceptional set {4,13,22} mod 27, 9 never divides b",

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from dompoly import graphs, verify
+from dompoly import graphs, oracle, verify
 from dompoly.cli import build_parser, main
 from dompoly.graphs import complete, cycle, encode_graph6, parse_graph6, path, wheel
+from dompoly.polynomials import IntPolynomial
 from dompoly.verify import CHECKS, classify_corpus, path_companion, run_all
 
 from conftest import CORPUS_DIR
@@ -370,6 +371,71 @@ def test_guard_override(capsys, tmp_path):
     assert code == 3 and "guard (8)" in err
     code, _, _ = run(capsys, "--guard-override", "10", "verify", "L3-cycle", "--max-n", "10")
     assert code == 0
+
+
+def test_verify_all_corpus_dir_takes_the_guard_override(capsys, tmp_path):
+    """With --corpus-dir, --guard-override reaches the corpus classification
+    and the corpus checks' walks; the range checks keep their own guards
+    (L3-cycle walks C_15, above 10), so nothing exits 3."""
+    shutil.copy(CORPUS_DIR / "order4.g6", tmp_path)
+    (tmp_path / "order10.g6").write_bytes(encode_graph6(cycle(10)) + b"\n")
+    code, out, err = run(capsys, "verify", "all", "--corpus-dir", str(tmp_path))
+    assert code == 3 and out == "" and "above the corpus guard (9)" in err
+    code, out, err = run(capsys, "--guard-override", "10", "verify", "all",
+                         "--corpus-dir", str(tmp_path))
+    assert code == 1 and err == ""
+    reports = {(r["lemma_id"], r["range"][0]): r for r in json.loads(out)["reports"]}
+    assert reports.pop(("COR-wheel", 10))["status"] == "inconclusive"
+    assert reports.pop(("COR-wheel", 4))["status"] == "pass"
+    assert {key: r["range"] for key, r in reports.items()} == {
+        (lemma, c.min_n): [c.min_n, c.default_n]
+        for lemma, c in CHECKS.items() if c.default_n is not None
+    }
+    assert all(r["status"] == "pass" for r in reports.values())
+
+
+def test_corpus_checks_walk_under_the_guard_override(capsys, monkeypatch):
+    """The W_n, P_n and companion walks of the corpus checks run under
+    --guard-override; the spy stands in for the walks above order 9."""
+    walks = []
+    walk = verify.domination_polynomial
+
+    def spy(g, *, guard=oracle.DEFAULT_GUARD):
+        walks.append((g.n, guard))
+        return walk(g, guard=guard) if g.n <= 9 else IntPolynomial.one()
+
+    monkeypatch.setattr(verify, "domination_polynomial", spy)
+    corpus4 = str(CORPUS_DIR / "order4.g6")
+    for argv, targets in (
+        (("--guard-override", "30", "wheel", "25", corpus4), [(25, 30)]),
+        (("--guard-override", "30", "path-class", "27", corpus4), [(27, 30)] * 3),
+        (("verify", "COR-wheel", "--n", "25", "--corpus", corpus4, "--guard-override", "26"),
+         [(25, 26)]),
+        (("wheel", "6", corpus4), [(6, oracle.DEFAULT_GUARD)]),
+    ):
+        walks.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err == "", argv
+        assert [w for w in walks if w[0] != 4] == targets, argv
+
+
+def test_oversized_guard_override_is_refused_before_allocating(capsys, monkeypatch, tmp_path):
+    def no_walk(*args):
+        raise AssertionError("a walk above the order ceiling started")
+
+    monkeypatch.setattr(oracle, "_cover_table", no_walk)
+    monkeypatch.setattr(oracle, "combinations", no_walk)
+    for n in (50, 60):
+        (tmp_path / f"c{n}.g6").write_bytes(encode_graph6(cycle(n)) + b"\n")
+    refusal = "dompoly: order {} exceeds 40, the largest order any guard lets a 2^n enumeration reach\n"
+    for argv, n in (
+        (("--guard-override", "60", "poly", "--graph6", str(tmp_path / "c60.g6")), 60),
+        (("--guard-override", "60", "gamma", "--family", "cycle:60"), 60),
+        (("--guard-override", "45", "eval", "--family", "complete:41", "--at", "1"), 41),
+        (("--guard-override", "70", "classify", str(tmp_path / "c50.g6")), 50),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", refusal.format(n)), argv
 
 
 def test_classify_reports_parse_errors_without_failing(capsys, tmp_path):

@@ -4,10 +4,7 @@ from itertools import islice
 import pytest
 
 from dompoly.cycles import (
-    Ord3Class,
-    a_value,
     alpha,
-    b_value,
     b_value_by_factoring,
     b_values,
     beta,
@@ -16,7 +13,7 @@ from dompoly.cycles import (
     cycle_polynomial,
     cycle_polynomials,
     cycle_residues,
-    ord3_classification,
+    predicted_ord3,
     theta,
 )
 from dompoly.errors import ParameterDomainError
@@ -60,7 +57,7 @@ def test_domain_errors():
     with pytest.raises(ParameterDomainError):
         cycle_polynomial(0)
     with pytest.raises(ParameterDomainError):
-        a_value(-2)
+        cycle_jet(-2, -3)
     with pytest.raises(ParameterDomainError):
         cycle_jet(0, 1)
     with pytest.raises(ParameterDomainError):
@@ -106,7 +103,7 @@ def test_scalar_routes_agree(n):
         == jet_theta
         == p.derivative().derivative().eval_at(-1)
     )
-    assert a_value(n) == p.eval_at(-3)
+    assert cycle_jet(n, -3)[0] == p.eval_at(-3)
 
 
 def _direct_jet(p, t):
@@ -146,45 +143,48 @@ def test_jet_clamps_the_derivative_order_to_n():
     assert len(cycle_jet(5, 2, 10**9)) == 6
 
 
+def _a_values(count):
+    """a_1, ..., a_count from one walk of the jet at -3."""
+    return [a for (a,) in islice(cycle_jets(-3), count)]
+
+
 def test_a_values():
-    assert (a_value(1), a_value(2), a_value(3)) == (-3, 3, -9)
-    assert a_value(4) == 27
-    for n in range(1, 101):
-        assert (a_value(n) > 0) == (n % 2 == 0)
+    a = _a_values(100)
+    assert a[:4] == [-3, 3, -9, 27]
+    for n, a_n in enumerate(a, start=1):
+        assert (a_n > 0) == (n % 2 == 0)
 
 
 def test_b_values():
-    assert [b_value(n) % 9 for n in range(1, 7)] == [1, 1, 3, 3, 7, 6]
-    assert [b_value(n) % 9 for n in range(25, 31)] == [8, 1, 3, 1, 1, 3]
-    assert [b_value(n) % 9 for n in range(1, 31)] == list(B_MOD9)
-    for n in range(1, 201):
-        assert b_value(n) == b_value_by_factoring(n, a_value(n))
-        assert b_value(n) % 9 != 0
-        assert b_value(n) > 0
-    walked = list(islice(b_values(), 200))
-    a_walk = (a for (a,) in cycle_jets(-3))
-    assert walked == [b_value_by_factoring(n, a) for n, a in zip(range(1, 201), a_walk)]
+    b = list(islice(b_values(), 200))   # b[n - 1] = b_n
+    assert [b_n % 9 for b_n in b[:6]] == [1, 1, 3, 3, 7, 6]
+    assert [b_n % 9 for b_n in b[24:30]] == [8, 1, 3, 1, 1, 3]
+    assert [b_n % 9 for b_n in b[:30]] == list(B_MOD9)
+    for n, (b_n, a_n) in enumerate(zip(b, _a_values(200)), start=1):
+        assert b_n == b_value_by_factoring(n, a_n)
+        assert b_n % 9 != 0
+        assert b_n > 0
 
 
 def test_b_period_27_mod_9():
+    b = list(islice(b_values(), 127))
     for t in range(1, 101):
-        assert (b_value(t + 27) - b_value(t)) % 9 == 0
+        assert (b[t + 26] - b[t - 1]) % 9 == 0
 
 
 def test_factored_form_identity():
-    for n in range(1, 61):
-        assert a_value(n) == (-1) ** n * 3 ** ((n + 2) // 3) * b_value(n)
+    walk = zip(range(1, 61), _a_values(60), b_values())
+    for n, a_n, b_n in walk:
+        assert a_n == (-1) ** n * 3 ** ((n + 2) // 3) * b_n
 
 
 def test_ord3_classification():
-    assert ord3_classification(6) == Ord3Class(6, 3, 0, False)
-    assert ord3_classification(5) == Ord3Class(5, 2, 2, False)
-    assert ord3_classification(4) == Ord3Class(4, 3, 1, True)
-    assert ord3_classification(13).remark_exceptional
-    assert ord3_classification(22).remark_exceptional
-    assert ord3_classification(31).predicted_ord == 12  # 31 mod 27 = 4, ceil+1
-    for n in range(1, 301):
-        assert ord3_classification(n).predicted_ord == ord_p(a_value(n), 3)
+    assert (predicted_ord3(6), predicted_ord3(5), predicted_ord3(4)) == (3, 2, 3)
+    assert predicted_ord3(13) == 6 and predicted_ord3(22) == 9  # ceil + 1
+    assert predicted_ord3(31) == 12  # 31 mod 27 = 4, ceil+1
+    assert predicted_ord3(7) == 3  # 7 mod 27 is no exception: ceil only
+    for n, a_n in enumerate(_a_values(300), start=1):
+        assert predicted_ord3(n) == ord_p(a_n, 3)
 
 
 def test_cycle_polynomial_holds_no_memory_after_return():

@@ -3,7 +3,7 @@ import random
 import networkx as nx
 import pytest
 
-from dompoly.errors import Graph6FormatError, Graph6ParseError
+from dompoly.errors import Graph6FormatError, Graph6ParseError, Graph6RangeError
 from dompoly.graphs import (
     Graph,
     complete,
@@ -14,6 +14,7 @@ from dompoly.graphs import (
     path,
     wheel,
 )
+from dompoly.verify import classify_corpus
 
 from conftest import load_corpus
 
@@ -37,7 +38,7 @@ def test_header_prefix_tolerated():
     + [path(n) for n in range(1, 11)]
     + [complete(n) for n in range(1, 11)]
     + [wheel(n) for n in range(4, 11)],
-    ids=lambda g: f"n{g.n}e{g.edge_count()}",
+    ids=lambda g: f"n{g.n}e{len(g.edges())}",
 )
 def test_roundtrip_builtin_families(g):
     assert parse_graph6(encode_graph6(g)) == g
@@ -63,13 +64,22 @@ def test_roundtrip_against_networkx():
 
 
 def test_long_form_orders():
+    """Orders above 62 take graph6's long-form headers, which serve no 2^n
+    walk: encoding refuses them, and so does parsing, at the first byte and
+    for a whole corpus rather than as one record's parse error."""
+    refusal = "graph6 orders above 62 are not supported"
+    assert parse_graph6(encode_graph6(cycle(62))) == cycle(62)
     for n in (63, 64, 100):
-        g = cycle(n)
-        encoded = encode_graph6(g)
-        assert encoded[0] == 126
-        assert parse_graph6(encoded) == g
+        with pytest.raises(Graph6RangeError, match=refusal):
+            encode_graph6(cycle(n))
         theirs = nx.to_graph6_bytes(nx.cycle_graph(n), header=False).strip()
-        assert encoded == theirs
+        assert theirs[0] == 126
+        with pytest.raises(Graph6RangeError, match=refusal):
+            parse_graph6(theirs)
+        with pytest.raises(Graph6RangeError, match=refusal):
+            classify_corpus([b"A_", theirs])
+    with pytest.raises(Graph6RangeError, match=refusal):
+        parse_graph6(b"~~" + b"?" * 6)
 
 
 def test_rejects_other_formats():

@@ -8,9 +8,7 @@ from dompoly.graphs import (
     complete_cycle_join,
     cycle,
     disjoint_union,
-    has_duplicate_closed_neighborhoods,
     join,
-    parse_family_spec,
     path,
     split_family_spec,
     wheel,
@@ -20,9 +18,9 @@ from dompoly.graphs import (
 def assert_invariants(g: Graph):
     """Closure and symmetry must hold for every constructed graph."""
     for v in range(g.n):
-        assert v in g.closed_set(v)
-        for u in g.closed_set(v):
-            assert v in g.closed_set(u)
+        assert g.closed[v] >> v & 1
+        for u in range(g.n):
+            assert g.closed[v] >> u & 1 == g.closed[u] >> v & 1
 
 
 ALL_FAMILIES = (
@@ -34,16 +32,16 @@ ALL_FAMILIES = (
 )
 
 
-@pytest.mark.parametrize("g", ALL_FAMILIES, ids=lambda g: f"n{g.n}e{g.edge_count()}")
+@pytest.mark.parametrize("g", ALL_FAMILIES, ids=lambda g: f"n{g.n}e{len(g.edges())}")
 def test_family_invariants(g):
     assert_invariants(g)
 
 
 def test_cycle_small_conventions():
     c3 = cycle(3)
-    assert all(c3.closed_set(v) == {0, 1, 2} for v in range(3))
+    assert c3.closed == (0b111,) * 3
     c1 = cycle(1)
-    assert c1.n == 1 and c1.closed_set(0) == {0}
+    assert c1.n == 1 and c1.closed == (0b1,)
     assert cycle(2) == complete(2)
 
 
@@ -71,7 +69,7 @@ def test_disjoint_union():
     assert u.n == 6
     assert len(u.component_masks()) == 2
     two = disjoint_union(complete(1), complete(1))
-    assert two.n == 2 and two.edge_count() == 0
+    assert two.n == 2 and two.edges() == []
     mixed = disjoint_union(cycle(4), path(3))
     assert len(mixed.component_masks()) == (
         len(cycle(4).component_masks()) + len(path(3).component_masks())
@@ -96,22 +94,12 @@ def test_parse_family_spec():
     assert split_family_spec("cycle:6") == ("cycle", (6,))
     assert split_family_spec("cycle:0") == ("cycle", (0,))
     assert split_family_spec("complete-cycle-join:2,5") == ("complete-cycle-join", (2, 5))
-    assert parse_family_spec("cycle:6") == cycle(6)
-    assert parse_family_spec("complete-cycle-join:2,5") == complete_cycle_join(2, 5)
+    name, params = split_family_spec("complete-cycle-join:2,5")
+    assert build_family(name, *params) == complete_cycle_join(2, 5)
     with pytest.raises(ParameterDomainError):
-        parse_family_spec("cycle")
+        split_family_spec("cycle")
     with pytest.raises(ParameterDomainError):
-        parse_family_spec("cycle:x")
-
-
-def test_duplicate_closed_neighborhoods():
-    assert has_duplicate_closed_neighborhoods(complete(3))
-    assert has_duplicate_closed_neighborhoods(complete(2))
-    # C_4: N[0]={3,0,1} vs N[2]={1,2,3} etc. -- all four distinct
-    assert not has_duplicate_closed_neighborhoods(cycle(4))
-    assert not has_duplicate_closed_neighborhoods(cycle(5))
-    for n in range(4, 16):
-        assert not has_duplicate_closed_neighborhoods(cycle(n))
+        split_family_spec("cycle:x")
 
 
 def test_graph_construction_validation():

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from dompoly import oracle
 from dompoly.errors import SizeGuardError
 from dompoly.graphs import Graph, complete, cycle, disjoint_union, path, wheel
 from dompoly.oracle import domination_number, domination_polynomial, domination_profile
@@ -92,6 +93,24 @@ def test_size_guard():
     with pytest.raises(SizeGuardError):
         domination_number(g, guard=5)
     assert domination_profile(g, guard=6) == (0, 3, 14, 15, 6, 1)
+    # Above MAX_ORDER a walk is refused whatever the guard.
+    assert oracle.MAX_ORDER == 40
+    oracle._check_guard(40, 40)
+    for n, guard in ((41, 41), (60, 100)):
+        with pytest.raises(SizeGuardError, match=f"order {n} exceeds 40"):
+            oracle._check_guard(n, guard)
+
+
+def test_each_walk_checks_the_guard_once(monkeypatch):
+    checked = []
+    check = oracle._check_guard
+    monkeypatch.setattr(oracle, "_check_guard", lambda n, guard: checked.append(n) or check(n, guard))
+    for walk in (domination_profile, domination_polynomial, domination_number):
+        walk(cycle(5))
+        assert checked == [5], walk.__name__
+        checked.clear()
+    assert domination_polynomial(Graph(0, ())) == IntPolynomial.one()
+    assert checked == [0]
 
 
 def test_path_profile():

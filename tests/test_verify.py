@@ -23,7 +23,6 @@ from dompoly.verify import (
     verify_alpha,
     verify_beta,
     verify_cycle_recurrence,
-    verify_cycle_uniqueness,
     verify_cycle_uniqueness_by_divisibility,
     verify_cycle_uniqueness_range,
     verify_gamma_additivity_and_ceiling,
@@ -212,7 +211,7 @@ def test_report_json_shape():
 # ---------------------------------------------------------------------------
 
 def test_cycle_uniqueness_single():
-    rep = verify_cycle_uniqueness(6)
+    rep = verify_cycle_uniqueness_range(6, 6)
     assert rep.passed
     assert rep.details["partitions_checked"] == 2
     # the lone rival {3,3} differs at x^3: 14 vs 18
@@ -221,7 +220,7 @@ def test_cycle_uniqueness_single():
 
 
 def test_cycle_uniqueness_12():
-    rep = verify_cycle_uniqueness(12)
+    rep = verify_cycle_uniqueness_range(12, 12)
     assert rep.passed
     assert rep.details["partitions_checked"] == 9
     # only the trivial partition survives the fingerprint
@@ -235,7 +234,7 @@ def test_cycle_uniqueness_range():
 
 
 def test_cycle_uniqueness_min_part_one():
-    rep = verify_cycle_uniqueness(8, min_part=1)
+    rep = verify_cycle_uniqueness_range(8, 8, min_part=1)
     assert rep.passed
     assert rep.details["min_part"] == 1
 
@@ -248,7 +247,7 @@ def _answer(report):
 def test_divisibility_sieve_agrees_with_enumeration(min_part, n_max):
     for n in range(3, n_max + 1):
         sieve = verify_cycle_uniqueness_by_divisibility(n, n, min_part)
-        assert _answer(sieve) == _answer(verify_cycle_uniqueness(n, min_part)) == ("pass", []), n
+        assert _answer(sieve) == _answer(verify_cycle_uniqueness_range(n, n, min_part)) == ("pass", []), n
         assert sieve.details["enumerated"] == []
     sieve = verify_cycle_uniqueness_by_divisibility(3, n_max, min_part)
     assert _answer(sieve) == _answer(verify_cycle_uniqueness_range(3, n_max, min_part))
