@@ -18,9 +18,8 @@ wrong branch in one cannot survive: alpha, beta and theta are closed
 form vs. jet (`cycle_jets`: D, D', ... at one point, stepped through n),
 b is its 3-branch recurrence vs. factoring a_n, taken from the jet.
 
-Nothing is memoized: `cycle_polynomials`, `cycle_jets`, `cycle_residues`
-(D(C_n, t) mod q) and `b_values` are generators holding three terms; the
-single-n functions take the n-th
+Nothing is memoized: `cycle_polynomials`, `cycle_jets` and `b_values`
+are generators holding three terms; the single-n functions take the n-th
 item of a fresh walk, so loops over n walk a generator instead.
 """
 
@@ -37,7 +36,6 @@ __all__ = [
     "cycle_polynomial",
     "cycle_jets",
     "cycle_jet",
-    "cycle_residues",
     "alpha",
     "beta",
     "theta",
@@ -110,17 +108,6 @@ def cycle_jet(n: int, t: int, k: int = 0) -> tuple[int, ...]:
     """(D(C_n,t), ..., D^(m)(C_n,t)) with m = min(k, n): the higher
     derivatives of the degree-n D(C_n) vanish, so a huge k costs nothing."""
     return _nth(cycle_jets(t, min(k, n)), n)
-
-
-def cycle_residues(t: int, q: int) -> Iterator[int]:
-    """Yield D(C_1,t) mod q, D(C_2,t) mod q, ...: the jet recurrence
-    reduced mod q, so every term stays below q however far n runs."""
-    if q < 1:
-        raise ParameterDomainError(f"modulus must be >= 1, got {q}")
-    older, old, last = -1 % q, -1 % q, 3 % q
-    while True:
-        older, old, last = old, last, t * (older + old + last) % q
-        yield last
 
 
 def alpha(n: int) -> int:

@@ -14,14 +14,13 @@ cycle polynomials there is the Leibniz product of the parts' jets, which
 is compared with D(C_n)'s closed-form jet component by component. Only a
 triple whose whole jet agrees would get the exact polynomial compare.
 
-T5-partitions enumerates no partition: the divisibility sieve
-(`verify_cycle_uniqueness_by_divisibility`) shows that no D(C_p) with
-3 <= p < n divides D(C_n) in Z[x], which a product of cycle polynomials
-equal to D(C_n) would need of each factor. Each rejection is a ring map
-out of Z[x] (reduction mod a small prime at a residue, evaluation at an
-integer) under which D(C_p) does not divide D(C_n); a pair no map
-rejects gets exact long division, and an n with a true divisor is
-decided by enumeration.
+T5-partitions enumerates no partition: it replays the paper's
+elimination (`verify_cycle_uniqueness_by_elimination`). alpha at -1, the
+lowest index and ord_3 at -3 leave only three-part partitions, and in
+each of the ten alpha-compatible residue patterns of three parts mod 4
+the jet difference at -1 is a polynomial in the parts that is never 0.
+The closed forms and the ord_3 table it reads are checked against the
+cycle jets at every n up to the range's end.
 
 Enumeration is the reference route (`verify_cycle_uniqueness_range`) and
 the route of the other searches that enumerate partitions (L4-gamma's
@@ -31,8 +30,8 @@ product of the parts' values D(C_p, t) mod 2^61-1 at one fixed point t
 must equal D(C_n, t) mod 2^61-1 before the product polynomial is built
 and compared with D(C_n, x) coefficient by coefficient. Equal
 polynomials have equal values, so the fingerprint only ever rejects; a
-match is always decided by the exact compare. One `cycle_residues` walk
-to n gives a search's fingerprints, and nothing is cached between searches.
+match is always decided by the exact compare. One `cycle_jets` walk to n
+gives a search's fingerprints, and nothing is cached between searches.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 from random import Random
 from typing import Callable, Iterable, Iterator
 
@@ -52,12 +51,11 @@ from .cycles import (
     cycle_jets,
     cycle_polynomial,
     cycle_polynomials,
-    cycle_residues,
     predicted_ord3,
     theta,
 )
 from .errors import Graph6FormatError, Graph6ParseError, ParameterDomainError, SizeGuardError
-from .graphs import Graph, _bits, cycle, disjoint_union, parse_graph6, path, wheel
+from .graphs import Graph, cycle, disjoint_union, parse_graph6, path, wheel
 from .oracle import DEFAULT_GUARD, domination_number, domination_polynomial
 from .polynomials import IntPolynomial, ord_p
 
@@ -80,7 +78,7 @@ __all__ = [
     "verify_ord3_table",
     "verify_remark",
     "verify_cycle_uniqueness_range",
-    "verify_cycle_uniqueness_by_divisibility",
+    "verify_cycle_uniqueness_by_elimination",
     "verify_ten_case_table",
     "UNLABELED_GRAPH_COUNTS",
     "classify_corpus",
@@ -220,12 +218,12 @@ def match_partitions(n: int, min_part: int = 3) -> Iterator[tuple[tuple[int, ...
 
     The outcome is None when the parts' fingerprint product differs from
     D(C_n)'s, so no full compare ran; otherwise it is whether the product
-    polynomial equals D(C_n). One `cycle_residues` walk to n gives every
+    polynomial equals D(C_n). One `cycle_jets` walk to n gives every
     fingerprint and one `cycle_polynomials` walk every factor.
     """
     partitions = enumerate_partitions(n, min_part)  # checks n >= 1 before the walks
     modulus = FINGERPRINT_MODULUS
-    fingerprints = [0, *islice(cycle_residues(FINGERPRINT_POINT, modulus), n)]
+    fingerprints = [0, *(v % modulus for (v,) in islice(cycle_jets(FINGERPRINT_POINT), n))]
     factors = [None, *islice(cycle_polynomials(), n)]
     for parts in partitions:
         if math.prod(fingerprints[p] for p in parts) % modulus != fingerprints[n]:
@@ -368,6 +366,12 @@ _B_MOD9_FIRST_30 = (
 )
 
 
+def _ord3_bounds(n: int) -> tuple[int, int]:
+    """The least and greatest ord_3(a_n) that the three-branch table allows."""
+    base = (n + 2) // 3
+    return base + (n % 3 == 0), base + (n % 3 != 2)
+
+
 def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
     """ord_3(a_n) stays within the three-branch table; b_n basics.
 
@@ -379,11 +383,10 @@ def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
     t0 = time.perf_counter()
     bad = []
     for n, (a_n,), b_rec in zip(range(1, n_max + 1), cycle_jets(-3), b_values()):
-        base = (n + 2) // 3
+        lo, hi = _ord3_bounds(n)
         got = ord_p(a_n, 3)
-        allowed = {0: {base + 1}, 1: {base, base + 1}, 2: {base}}[n % 3]
-        if got not in allowed:
-            bad.append({"check": "ord3-bound", "n": n, "ord3": got, "allowed": sorted(allowed)})
+        if not lo <= got <= hi:
+            bad.append({"check": "ord3-bound", "n": n, "ord3": got, "allowed": [*range(lo, hi + 1)]})
         b_fac = b_value_by_factoring(n, a_n)
         if b_rec != b_fac:
             bad.append({"check": "b-routes", "n": n, "recurrence": str(b_rec), "factoring": str(b_fac)})
@@ -457,119 +460,6 @@ def verify_cycle_uniqueness_range(
     )
 
 
-# The divisibility sieve. D(C_p) is monic with integer coefficients, so a
-# product of them equal to D(C_n) makes each factor divide D(C_n) in Z[x];
-# every ring map out of Z[x] keeps that, and each stage of the sieve rejects
-# a pair (p, n) only where one such map shows that D(C_p) does not divide
-# D(C_n). Stage 1 maps x to each residue mod each of SIEVE_MODULI, stage 2
-# to each integer of SIEVE_POINTS.
-SIEVE_MODULI = (2, 3, 5, 7, 11, 13, 17, 19, 23)
-SIEVE_POINTS = (1, 2, 3, -2, 5, 7)
-
-
-def _residue_survivors(n_min: int, n_max: int) -> dict[int, int]:
-    """For each n in n_min..n_max, a bitmask of the p in 3..n-1 such that
-    every (q, r) with D(C_p, r) = 0 mod q has D(C_n, r) = 0 mod q too."""
-    modulus = math.prod(SIEVE_MODULI)
-    survivors = {n: (1 << n) - 8 for n in range(n_min, n_max + 1)}
-    if not survivors:
-        return survivors
-    # The residue r of every modulus q > r is reached by evaluating at t = r,
-    # so the points 1..max(q)-1 cover every nonzero residue, and one walk
-    # mod the product serves all the moduli: gcd(D(C_n, t), modulus) is the
-    # product of the moduli that divide D(C_n, t).
-    for t in range(1, max(SIEVE_MODULI, default=1)):
-        key = [0, *(math.gcd(v, modulus) for v in islice(cycle_residues(t, modulus), n_max))]
-        with_key: dict[int, int] = {}
-        for p in range(3, n_max):
-            with_key[key[p]] = with_key.get(key[p], 0) | 1 << p
-        allowed = {
-            kn: sum(ps for kp, ps in with_key.items() if kn % kp == 0)
-            for kn in set(key[n_min:])
-        }
-        for n in survivors:
-            survivors[n] &= allowed[key[n]]
-    return survivors
-
-
-def _monic_divides(divisor: IntPolynomial, dividend: IntPolynomial) -> bool:
-    """Whether the monic `divisor` divides `dividend` in Z[x], by long division."""
-    d = divisor.coeffs
-    k = len(d) - 1
-    rem = list(dividend.coeffs)
-    for top in range(len(rem) - 1, k - 1, -1):
-        c = rem[top]
-        if c:
-            for j in range(k):
-                rem[top - k + j] -= c * d[j]
-    return not any(rem[:k])
-
-
-def verify_cycle_uniqueness_by_divisibility(
-    n_min: int = 3, n_max: int = 1000, min_part: int = 3
-) -> VerificationReport:
-    """For every n in n_min..n_max, only the trivial partition {n} reproduces
-    D(C_n,x), proved by showing that no D(C_p) with 3 <= p < n divides D(C_n).
-
-    Pairs (p, n) pass three stages: residue signatures mod SIEVE_MODULI,
-    divisibility of the values at SIEVE_POINTS, and exact long division.
-    An n with a true divisor is decided by enumerating its partitions, as
-    is, with min_part 1, an n where D(C_n, -2) = 0 (a part 2 could divide,
-    as D(C_2) = x(x + 2)) or D(C_n, 1) = 1 (D(C_n) could be x^n, the
-    product of n parts 1).
-
-    Time and memory grow about quadratically in n_max, as stage 1 keeps a
-    bitmask over every p < n for each n: in-process on a 2-CPU machine
-    with CPython 3.11, 0.025 s at n_max = 1000 and 4.7 s with 50 MB peak
-    RSS at n_max = 10000.
-    """
-    if n_min < 3:
-        raise ParameterDomainError(f"cycle uniqueness check needs n >= 3, got {n_min}")
-    if min_part not in (1, 3):
-        raise ParameterDomainError(f"min_part must be 1 or 3, got {min_part}")
-    t0 = time.perf_counter()
-    pairs = [
-        (p, n) for n, mask in _residue_survivors(n_min, n_max).items() for p in _bits(mask)
-    ]
-    residue_survivors = len(pairs)
-    for t in SIEVE_POINTS:
-        if not pairs:
-            break
-        jet = _items_at(cycle_jets(t), {i for pair in pairs for i in pair})
-        pairs = [(p, n) for p, n in pairs if jet[p][0] == 0 or jet[n][0] % jet[p][0] == 0]
-    value_survivors = len(pairs)
-    divisors = []
-    if pairs:
-        poly = _items_at(cycle_polynomials(), {i for pair in pairs for i in pair})
-        divisors = [[p, n] for p, n in pairs if _monic_divides(poly[p], poly[n])]
-    undecided = {n for _, n in divisors}
-    if min_part == 1:
-        walk = zip(range(1, n_max + 1), cycle_jets(-2), cycle_jets(1))
-        undecided.update(
-            n for n, (at_minus_two,), (at_one,) in walk
-            if n >= n_min and (at_minus_two == 0 or at_one == 1)
-        )
-    bad = [
-        ex for n in sorted(undecided)
-        for ex in verify_cycle_uniqueness_range(n, n, min_part).counterexamples
-    ]
-    return _report(
-        "T5-partitions", n_min, n_max, bad, t0,
-        {
-            "route": "divisibility",
-            "moduli": list(SIEVE_MODULI),
-            "points": list(SIEVE_POINTS),
-            "pairs_tested": sum(n - 3 for n in range(n_min, n_max + 1)),
-            "residue_survivors": residue_survivors,
-            "value_survivors": value_survivors,
-            "exact_divisions": value_survivors,
-            "divisors": divisors,
-            "enumerated": sorted(undecided),
-            "min_part": min_part,
-        },
-    )
-
-
 # The ten admissible residue patterns for n = n1+n2+n3 (everything mod 4),
 # keyed by (n mod 4, sorted part residues). A triple is alpha-compatible
 # exactly when its pattern is one of these.
@@ -585,11 +475,6 @@ TEN_CASES = {
     (3, (1, 3, 3)): 9,
     (3, (2, 2, 3)): 10,
 }
-
-# Cases eliminated at the first-derivative level; the remaining two (7 and
-# 10) have identically-zero betas on both sides and fall only at the
-# second derivative.
-_BETA_ELIMINATED = frozenset({1, 2, 3, 4, 5, 6, 8, 9})
 
 
 def _triples(n_max: int) -> Iterator[tuple[int, int, int]]:
@@ -607,15 +492,21 @@ def _jet_product(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int,
     return (a * a2, a * b2 + b * a2, a * c2 + 2 * b * b2 + c * a2)
 
 
+def _closed_jet(n: int) -> tuple[int, int, int]:
+    """(alpha, beta, theta)(n), read by module-global name so tests can plant values."""
+    return alpha(n), beta(n), theta(n)
+
+
 def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
     """Three-part partitions: table completeness and case elimination.
 
     For every triple of parts >= 3 with sum <= n_max, the product's 2-jet
     at -1 (alpha, beta, theta) is the Leibniz product of the parts' jets
     and is compared with n's. Every alpha-compatible triple's residue
-    pattern must be one of the ten cases; triples in cases 1-6, 8, 9 must
-    mismatch at the first derivative, and triples in cases 7 and 10 must
-    pass that but mismatch at the second. A triple whose whole jet agrees
+    pattern must be one of the ten cases. In a case whose certificate
+    reads beta (1-6, 8, 9) triples must mismatch at the first derivative;
+    in the others (7, 10) they must pass that but mismatch at the second.
+    A triple whose whole jet agrees
     gets the exact compare, which must find the product polynomial
     different from D(C_n,x).
     """
@@ -623,7 +514,8 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
     bad = []
     case_counts = {k: 0 for k in range(1, 11)}
     total = full_compares = compatible = 0
-    jets = {n: (alpha(n), beta(n), theta(n)) for n in range(3, n_max + 1)}
+    jets = {n: _closed_jet(n) for n in range(3, n_max + 1)}
+    by_beta = {c for p, c in TEN_CASES.items() if _case_certificate(p, 3)["component"] == "beta"}
     for n1, n2, n3 in _triples(n_max):
         total += 1
         n = n1 + n2 + n3
@@ -645,7 +537,7 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
             continue
         case_counts[case] += 1
         beta_matches = product[1] == want[1]
-        if case in _BETA_ELIMINATED:
+        if case in by_beta:
             if beta_matches:
                 bad.append({
                     "check": "beta-unexpectedly-matches", "n": n, "case": case,
@@ -675,6 +567,98 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
             "case_counts": {str(k): v for k, v in case_counts.items()},
         },
     )
+
+
+# Why three parts. Say D(C_n) is the product of D(C_m) over k >= 2 parts.
+# Evaluation and the lowest index of a nonzero coefficient respect products.
+# (a) alpha is -1 or 3 at each part and at n, so k is odd. (b) D(C_m) starts
+# at x^ceil(m/3): D(C_1..3) start at x, and the recurrence, whose coefficients
+# are nonnegative, adds one to the least of the three before. With s(m) = -m
+# mod 3, ceil(m/3) = (m + s(m))/3, so the parts' s sum to s(n) <= 2. (c) So
+# the parts' delta(m) = ord_3(D(C_m, -3)) - ceil(m/3) sum to delta(n) <= 1
+# (L6's table); as delta(m) = 1 where s(m) = 0, every s + delta >= 1: k = 3.
+# This holds wherever the closed forms and the table do; the route checks both.
+
+# The exponent triples of degree <= 2, lexicographic: each after those below it.
+_POINTS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2]
+
+
+def _case_certificate(pattern, min_part: int) -> dict:
+    """One case's jet difference, product minus n's, in the basis 1, k_i,
+    C(k_i,2), k_i*k_j (nonnegative for k >= 0): beta's, or theta's where
+    beta's is 0. Its witness of never being 0 is "sign" (every coefficient
+    of the nonzero constant's sign), "mod 4" (4 divides every coefficient
+    but the constant) or None."""
+    least = [min_part + (r - min_part) % 4 for r in pattern[1]]
+    differences = {}
+    for k in _POINTS:
+        parts = [4 * k_i + m for k_i, m in zip(k, least)]
+        f, g, h = map(_closed_jet, parts)
+        product = _jet_product(_jet_product(f, g), h)
+        differences[k] = [p - q for p, q in zip(product, _closed_jet(sum(parts)))]
+    for j, component in ((1, "beta"), (2, "theta")):
+        # Basis polynomial m at point k is prod C(k_i, m_i): 0 unless m <= k,
+        # and 1 at k = m, so the coefficients come by forward substitution.
+        coeffs = {}
+        for k in _POINTS:
+            coeffs[k] = differences[k][j] - sum(
+                c * math.prod(map(math.comb, k, m)) for m, c in coeffs.items()
+            )
+        if any(coeffs.values()):
+            break
+    constant, others = coeffs[0, 0, 0], [c for m, c in coeffs.items() if any(m)]
+    sign = constant and all(c * constant >= 0 for c in others)
+    mod4 = constant % 4 and all(c % 4 == 0 for c in others)
+    witness = "sign" if sign else "mod 4" if mod4 else None
+    return {
+        "pattern": [pattern[0], list(pattern[1])],
+        "component": component,
+        "difference": {
+            "*".join(("", f"k{i}", f"C(k{i},2)")[e] for i, e in enumerate(m, 1) if e) or "1": c
+            for m, c in coeffs.items() if c
+        },
+        "witness": witness,
+    }
+
+
+def verify_cycle_uniqueness_by_elimination(
+    n_min: int = 3, n_max: int = 1000, min_part: int = 3
+) -> VerificationReport:
+    """For every n in n_min..n_max, only the trivial partition {n} reproduces
+    D(C_n,x), by the paper's elimination; no partition is enumerated.
+
+    A walk to n_max checks the premises: the 2-jet at -1 is `_closed_jet(n)`
+    and ord_3(D(C_n, -3)) is within `_ord3_bounds(n)`. The reduction above
+    leaves three parts, with residues mod 4 in an alpha-compatible pattern;
+    recomputed from `alpha`, those patterns must be the `TEN_CASES`. On each
+    class mod 4, alpha, beta and theta have degree 0, 1 and 2 in n, so with
+    part i = 4*k_i + r_i, r_i the least part >= min_part of its class, each
+    case's jet difference is a polynomial of degree <= 2 in (k1, k2, k3):
+    `_case_certificate` reads it from ten `_jet_product` evaluations.
+    """
+    if n_min < 3:
+        raise ParameterDomainError(f"cycle uniqueness check needs n >= 3, got {n_min}")
+    if min_part not in (1, 3):
+        raise ParameterDomainError(f"min_part must be 1 or 3, got {min_part}")
+    t0 = time.perf_counter()
+    bad = []
+    for n, jet, (a_n,) in zip(range(1, n_max + 1), cycle_jets(-1, 2), cycle_jets(-3)):
+        if jet != _closed_jet(n):
+            bad.append({"check": "closed-form-jet", "n": n, "jet": list(map(str, jet)),
+                        "closed_form": list(map(str, _closed_jet(n)))})
+        low, high = _ord3_bounds(n)
+        quotient, rest = divmod(a_n, 3**low)
+        if rest or quotient % 3 ** (high - low + 1) == 0:
+            bad.append({"check": "ord3-table", "n": n, "allowed": [low, high]})
+    compatible = {(sum(rs) % 4, rs) for rs in combinations_with_replacement(range(4), 3)
+                  if alpha(4 + sum(rs) % 4) == math.prod(alpha(4 + r) for r in rs)}
+    if compatible != set(TEN_CASES):
+        bad.append({"check": "ten-cases-table", "alpha_compatible": sorted(compatible)})
+    cases = {str(case): _case_certificate(pattern, min_part) for pattern, case in TEN_CASES.items()}
+    bad += [{"check": "case-witness", "case": int(case), **certificate}
+            for case, certificate in cases.items() if certificate["witness"] is None]
+    details = {"route": "elimination", "cases": cases, "min_part": min_part}
+    return _report("T5-partitions", n_min, n_max, bad, t0, details)
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +947,7 @@ CHECKS: dict[str, Check] = {
     ),
     "T5-partitions": Check(
         "only the trivial cycle partition reproduces D(C_n,x)",
-        lambda n, min_part=3: verify_cycle_uniqueness_by_divisibility(3, n, min_part), 3, 1000,
+        lambda n, min_part=3: verify_cycle_uniqueness_by_elimination(3, n, min_part), 3, 1000,
     ),
     "T5-ten-cases": Check(
         "every alpha-compatible part triple falls in the 10-case table and is eliminated",

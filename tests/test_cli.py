@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dompoly import graphs, oracle, verify
+from dompoly import cli, cycles, graphs, oracle, verify
 from dompoly.cli import build_parser, main
 from dompoly.graphs import complete, cycle, encode_graph6, parse_graph6, path, wheel
 from dompoly.polynomials import IntPolynomial
@@ -110,6 +110,28 @@ def test_cycle_family_takes_the_recurrence_route(capsys, monkeypatch):
             run(capsys, verb, "--family", "cycle:3,4", *extra)
 
 
+def test_cycle_polynomial_bound_refuses_before_the_walk(capsys, monkeypatch):
+    """`cycle N` and `poly --family cycle:N` above the bound exit 3 with a
+    pointer to `eval` and walk nothing; `eval` stays unbounded, and
+    --guard-override is still refused rather than raising the bound."""
+    walks = []
+    walk = cycles.cycle_polynomials
+    monkeypatch.setattr(cycles, "cycle_polynomials", lambda: walks.append(1) or walk())
+    n = cli.MAX_CYCLE_ORDER + 1
+    for argv in (("cycle", str(n)), ("poly", "--family", f"cycle:{n}")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("dompoly: ") and f"eval --family cycle:{n}" in err, argv
+    code, _, err = run(capsys, "--guard-override", "30", "cycle", str(n))
+    assert (code, err) == (3, "dompoly: cycle does not take --guard-override\n")
+    assert walks == []
+    code, out, _ = run(capsys, "eval", "--family", f"cycle:{n}", "--at", "2")
+    assert code == 0 and json.loads(out)["results"][0]["source"] == f"cycle:{n}"
+    code, out, _ = run(capsys, "cycle", "7")
+    assert code == 0 and len(json.loads(out)["coefficients"]) == 8
+    assert walks == [1]
+
+
 def test_family_guard_refuses_before_building(capsys, monkeypatch):
     """A family's order is the sum of its parameters, so an order above the
     guard is refused with the oracle's message before any builder runs; an
@@ -164,7 +186,13 @@ def test_verify_verbs(capsys):
     payload = json.loads(out)
     assert payload["range"] == [3, 1000]
     assert payload["status"] == "pass"
-    assert payload["details"]["route"] == "divisibility"
+    assert payload["details"]["route"] == "elimination"
+
+    code, out, _ = run(capsys, "verify", "T5-partitions", "--min-part", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["range"], payload["status"]) == ([3, 1000], "pass")
+    assert (payload["details"]["route"], payload["details"]["min_part"]) == ("elimination", 1)
 
 
 def test_verify_all_with_corpus_dir(capsys):

@@ -12,7 +12,6 @@ from dompoly.cycles import (
     cycle_jets,
     cycle_polynomial,
     cycle_polynomials,
-    cycle_residues,
     predicted_ord3,
     theta,
 )
@@ -124,18 +123,6 @@ def test_jet_matches_differentiated_polynomial(t):
         jet = cycle_jet(n, t, 3)
         assert len(jet) == min(3, n) + 1, n
         assert list(jet) + [0] * (4 - len(jet)) == _direct_jet(cycle_polynomial(n), t), n
-
-
-@pytest.mark.parametrize("t,q", ((-2, 7), (0, 5), (3, 2), (5, 23), (22, 223092870)))
-def test_residues_are_the_jet_values_mod_q(t, q):
-    walk = zip(range(1, 301), cycle_jets(t), cycle_residues(t, q))
-    for n, (value,), residue in walk:
-        assert residue == value % q, n
-
-
-def test_residues_reject_a_modulus_below_one():
-    with pytest.raises(ParameterDomainError):
-        next(cycle_residues(2, 0))
 
 
 def test_jet_clamps_the_derivative_order_to_n():

@@ -1,9 +1,11 @@
+import itertools
+import math
 import random
 from functools import lru_cache
 
 import pytest
 
-from dompoly.cycles import alpha, cycle_polynomial, cycle_polynomials, cycle_residues
+from dompoly.cycles import alpha, cycle_jets, cycle_polynomial, cycle_polynomials
 from dompoly.errors import ParameterDomainError, SizeGuardError
 from dompoly.graphs import cycle, disjoint_union, encode_graph6, complete, parse_graph6, path, wheel
 from dompoly.oracle import domination_polynomial
@@ -23,7 +25,7 @@ from dompoly.verify import (
     verify_alpha,
     verify_beta,
     verify_cycle_recurrence,
-    verify_cycle_uniqueness_by_divisibility,
+    verify_cycle_uniqueness_by_elimination,
     verify_cycle_uniqueness_range,
     verify_gamma_additivity_and_ceiling,
     verify_ord3_table,
@@ -108,9 +110,10 @@ def test_partition_polynomial():
 
 
 def test_fingerprint_is_the_cycle_polynomial_value_mod_the_prime():
-    fingerprints = cycle_residues(FINGERPRINT_POINT, FINGERPRINT_MODULUS)
-    for p, poly, fingerprint in zip(range(1, 201), cycle_polynomials(), fingerprints):
-        assert fingerprint == poly.eval_at(FINGERPRINT_POINT) % FINGERPRINT_MODULUS, p
+    """`match_partitions` fingerprints D(C_p, t) from the jet walk, reduced mod the prime."""
+    modulus = FINGERPRINT_MODULUS
+    for p, poly, (value,) in zip(range(1, 201), cycle_polynomials(), cycle_jets(FINGERPRINT_POINT)):
+        assert value % modulus == poly.eval_at(FINGERPRINT_POINT) % modulus, p
 
 
 @pytest.mark.parametrize("min_part,n_max", ((3, 30), (1, 22)))
@@ -244,112 +247,106 @@ def _answer(report):
 
 
 @pytest.mark.parametrize("min_part,n_max", ((3, 40), (1, 25)))
-def test_divisibility_sieve_agrees_with_enumeration(min_part, n_max):
+def test_elimination_agrees_with_enumeration(min_part, n_max):
     for n in range(3, n_max + 1):
-        sieve = verify_cycle_uniqueness_by_divisibility(n, n, min_part)
-        assert _answer(sieve) == _answer(verify_cycle_uniqueness_range(n, n, min_part)) == ("pass", []), n
-        assert sieve.details["enumerated"] == []
-    sieve = verify_cycle_uniqueness_by_divisibility(3, n_max, min_part)
-    assert _answer(sieve) == _answer(verify_cycle_uniqueness_range(3, n_max, min_part))
-    assert sieve.range_checked == (3, n_max)
-
-
-def test_divisibility_sieve_default_range():
-    rep = verify_cycle_uniqueness_by_divisibility()
-    assert rep.passed and rep.range_checked == (3, 1000)
-    details = rep.details
-    assert details["route"] == "divisibility"
-    assert details["pairs_tested"] == 997 * 998 // 2
-    assert details["pairs_tested"] >= details["residue_survivors"] >= details["value_survivors"]
-    assert details["exact_divisions"] == details["value_survivors"]
-    assert details["divisors"] == details["enumerated"] == []
-    assert details["min_part"] == 3
-    assert "partitions_checked" not in details and "full_compares" not in details
-
-
-def _sieve_without_stages(monkeypatch):
-    """No modulus and no point: every pair reaches the exact division."""
-    monkeypatch.setattr(verify, "SIEVE_MODULI", ())
-    monkeypatch.setattr(verify, "SIEVE_POINTS", ())
+        eliminated = verify_cycle_uniqueness_by_elimination(n, n, min_part)
+        assert _answer(eliminated) == _answer(verify_cycle_uniqueness_range(n, n, min_part)), n
+    eliminated = verify_cycle_uniqueness_by_elimination(3, n_max, min_part)
+    assert _answer(eliminated) == _answer(verify_cycle_uniqueness_range(3, n_max, min_part))
+    assert _answer(eliminated) == ("pass", [])
+    assert eliminated.range_checked == (3, n_max)
 
 
 @pytest.mark.parametrize("min_part", (1, 3))
-def test_divisibility_sieve_stages_only_reject(monkeypatch, min_part):
-    """With stages 1 and 2 emptied, exact division alone rejects every pair,
-    and the answer is the same."""
-    sieved = verify_cycle_uniqueness_by_divisibility(3, 20, min_part)
-    _sieve_without_stages(monkeypatch)
-    divided = verify_cycle_uniqueness_by_divisibility(3, 20, min_part)
-    assert divided.details["residue_survivors"] == divided.details["pairs_tested"]
-    assert divided.details["exact_divisions"] == divided.details["pairs_tested"] == 153
-    assert divided.details["divisors"] == []
-    assert sieved.details["exact_divisions"] < divided.details["exact_divisions"]
-    assert _answer(sieved) == _answer(divided) == ("pass", [])
+def test_elimination_default_range(monkeypatch, min_part):
+    """The default range passes by the ten certificates, with no partition
+    enumerated; cases 7 and 10 fall at theta, case 1 mod 4, the rest by sign."""
+    calls = []
+    for name in ("enumerate_partitions", "match_partitions", "partition_matches_cycle"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name: calls.append(name))
+    rep = verify_cycle_uniqueness_by_elimination(min_part=min_part)
+    assert calls == []
+    assert rep.passed and rep.range_checked == (3, 1000)
+    assert set(rep.details) == {"route", "cases", "min_part"}
+    assert rep.details["route"] == "elimination" and rep.details["min_part"] == min_part
+    cases = rep.details["cases"]
+    assert sorted(cases, key=int) == [str(c) for c in range(1, 11)]
+    assert {c: cert["component"] for c, cert in cases.items() if cert["component"] != "beta"} == {
+        "7": "theta", "10": "theta",
+    }
+    assert {c: cert["witness"] for c, cert in cases.items() if cert["witness"] != "sign"} == {
+        "1": "mod 4",
+    }
+    assert cases["1"]["difference"] == {"1": -7 if min_part == 3 else 1, "k2": -8, "k3": 4}
 
 
-def test_divisibility_sieve_decides_a_planted_divisor_by_enumeration(monkeypatch):
-    _sieve_without_stages(monkeypatch)
-    divides = verify._monic_divides
-    monkeypatch.setattr(
-        verify, "_monic_divides",
-        lambda d, f: (d.degree, f.degree) == (5, 12) or divides(d, f),
-    )
-    enumerated = []
-
-    def spy(n, min_part=3):
-        enumerated.append((n, min_part))
-        return enumerate_partitions(n, min_part)
-
-    monkeypatch.setattr(verify, "enumerate_partitions", spy)
-    rep = verify_cycle_uniqueness_by_divisibility(3, 15)
-    assert rep.details["divisors"] == [[5, 12]]
-    assert rep.details["enumerated"] == [12]
-    assert enumerated == [(12, 3)]
-    assert _answer(rep) == ("pass", [])
-
-    # A counterexample the enumeration finds is reported as the reference
-    # route reports it.
-    matches = verify.match_partitions
-
-    def planted(n, min_part=3):
-        for parts, outcome in matches(n, min_part):
-            yield parts, parts == (9, 3) or outcome
-
-    monkeypatch.setattr(verify, "match_partitions", planted)
-    rep = verify_cycle_uniqueness_by_divisibility(3, 15)
-    assert rep.status == "fail"
-    assert [ex["partition"] for ex in rep.counterexamples] == [[9, 3]]
-    assert _answer(rep) == _answer(verify_cycle_uniqueness_range(12, 12))
+def test_elimination_validation():
+    with pytest.raises(ParameterDomainError):
+        verify_cycle_uniqueness_by_elimination(2, 10)
+    with pytest.raises(ParameterDomainError):
+        verify_cycle_uniqueness_by_elimination(3, 10, min_part=2)
 
 
-@pytest.mark.parametrize("point,value", ((-2, 0), (1, 1)))
-def test_divisibility_sieve_enumerates_when_small_parts_could_match(monkeypatch, point, value):
-    """With min_part 1, D(C_n, -2) = 0 (a part 2 could divide) or
-    D(C_n, 1) = 1 (D(C_n) could be x^n) sends that n to enumeration."""
+def _difference_at(difference: dict, k) -> int:
+    """A certificate's difference polynomial, its terms named as "1", "k2",
+    "C(k1,2)" or "k1*k3", evaluated at the point k."""
+    names = {"C": math.comb, "k1": k[0], "k2": k[1], "k3": k[2], "__builtins__": {}}
+    return sum(c * eval(term, names) for term, c in difference.items())
+
+
+@pytest.mark.parametrize("min_part", (1, 3))
+def test_case_certificates_are_the_jet_differences(min_part):
+    """Each case's polynomial equals the difference of the recurrence's jets
+    at -1, product of the parts' minus n's, at every k in {0..3}^3; where it
+    is theta's, beta's difference is 0 there."""
+    walk = zip(range(1, 61), cycle_polynomials())
+    jets = {
+        m: (p.eval_at(-1), p.derivative().eval_at(-1), p.derivative().derivative().eval_at(-1))
+        for m, p in walk
+    }
+    for pattern, case in TEN_CASES.items():
+        certificate = verify._case_certificate(pattern, min_part)
+        least = [min_part + (r - min_part) % 4 for r in pattern[1]]
+        component = ("beta", "theta").index(certificate["component"]) + 1
+        for k in itertools.product(range(4), repeat=3):
+            parts = [4 * k_i + m for k_i, m in zip(k, least)]
+            f, g, h = (jets[m] for m in parts)
+            product = verify._jet_product(verify._jet_product(f, g), h)
+            difference = [p - q for p, q in zip(product, jets[sum(parts)])]
+            assert difference[0] == 0, (case, k)
+            assert _difference_at(certificate["difference"], k) == difference[component], (case, k)
+            assert component == 1 or difference[1] == 0, (case, k)
+
+
+def _plant_theta_off_by_one(monkeypatch):
+    theta = verify.theta
+    monkeypatch.setattr(verify, "theta", lambda n: theta(n) + (n % 4 == 2))
+
+
+def _plant_dropped_case(monkeypatch):
+    monkeypatch.setattr(verify, "TEN_CASES", {p: c for p, c in TEN_CASES.items() if c != 4})
+
+
+def _plant_tripled_minus_three_jet(monkeypatch):
     jets = verify.cycle_jets
 
     def planted(t, k=0):
-        for n, jet in enumerate(jets(t, k), start=1):
-            yield (value,) if (t, n) == (point, 7) else jet
+        for jet in jets(t, k):
+            yield (3 * jet[0], *jet[1:]) if t == -3 else jet
 
     monkeypatch.setattr(verify, "cycle_jets", planted)
-    assert verify_cycle_uniqueness_by_divisibility(3, 10, 1).details["enumerated"] == [7]
-    assert verify_cycle_uniqueness_by_divisibility(3, 10, 3).details["enumerated"] == []
 
 
-def test_monic_divides():
-    c3 = cycle_polynomial(3)
-    assert verify._monic_divides(c3, partition_polynomial((4, 3)))
-    assert verify._monic_divides(IntPolynomial.x(), cycle_polynomial(9))
-    assert not verify._monic_divides(c3, cycle_polynomial(7))
-    assert not verify._monic_divides(cycle_polynomial(4), partition_polynomial((3, 3, 3)))
-
-
-def test_divisibility_sieve_validation():
-    with pytest.raises(ParameterDomainError):
-        verify_cycle_uniqueness_by_divisibility(2, 10)
-    with pytest.raises(ParameterDomainError):
-        verify_cycle_uniqueness_by_divisibility(3, 10, min_part=2)
+@pytest.mark.parametrize("plant,check", (
+    (_plant_theta_off_by_one, "closed-form-jet"),
+    (_plant_dropped_case, "ten-cases-table"),
+    (_plant_tripled_minus_three_jet, "ord3-table"),
+))
+def test_elimination_fails_on_a_planted_fault(monkeypatch, plant, check):
+    plant(monkeypatch)
+    rep = verify_cycle_uniqueness_by_elimination(3, 40)
+    assert rep.status == "fail"
+    assert check in {ex["check"] for ex in rep.counterexamples}
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +402,7 @@ def test_ten_case_table_reads_no_fingerprint_and_compares_nothing(monkeypatch):
         real = getattr(verify, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("match_partitions", "partition_matches_cycle", "cycle_residues"):
+    for name in ("match_partitions", "partition_matches_cycle", "cycle_jets"):
         monkeypatch.setattr(verify, name, spy(name))
     rep = verify_ten_case_table(150)
     assert rep.passed and rep.range_checked == (9, 150)
