@@ -391,6 +391,10 @@ def _render_table(verb: str, payload: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # `eval` answers at any N, and its values can run to tens of thousands
+    # of digits: lift CPython's int-to-str limit (3.10.7 on) for them.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

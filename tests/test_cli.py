@@ -86,6 +86,21 @@ def test_eval_uses_recurrence_for_large_cycles(capsys):
     assert json.loads(out)["results"][0]["value"] == "0"
 
 
+def test_eval_prints_values_past_the_int_to_str_limit(capsys):
+    # D(C_20000, -3) has about 5000 digits, above CPython's default limit
+    # of 4300 for int-to-str conversion.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        code, out, err = run(capsys, "eval", "--family", "cycle:20000", "--at", "-3")
+        assert (code, err) == (0, "")
+        expected = str(cycles.cycle_jet(20000, -3, 0)[0])
+        assert len(expected) > 4300
+        assert json.loads(out)["results"][0]["value"] == expected
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_cycle_family_takes_the_recurrence_route(capsys, monkeypatch):
     """poly and eval answer cycle:n from the recurrence and never build C_n;
     a malformed cycle spec fails as the graph builder would fail on it."""

@@ -5,9 +5,11 @@ import pytest
 
 from dompoly import oracle
 from dompoly.errors import SizeGuardError
-from dompoly.graphs import Graph, complete, cycle, disjoint_union, path, wheel
+from dompoly.graphs import Graph, complete, cycle, disjoint_union, parse_graph6, path, wheel
 from dompoly.oracle import domination_number, domination_polynomial, domination_profile
 from dompoly.polynomials import IntPolynomial
+
+from conftest import load_corpus
 
 
 def test_profile_examples():
@@ -111,6 +113,54 @@ def test_each_walk_checks_the_guard_once(monkeypatch):
         checked.clear()
     assert domination_polynomial(Graph(0, ())) == IntPolynomial.one()
     assert checked == [0]
+
+
+def _reference_profile(g):
+    """The literal definition: OR the closed neighborhoods of each of the
+    2^n subsets and count, by size, the subsets that reach every vertex."""
+    full = (1 << g.n) - 1
+    counts = [0] * (g.n + 1)
+    for mask in range(1, 1 << g.n):
+        cover = 0
+        for v in range(g.n):
+            if mask >> v & 1:
+                cover |= g.closed[v]
+        if cover == full:
+            counts[mask.bit_count()] += 1
+    return tuple(counts[1:])
+
+
+@pytest.mark.parametrize("order", [4, 5, 6, 7])
+def test_profile_matches_the_reference_on_the_corpus(order):
+    for record in load_corpus(order):
+        g = parse_graph6(record)
+        assert domination_profile(g) == _reference_profile(g), record
+
+
+@pytest.mark.parametrize("density", [0, 0.1, 0.3, 0.5, 1])
+def test_profile_matches_the_reference_on_random_graphs(density):
+    rng = random.Random(f"oracle-{density}")
+    mixed = 0  # graphs with both an edge and an isolated vertex
+    for n in range(15):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = Graph.from_edges(n, edges)
+        mixed += bool(edges) and any(c == 1 << v for v, c in enumerate(g.closed))
+        assert domination_profile(g) == _reference_profile(g), (n, edges)
+    assert density in (0, 1) or mixed
+
+
+def test_profile_matches_the_reference_when_half_covers_are_distinct():
+    # Edgeless: every subset of a half has its own cover. A perfect
+    # matching across the halves also keeps every pair of half-covers
+    # in the sum, the most it can hold.
+    for g in (Graph.from_edges(16, []), Graph.from_edges(16, [(v, v + 8) for v in range(8)])):
+        assert domination_profile(g) == _reference_profile(g)
+
+
+def test_profile_of_the_largest_complete_graph():
+    # Every nonempty subset of K_40 dominates, so its coefficients are the
+    # largest any order up to MAX_ORDER can hold.
+    assert domination_profile(complete(40), guard=40) == tuple(comb(40, k) for k in range(1, 41))
 
 
 def test_path_profile():
