@@ -17,6 +17,7 @@ against direct evaluation of the polynomial (or its derivatives), so a
 wrong branch in one cannot survive: alpha, beta and theta are closed
 form vs. jet (`cycle_jets`: D, D', ... at one point, stepped through n),
 b is its 3-branch recurrence vs. factoring a_n, taken from the jet.
+`ord3_bounds` is the one ord_3 table; `predicted_ord3` and verify read it.
 
 Nothing is memoized: `cycle_polynomials`, `cycle_jets` and `b_values`
 are generators holding three terms; the single-n functions take the n-th
@@ -41,6 +42,7 @@ __all__ = [
     "theta",
     "b_values",
     "b_value_by_factoring",
+    "ord3_bounds",
     "predicted_ord3",
     "REMARK_RESIDUES_MOD_27",
 ]
@@ -172,17 +174,16 @@ def b_value_by_factoring(n: int, a_n: int) -> int:
     return q
 
 
-def predicted_ord3(n: int) -> int:
-    """ord_3(a_n), a_n = D(C_n, -3), predicted from n alone.
-
-    Baseline ceil(n/3); one higher when 3 | n, and, within the
-    n % 3 == 1 residue class, exactly when n mod 27 is in {4, 13, 22}.
-    """
+def ord3_bounds(n: int) -> tuple[int, int]:
+    """The least and greatest ord_3(a_n) allowed: ceil(n/3) + 1 when 3 | n,
+    ceil(n/3) when n = 3k+2, and either of the two when n = 3k+1."""
     _require_positive(n)
     base = _ceil3(n)
-    r = n % 3
-    if r == 0:
-        return base + 1
-    if r == 1:
-        return base + 1 if n % 27 in REMARK_RESIDUES_MOD_27 else base
-    return base
+    return base + (n % 3 == 0), base + (n % 3 != 2)
+
+
+def predicted_ord3(n: int) -> int:
+    """ord_3(a_n) predicted from n alone: the table's upper bound where n
+    mod 27 is in {4, 13, 22} (all 3k+1), else its lower bound."""
+    low, high = ord3_bounds(n)
+    return high if n % 27 in REMARK_RESIDUES_MOD_27 else low

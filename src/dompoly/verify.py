@@ -51,6 +51,7 @@ from .cycles import (
     cycle_jets,
     cycle_polynomial,
     cycle_polynomials,
+    ord3_bounds,
     predicted_ord3,
     theta,
 )
@@ -184,9 +185,9 @@ def _partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
             largest = first
 
 
-def _items_at(walk: Iterator, wanted: set[int]) -> dict:
-    """The items of a walk that starts at n = 1, at the indices in `wanted`."""
-    return {n: item for n, item in zip(range(1, max(wanted, default=0) + 1), walk) if n in wanted}
+def _cycle_factors(n: int) -> list:
+    """[None, D(C_1), ..., D(C_n)] from one walk, so part p indexes its factor."""
+    return [None, *islice(cycle_polynomials(), max(n, 0))]
 
 
 def _product(parts: tuple[int, ...], factors) -> IntPolynomial:
@@ -200,7 +201,7 @@ def partition_polynomial(parts: Iterable[int]) -> IntPolynomial:
     parts = tuple(parts)
     if parts and min(parts) < 1:
         raise ParameterDomainError(f"cycle parts must be >= 1, got {list(parts)}")
-    return _product(parts, _items_at(cycle_polynomials(), set(parts)))
+    return _product(parts, _cycle_factors(max(parts, default=0)))
 
 
 # A fingerprint is D(C_p, t) mod a prime at one fixed point t. Evaluation
@@ -224,7 +225,7 @@ def match_partitions(n: int, min_part: int = 3) -> Iterator[tuple[tuple[int, ...
     partitions = enumerate_partitions(n, min_part)  # checks n >= 1 before the walks
     modulus = FINGERPRINT_MODULUS
     fingerprints = [0, *(v % modulus for (v,) in islice(cycle_jets(FINGERPRINT_POINT), n))]
-    factors = [None, *islice(cycle_polynomials(), n)]
+    factors = _cycle_factors(n)
     for parts in partitions:
         if math.prod(fingerprints[p] for p in parts) % modulus != fingerprints[n]:
             yield parts, None
@@ -238,7 +239,7 @@ def partition_matches_cycle(parts: tuple[int, ...]) -> bool:
     if not parts or min(parts) < 1:
         raise ParameterDomainError(f"cycle parts must be >= 1, got {list(parts)}")
     n = sum(parts)
-    factors = _items_at(cycle_polynomials(), {*parts, n})
+    factors = _cycle_factors(n)
     return _product(parts, factors) == factors[n]
 
 
@@ -298,15 +299,15 @@ def verify_cycle_recurrence(
 def verify_gamma_additivity_and_ceiling(n_max: int = 15) -> VerificationReport:
     """gamma(C_n) = ceil(n/3) by oracle, plus additivity over partitions.
 
-    Three sub-checks: the oracle value for n <= min(n_max, 15); the ceiling
-    identity on any partition whose polynomial matches D(C_n) (only the
-    trivial one ever does); and, for every cycle partition of n <= 20, the
-    lowest nonzero coefficient index of the partition polynomial equals
-    the sum of per-part ceilings.
+    Three sub-checks: the oracle value for n <= min(n_max, DEFAULT_GUARD);
+    the ceiling identity on any partition whose polynomial matches D(C_n)
+    (only the trivial one ever does); and, for every cycle partition of n
+    <= 20, the lowest nonzero coefficient index of the partition
+    polynomial equals the sum of per-part ceilings.
     """
     t0 = time.perf_counter()
     bad = []
-    for n in range(1, min(n_max, 15) + 1):
+    for n in range(1, min(n_max, DEFAULT_GUARD) + 1):
         got = domination_number(cycle(n))
         if got != (n + 2) // 3:
             bad.append({"check": "oracle-gamma", "n": n, "gamma": got})
@@ -314,7 +315,7 @@ def verify_gamma_additivity_and_ceiling(n_max: int = 15) -> VerificationReport:
         for parts, outcome in match_partitions(n):
             if outcome and sum((p + 2) // 3 for p in parts) != (n + 2) // 3:
                 bad.append({"check": "ceiling-identity", "n": n, "partition": list(parts)})
-    factors = _items_at(cycle_polynomials(), set(range(3, min(n_max, 20) + 1)))
+    factors = _cycle_factors(min(n_max, 20))
     for n in range(3, min(n_max, 20) + 1):
         for parts in enumerate_partitions(n, 3):
             poly = _product(parts, factors)
@@ -366,27 +367,26 @@ _B_MOD9_FIRST_30 = (
 )
 
 
-def _ord3_bounds(n: int) -> tuple[int, int]:
-    """The least and greatest ord_3(a_n) that the three-branch table allows."""
-    base = (n + 2) // 3
-    return base + (n % 3 == 0), base + (n % 3 != 2)
+def _ord3_within(a: int, low: int, high: int) -> bool:
+    """Whether 3^low divides a and 3^(high+1) does not: low <= ord_3(a) <= high."""
+    quotient, rest = divmod(a, 3**low)
+    return not rest and quotient % 3 ** (high - low + 1) != 0
 
 
 def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
     """ord_3(a_n) stays within the three-branch table; b_n basics.
 
-    Checks, for every n in range: ord_3(a_n) is ceil(n/3)+1 when 3 | n,
-    ceil(n/3) when n = 3k+2, and one of the two when n = 3k+1; b_n from
-    the recurrence equals b_n from factoring a_n; 9 does not divide b_n;
-    and the first 30 values of b_n mod 9 equal the golden vector.
+    Checks, for every n in range: ord_3(a_n) is within `ord3_bounds(n)`;
+    b_n from the recurrence equals b_n from factoring a_n; 9 does not
+    divide b_n; and the first 30 values of b_n mod 9 equal the golden vector.
     """
     t0 = time.perf_counter()
     bad = []
     for n, (a_n,), b_rec in zip(range(1, n_max + 1), cycle_jets(-3), b_values()):
-        lo, hi = _ord3_bounds(n)
-        got = ord_p(a_n, 3)
-        if not lo <= got <= hi:
-            bad.append({"check": "ord3-bound", "n": n, "ord3": got, "allowed": [*range(lo, hi + 1)]})
+        lo, hi = ord3_bounds(n)
+        if not _ord3_within(a_n, lo, hi):
+            bad.append({"check": "ord3-bound", "n": n, "ord3": ord_p(a_n, 3),
+                        "allowed": [*range(lo, hi + 1)]})
         b_fac = b_value_by_factoring(n, a_n)
         if b_rec != b_fac:
             bad.append({"check": "b-routes", "n": n, "recurrence": str(b_rec), "factoring": str(b_fac)})
@@ -403,9 +403,8 @@ def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
 def verify_remark(n_max: int = 1000) -> VerificationReport:
     """The exact ord_3 classification and the mod-9 period of b.
 
-    b_{t+27} == b_t (mod 9) for all t with t+27 in range, and
-    ord_3(a_n) equals the predicted value, where the n = 3k+1 branch is
-    resolved by n mod 27 in {4, 13, 22}.
+    b_{t+27} == b_t (mod 9) for all t with t+27 in range, and ord_3(a_n)
+    equals `predicted_ord3(n)`, which resolves the table's n = 3k+1 branch.
     """
     t0 = time.perf_counter()
     bad = []
@@ -416,9 +415,8 @@ def verify_remark(n_max: int = 1000) -> VerificationReport:
                         "b_t_mod_9": b_t % 9, "b_t27_mod_9": b_t27 % 9})
     for n, (a_n,) in zip(range(1, n_max + 1), cycle_jets(-3)):
         predicted = predicted_ord3(n)
-        got = ord_p(a_n, 3)
-        if got != predicted:
-            bad.append({"check": "exact-ord3", "n": n, "ord3": got, "predicted": predicted})
+        if not _ord3_within(a_n, predicted, predicted):
+            bad.append({"check": "exact-ord3", "n": n, "ord3": ord_p(a_n, 3), "predicted": predicted})
     return _report("R1-remark", 1, n_max, bad, t0)
 
 
@@ -628,7 +626,7 @@ def verify_cycle_uniqueness_by_elimination(
     D(C_n,x), by the paper's elimination; no partition is enumerated.
 
     A walk to n_max checks the premises: the 2-jet at -1 is `_closed_jet(n)`
-    and ord_3(D(C_n, -3)) is within `_ord3_bounds(n)`. The reduction above
+    and ord_3(D(C_n, -3)) is within `ord3_bounds(n)`. The reduction above
     leaves three parts, with residues mod 4 in an alpha-compatible pattern;
     recomputed from `alpha`, those patterns must be the `TEN_CASES`. On each
     class mod 4, alpha, beta and theta have degree 0, 1 and 2 in n, so with
@@ -646,9 +644,8 @@ def verify_cycle_uniqueness_by_elimination(
         if jet != _closed_jet(n):
             bad.append({"check": "closed-form-jet", "n": n, "jet": list(map(str, jet)),
                         "closed_form": list(map(str, _closed_jet(n)))})
-        low, high = _ord3_bounds(n)
-        quotient, rest = divmod(a_n, 3**low)
-        if rest or quotient % 3 ** (high - low + 1) == 0:
+        low, high = ord3_bounds(n)
+        if not _ord3_within(a_n, low, high):
             bad.append({"check": "ord3-table", "n": n, "allowed": [low, high]})
     compatible = {(sum(rs) % 4, rs) for rs in combinations_with_replacement(range(4), 3)
                   if alpha(4 + sum(rs) % 4) == math.prod(alpha(4 + r) for r in rs)}

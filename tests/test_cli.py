@@ -467,7 +467,6 @@ def test_oversized_guard_override_is_refused_before_allocating(capsys, monkeypat
         raise AssertionError("a walk above the order ceiling started")
 
     monkeypatch.setattr(oracle, "_cover_table", no_walk)
-    monkeypatch.setattr(oracle, "combinations", no_walk)
     for n in (50, 60):
         (tmp_path / f"c{n}.g6").write_bytes(encode_graph6(cycle(n)) + b"\n")
     refusal = "dompoly: order {} exceeds 40, the largest order any guard lets a 2^n enumeration reach\n"
@@ -479,6 +478,19 @@ def test_oversized_guard_override_is_refused_before_allocating(capsys, monkeypat
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", refusal.format(n)), argv
+
+
+def test_search_partitions_refuses_too_many_rows_before_listing(capsys, monkeypatch):
+    match = verify.match_partitions
+    calls = []
+    monkeypatch.setattr(verify, "match_partitions", lambda *a: calls.append(a) or match(*a))
+    for argv in (("70",), ("42", "--min-part", "1")):
+        code, out, err = run(capsys, "search-partitions", *argv)
+        assert (code, out, calls) == (3, "", []), argv
+        assert f"above {cli.MAX_SEARCH_ROWS}; verify T5-partitions --max-n {argv[0]}" in err
+    for argv, rows in ((("62",), 44004), (("41", "--min-part", "1"), 44583)):
+        code, out, _ = run(capsys, "search-partitions", *argv)
+        assert code == 0 and len(json.loads(out)["partitions"]) == rows, argv
 
 
 def test_classify_reports_parse_errors_without_failing(capsys, tmp_path):

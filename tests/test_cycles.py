@@ -12,6 +12,7 @@ from dompoly.cycles import (
     cycle_jets,
     cycle_polynomial,
     cycle_polynomials,
+    ord3_bounds,
     predicted_ord3,
     theta,
 )
@@ -172,6 +173,15 @@ def test_ord3_classification():
     assert predicted_ord3(7) == 3  # 7 mod 27 is no exception: ceil only
     for n, a_n in enumerate(_a_values(300), start=1):
         assert predicted_ord3(n) == ord_p(a_n, 3)
+
+
+def test_ord3_bounds_is_the_three_branch_table():
+    for n in range(1, 1001):
+        base = (n + 2) // 3
+        branches = {0: (base + 1, base + 1), 1: (base, base + 1), 2: (base, base)}
+        assert ord3_bounds(n) == branches[n % 3], n
+    with pytest.raises(ParameterDomainError):
+        ord3_bounds(0)
 
 
 def test_cycle_polynomial_holds_no_memory_after_return():

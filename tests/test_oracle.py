@@ -45,6 +45,7 @@ def test_domination_number():
     assert domination_number(disjoint_union(cycle(3), cycle(3))) == 2
     for n in range(1, 13):
         assert domination_number(cycle(n)) == (n + 2) // 3
+    assert domination_number(cycle(30), guard=30) == 10
 
 
 def _random_graph(rng, max_n=9):
@@ -130,11 +131,17 @@ def _reference_profile(g):
     return tuple(counts[1:])
 
 
+def _lowest_nonzero(counts):
+    return next((k for k, c in enumerate(counts, start=1) if c), None)
+
+
 @pytest.mark.parametrize("order", [4, 5, 6, 7])
 def test_profile_matches_the_reference_on_the_corpus(order):
     for record in load_corpus(order):
         g = parse_graph6(record)
-        assert domination_profile(g) == _reference_profile(g), record
+        reference = _reference_profile(g)
+        assert domination_profile(g) == reference, record
+        assert domination_number(g) == _lowest_nonzero(reference), record
 
 
 @pytest.mark.parametrize("density", [0, 0.1, 0.3, 0.5, 1])
@@ -145,7 +152,9 @@ def test_profile_matches_the_reference_on_random_graphs(density):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
         g = Graph.from_edges(n, edges)
         mixed += bool(edges) and any(c == 1 << v for v, c in enumerate(g.closed))
-        assert domination_profile(g) == _reference_profile(g), (n, edges)
+        reference = _reference_profile(g)
+        assert domination_profile(g) == reference, (n, edges)
+        assert domination_number(g) == _lowest_nonzero(reference), (n, edges)
     assert density in (0, 1) or mixed
 
 

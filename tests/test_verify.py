@@ -9,7 +9,7 @@ from dompoly.cycles import alpha, cycle_jets, cycle_polynomial, cycle_polynomial
 from dompoly.errors import ParameterDomainError, SizeGuardError
 from dompoly.graphs import cycle, disjoint_union, encode_graph6, complete, parse_graph6, path, wheel
 from dompoly.oracle import domination_polynomial
-from dompoly.polynomials import IntPolynomial
+from dompoly.polynomials import IntPolynomial, ord_p
 from dompoly import verify
 from dompoly.verify import (
     FINGERPRINT_MODULUS,
@@ -188,6 +188,17 @@ def test_gamma_report():
     assert rep.passed
 
 
+def test_gamma_oracle_sub_check_runs_to_the_default_guard(monkeypatch):
+    orders = []
+    number = verify.domination_number
+    monkeypatch.setattr(verify, "domination_number", lambda g: orders.append(g.n) or number(g))
+    assert verify_gamma_additivity_and_ceiling(24).passed
+    assert orders == list(range(1, 25))
+    orders.clear()
+    verify_gamma_additivity_and_ceiling(30)
+    assert orders == list(range(1, 25))
+
+
 def test_scalar_reports():
     assert verify_alpha(120).passed
     assert verify_beta(120).passed
@@ -197,6 +208,37 @@ def test_scalar_reports():
 def test_ord3_and_remark_reports():
     assert verify_ord3_table(400).passed
     assert verify_remark(400).passed
+
+
+def _minus_three_values(n_max):
+    return [a for (a,) in itertools.islice(cycle_jets(-3), n_max)]
+
+
+def test_ord3_checks_fail_on_a_tripled_minus_three_jet(monkeypatch):
+    """ord_3 one above the truth at every n: L6 fails wherever the truth is
+    the table's upper bound (n = 3k, 3k+2, and 3k+1 with n mod 27 in {4, 13,
+    22}), R1 at every n, and each payload gives the planted value's ord_3."""
+    values = _minus_three_values(40)
+    _plant_tripled_minus_three_jet(monkeypatch)
+    above = [n for n in range(1, 41) if n % 3 != 1 or n % 27 in (4, 13, 22)]
+    for rep, check, ns in (
+        (verify_ord3_table(40), "ord3-bound", above),
+        (verify_remark(40), "exact-ord3", list(range(1, 41))),
+    ):
+        found = [ex for ex in rep.counterexamples if ex["check"] == check]
+        assert rep.status == "fail" and [ex["n"] for ex in found] == ns, check
+        for ex in found:
+            assert ex["ord3"] == ord_p(3 * values[ex["n"] - 1], 3) == ord_p(values[ex["n"] - 1], 3) + 1
+
+
+def test_remark_fails_on_a_raised_prediction(monkeypatch):
+    predicted = verify.predicted_ord3
+    monkeypatch.setattr(verify, "predicted_ord3", lambda n: predicted(n) + (n == 17))
+    rep = verify_remark(40)
+    assert rep.counterexamples == [
+        {"check": "exact-ord3", "n": 17, "ord3": ord_p(_minus_three_values(17)[-1], 3),
+         "predicted": predicted(17) + 1},
+    ]
 
 
 def test_report_json_shape():
