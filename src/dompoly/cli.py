@@ -247,7 +247,8 @@ def _run_eval(args):
         values = []
         for label, g in _input_graphs(args):
             poly = domination_polynomial(g, guard=_guard(args))
-            for _ in range(k):
+            # After degree + 1 derivatives the polynomial is 0 for good.
+            for _ in range(min(k, poly.degree + 1)):
                 poly = poly.derivative()
             values.append((label, poly.eval_at(args.at)))
     results = [

@@ -23,9 +23,8 @@ The closed forms and the ord_3 table it reads are checked against the
 cycle jets at every n up to the range's end.
 
 Enumeration is the reference route (`verify_cycle_uniqueness_range`) and
-the route of the other searches that enumerate partitions (L4-gamma's
-ceiling identity, `search-partitions`). All of them take each partition
-from `match_partitions`, fingerprint first, full compare second: the
+the route of `search-partitions`. Both take each partition from
+`match_partitions`, fingerprint first, full compare second: the
 product of the parts' values D(C_p, t) mod 2^61-1 at one fixed point t
 must equal D(C_n, t) mod 2^61-1 before the product polynomial is built
 and compared with D(C_n, x) coefficient by coefficient. Equal
@@ -297,13 +296,16 @@ def verify_cycle_recurrence(
 
 
 def verify_gamma_additivity_and_ceiling(n_max: int = 15) -> VerificationReport:
-    """gamma(C_n) = ceil(n/3) by oracle, plus additivity over partitions.
+    """gamma(C_n) = ceil(n/3) by oracle and by the lowest index of D(C_n).
 
-    Three sub-checks: the oracle value for n <= min(n_max, DEFAULT_GUARD);
-    the ceiling identity on any partition whose polynomial matches D(C_n)
-    (only the trivial one ever does); and, for every cycle partition of n
-    <= 20, the lowest nonzero coefficient index of the partition
-    polynomial equals the sum of per-part ceilings.
+    Two sub-checks: the oracle value for n <= min(n_max, DEFAULT_GUARD),
+    and, on one `cycle_polynomials` walk, the lowest nonzero coefficient
+    index of D(C_n) for every n <= n_max. The second covers additivity
+    over cycle partitions: in Z[x] the lowest coefficients of the factors
+    multiply to a nonzero integer, so lowest indices add over products.
+    Every cycle partition's product thus starts at x^(sum of ceil(p/3)),
+    and any partition whose product equals D(C_n) meets the ceiling
+    identity, at every n <= n_max, with no partition enumerated.
     """
     t0 = time.perf_counter()
     bad = []
@@ -311,21 +313,11 @@ def verify_gamma_additivity_and_ceiling(n_max: int = 15) -> VerificationReport:
         got = domination_number(cycle(n))
         if got != (n + 2) // 3:
             bad.append({"check": "oracle-gamma", "n": n, "gamma": got})
-    for n in range(3, n_max + 1):
-        for parts, outcome in match_partitions(n):
-            if outcome and sum((p + 2) // 3 for p in parts) != (n + 2) // 3:
-                bad.append({"check": "ceiling-identity", "n": n, "partition": list(parts)})
-    factors = _cycle_factors(min(n_max, 20))
-    for n in range(3, min(n_max, 20) + 1):
-        for parts in enumerate_partitions(n, 3):
-            poly = _product(parts, factors)
-            lowest = next(i for i, c in enumerate(poly) if c != 0)
-            if lowest != sum((p + 2) // 3 for p in parts):
-                bad.append({
-                    "check": "partition-gamma", "n": n, "partition": list(parts),
-                    "lowest_index": lowest,
-                    "polynomial": poly.coefficient_strings(),
-                })
+    for n, poly in zip(range(1, n_max + 1), cycle_polynomials()):
+        lowest = next((i for i, c in enumerate(poly) if c), None)
+        if lowest != (n + 2) // 3:
+            bad.append({"check": "lowest-index", "n": n, "lowest_index": lowest,
+                        "polynomial": poly.coefficient_strings()})
     return _report("L4-gamma", 1, n_max, bad, t0)
 
 
@@ -376,19 +368,20 @@ def _ord3_within(a: int, low: int, high: int) -> bool:
 def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
     """ord_3(a_n) stays within the three-branch table; b_n basics.
 
-    Checks, for every n in range: ord_3(a_n) is within `ord3_bounds(n)`;
-    b_n from the recurrence equals b_n from factoring a_n; 9 does not
-    divide b_n; and the first 30 values of b_n mod 9 equal the golden vector.
+    Checks, for every n in range: ord_3(a_n) is within `ord3_bounds(n)`,
+    and where it is, b_n from the recurrence equals b_n from factoring
+    a_n; 9 does not divide b_n; and the first 30 values of b_n mod 9
+    equal the golden vector.
     """
     t0 = time.perf_counter()
     bad = []
     for n, (a_n,), b_rec in zip(range(1, n_max + 1), cycle_jets(-3), b_values()):
         lo, hi = ord3_bounds(n)
         if not _ord3_within(a_n, lo, hi):
+            # Outside the table, 3^ceil(n/3) may not divide a_n: no b_n to compare.
             bad.append({"check": "ord3-bound", "n": n, "ord3": ord_p(a_n, 3),
                         "allowed": [*range(lo, hi + 1)]})
-        b_fac = b_value_by_factoring(n, a_n)
-        if b_rec != b_fac:
+        elif b_rec != (b_fac := b_value_by_factoring(n, a_n)):
             bad.append({"check": "b-routes", "n": n, "recurrence": str(b_rec), "factoring": str(b_fac)})
         if b_rec % 9 == 0:
             bad.append({"check": "nine-divides-b", "n": n, "b": str(b_rec)})
@@ -501,19 +494,18 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
     For every triple of parts >= 3 with sum <= n_max, the product's 2-jet
     at -1 (alpha, beta, theta) is the Leibniz product of the parts' jets
     and is compared with n's. Every alpha-compatible triple's residue
-    pattern must be one of the ten cases. In a case whose certificate
-    reads beta (1-6, 8, 9) triples must mismatch at the first derivative;
-    in the others (7, 10) they must pass that but mismatch at the second.
-    A triple whose whole jet agrees
-    gets the exact compare, which must find the product polynomial
-    different from D(C_n,x).
+    pattern must be one of the ten cases, and its case must eliminate it:
+    at the jet index j its `_case_certificate` reads (1 for beta, 2 for
+    theta), the product's jet must agree with n's below j and differ at j.
+    A triple whose whole jet agrees gets the exact compare, which must
+    find the product polynomial different from D(C_n,x).
     """
     t0 = time.perf_counter()
     bad = []
     case_counts = {k: 0 for k in range(1, 11)}
     total = full_compares = compatible = 0
     jets = {n: _closed_jet(n) for n in range(3, n_max + 1)}
-    by_beta = {c for p, c in TEN_CASES.items() if _case_certificate(p, 3)["component"] == "beta"}
+    reads = {c: _case_certificate(p, 3)["component"] for p, c in TEN_CASES.items()}
     for n1, n2, n3 in _triples(n_max):
         total += 1
         n = n1 + n2 + n3
@@ -534,27 +526,12 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
             })
             continue
         case_counts[case] += 1
-        beta_matches = product[1] == want[1]
-        if case in by_beta:
-            if beta_matches:
-                bad.append({
-                    "check": "beta-unexpectedly-matches", "n": n, "case": case,
-                    "partition": [n1, n2, n3], "beta_product": str(product[1]),
-                })
-            continue
-        # Cases 7 and 10: betas vanish on both sides, so the first
-        # derivative cannot separate; the second one must.
-        if not beta_matches:
+        j = 1 if reads[case] == "beta" else 2
+        if product[:j] != want[:j] or product[j] == want[j]:
             bad.append({
-                "check": "beta-unexpectedly-differs", "n": n, "case": case,
-                "partition": [n1, n2, n3], "beta_product": str(product[1]),
-            })
-            continue
-        if product[2] == want[2]:
-            bad.append({
-                "check": "theta-matches", "n": n, "case": case,
-                "partition": [n1, n2, n3],
-                "theta_product": str(product[2]), "theta_n": str(want[2]),
+                "check": "case-not-eliminated", "n": n, "case": case,
+                "partition": [n1, n2, n3], "component": reads[case],
+                "product_jet": list(map(str, product)), "jet_n": list(map(str, want)),
             })
     return _report(
         "T5-ten-cases", 9, n_max, bad, t0,

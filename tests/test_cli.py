@@ -86,6 +86,16 @@ def test_eval_uses_recurrence_for_large_cycles(capsys):
     assert json.loads(out)["results"][0]["value"] == "0"
 
 
+def test_eval_stops_differentiating_at_zero(capsys, tmp_path):
+    """A non-cycle graph's polynomial is 0 after degree + 1 derivatives, so
+    a huge --derivative answers at once instead of looping K times."""
+    f = tmp_path / "one.g6"
+    f.write_bytes(encode_graph6(wheel(5)) + b"\n")
+    for source in (("--family", "wheel:5"), ("--graph6", str(f))):
+        code, out, _ = run(capsys, "eval", *source, "--at", "2", "--derivative", "1000000000")
+        assert code == 0 and json.loads(out)["results"][0]["value"] == "0", source
+
+
 def test_eval_prints_values_past_the_int_to_str_limit(capsys):
     # D(C_20000, -3) has about 5000 digits, above CPython's default limit
     # of 4300 for int-to-str conversion.

@@ -199,6 +199,43 @@ def test_gamma_oracle_sub_check_runs_to_the_default_guard(monkeypatch):
     assert orders == list(range(1, 25))
 
 
+def test_gamma_fails_on_a_planted_lowest_index(monkeypatch):
+    """x * D(C_9) at n = 9 starts one index late: one lowest-index
+    counterexample, at n = 9, and nothing else."""
+    walk = verify.cycle_polynomials
+
+    def planted():
+        for n, poly in enumerate(walk(), start=1):
+            yield IntPolynomial.x() * poly if n == 9 else poly
+
+    monkeypatch.setattr(verify, "cycle_polynomials", planted)
+    rep = verify_gamma_additivity_and_ceiling(15)
+    assert rep.status == "fail"
+    assert [(ex["check"], ex["n"], ex["lowest_index"]) for ex in rep.counterexamples] == [
+        ("lowest-index", 9, 4)
+    ]
+
+
+def test_partition_lowest_index_is_the_sum_of_part_ceilings():
+    """The partition route of L4's additivity, where it overlaps the
+    lowest-index walk: every cycle partition of n <= 20 has a product
+    starting at x^(sum of ceil(p/3))."""
+    for n in range(3, 21):
+        for parts in enumerate_partitions(n, 3):
+            poly = partition_polynomial(parts)
+            lowest = next(i for i, c in enumerate(poly) if c)
+            assert lowest == sum((p + 2) // 3 for p in parts), parts
+
+
+def test_gamma_and_ten_cases_enumerate_no_partition(monkeypatch):
+    calls = []
+    for name in ("enumerate_partitions", "match_partitions"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name: calls.append(name))
+    assert verify_gamma_additivity_and_ceiling(200).passed
+    assert verify_ten_case_table(60).passed
+    assert calls == []
+
+
 def test_scalar_reports():
     assert verify_alpha(120).passed
     assert verify_beta(120).passed
@@ -229,6 +266,24 @@ def test_ord3_checks_fail_on_a_tripled_minus_three_jet(monkeypatch):
         assert rep.status == "fail" and [ex["n"] for ex in found] == ns, check
         for ex in found:
             assert ex["ord3"] == ord_p(3 * values[ex["n"] - 1], 3) == ord_p(values[ex["n"] - 1], 3) + 1
+
+
+def test_ord3_table_fails_without_raising_below_the_table(monkeypatch):
+    """a_7 + 1 has ord_3 0, below ceil(7/3), so it has no b_7 to factor
+    out: L6 reports the bound at n = 7 and skips the b compare there, and
+    R1 fails at n = 7 as well."""
+    jets = verify.cycle_jets
+
+    def planted(t, k=0):
+        for n, jet in enumerate(jets(t, k), start=1):
+            yield (jet[0] + 1, *jet[1:]) if t == -3 and n == 7 else jet
+
+    monkeypatch.setattr(verify, "cycle_jets", planted)
+    rep = verify_ord3_table(40)
+    assert rep.status == "fail"
+    assert [(ex["check"], ex["n"], ex["ord3"]) for ex in rep.counterexamples] == [("ord3-bound", 7, 0)]
+    rep = verify_remark(40)
+    assert [(ex["check"], ex["n"]) for ex in rep.counterexamples] == [("exact-ord3", 7)]
 
 
 def test_remark_fails_on_a_raised_prediction(monkeypatch):
@@ -473,6 +528,40 @@ def test_ten_case_jet_only_rejects(monkeypatch):
     assert compared == alpha_compatible
     assert rep.details["full_compares"] == rep.details["alpha_compatible"] == len(compared) > 0
     assert all(ex["check"] != "product-equals-cycle" for ex in rep.counterexamples)
+
+
+def _not_eliminated(rep):
+    assert all(ex["check"] == "case-not-eliminated" for ex in rep.counterexamples)
+    return {(ex["n"], ex["case"], tuple(ex["partition"])) for ex in rep.counterexamples}
+
+
+def test_ten_cases_catch_cases_7_and_10_with_theta_planted_to_0(monkeypatch):
+    """Cases 7 and 10 are eliminated by theta alone: planted to 0, every
+    alpha-compatible triple of those cases is reported, and no other."""
+    monkeypatch.setattr(verify, "theta", lambda n: 0)
+    rep = verify_ten_case_table(40)
+    expected = set()
+    for parts in verify._triples(40):
+        n = sum(parts)
+        case = TEN_CASES.get((n % 4, tuple(sorted(p % 4 for p in parts))))
+        if case in (7, 10):
+            expected.add((n, case, parts))
+    assert len(expected) == 66
+    assert _not_eliminated(rep) == expected
+    assert {ex["component"] for ex in rep.counterexamples} == {"theta"}
+
+
+def test_ten_cases_catch_a_planted_beta_past_the_certificates(monkeypatch):
+    """beta(40) planted to -79, the beta of (21, 16, 3)'s product: the two
+    case-1 triples whose product has that beta are reported. The case
+    certificates read n <= 26 only, so they stay as they were."""
+    real = verify.beta
+    monkeypatch.setattr(verify, "beta", lambda n: -79 if n == 40 else real(n))
+    jets = {n: verify._closed_jet(n) for n in (3, 16, 21)}
+    assert verify._jet_product(verify._jet_product(jets[21], jets[16]), jets[3])[1] == -79
+    rep = verify_ten_case_table(40)
+    assert _not_eliminated(rep) == {(40, 1, (21, 16, 3)), (40, 1, (25, 11, 4))}
+    assert {ex["component"] for ex in rep.counterexamples} == {"beta"}
 
 
 def test_ten_case_report_examples():
