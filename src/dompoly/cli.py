@@ -9,13 +9,12 @@ error, 3 input error.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import cycles, graphs, verify
+from . import cycles, graphs
 from .errors import (
     Graph6FormatError,
     Graph6ParseError,
@@ -53,13 +52,30 @@ def _add_common_options(parser, for_subparser: bool):
     )
 
 
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser. The `verify` verb's `lemma` argument is added at its
+    parser's first parse, not as the parser is built: argparse reads an
+    argument's choices as the argument is added, and those choices are the
+    ids of `verify.CHECKS`, a module most verbs never import."""
+
+    add_lemma = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.add_lemma:
+            from . import verify
+
+            self.add_argument("lemma", choices=[*verify.CHECKS, "all"])
+            self.add_lemma = False
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dompoly",
         description="Exact domination polynomials and desk-scale uniqueness checks.",
     )
     _add_common_options(parser, for_subparser=False)
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
 
     def add_verb(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -95,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_input(p)
 
     p = add_verb("verify", _run_verify, help="run a verification check (or 'all')")
-    p.add_argument("lemma", choices=[*verify.CHECKS, "all"])
+    p.add_lemma = True
     p.add_argument("--max-n", type=int, default=None, metavar="N")
     p.add_argument("--min-part", type=int, choices=(1, 3), default=None,
                    help="cycle-partition check only: smallest cycle part (default 3)")
@@ -139,6 +155,8 @@ def _read_corpus(path: str | Path) -> list[bytes]:
 def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:
     """The order<k>.g6 files of a directory, keyed by k. A directory that
     gives no corpus check an order to run on is an input error."""
+    from . import verify
+
     if not Path(dir_str).is_dir():
         raise ParameterDomainError(f"--corpus-dir {dir_str} is not a directory")
     corpora = {}
@@ -189,6 +207,8 @@ def _guard(args) -> int:
 
 
 def _corpus_guard(args) -> int:
+    from . import verify
+
     if args.guard_override is None:
         return verify.DEFAULT_CORPUS_GUARD
     return args.guard_override
@@ -268,13 +288,17 @@ def _run_gamma(args):
 
 def _reject_ignored_verify_flags(args):
     """A flag the chosen check would ignore is an input error, not a no-op."""
+    from . import verify
+
     check = verify.CHECKS.get(args.lemma)
     if check is None:
         # `all` hands the guard to the corpus classification and checks only.
         kind, options = "all", {"guard"} if args.corpus_dir else set()
     else:
         kind = "range" if check.default_n is not None else "corpus"
-        options = inspect.signature(check.run).parameters
+        # The options a check reads are its runner's parameters.
+        code = check.run.__code__
+        options = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
     taken_by = (
         ("--guard-override", args.guard_override, "guard" in options),
         ("--max-n", args.max_n, kind == "range"),
@@ -289,6 +313,8 @@ def _reject_ignored_verify_flags(args):
 
 
 def _run_verify(args):
+    from . import verify
+
     def need(flag, value):
         if value is None:
             raise ParameterDomainError(
@@ -342,6 +368,8 @@ def _run_search_partitions(args):
         raise SizeGuardError(f"search-partitions {args.n} would list {count} partitions, "
                              f"above {MAX_SEARCH_ROWS}; verify T5-partitions --max-n {args.n} "
                              f"--min-part {args.min_part} decides uniqueness without listing them")
+    from . import verify
+
     rows = [
         {"parts": list(parts), "matches": bool(outcome)}
         for parts, outcome in verify.match_partitions(args.n, args.min_part)
@@ -356,6 +384,8 @@ def _run_search_partitions(args):
 
 
 def _run_classify(args):
+    from . import verify
+
     records = _read_corpus(args.corpus)
     result = verify.classify_corpus(records, corpus_guard=_corpus_guard(args))
     return result.to_json_dict(), True
@@ -374,6 +404,8 @@ def _render_table(verb: str, payload: dict) -> str:
     else:
         reports = None
     if reports is not None:
+        from . import verify
+
         lines.append(f"{'check':<14} {'range':<12} {'status':<12} {'cex':>4}  claim")
         for r in reports:
             rng = f"{r['range'][0]}..{r['range'][1]}"

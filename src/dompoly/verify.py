@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, islice
 from random import Random
 from typing import Callable, Iterable, Iterator
@@ -56,7 +55,7 @@ from .cycles import (
 )
 from .errors import Graph6FormatError, Graph6ParseError, ParameterDomainError, SizeGuardError
 from .graphs import Graph, cycle, disjoint_union, parse_graph6, path, wheel
-from .oracle import DEFAULT_GUARD, domination_number, domination_polynomial
+from .oracle import DEFAULT_GUARD, MAX_ORDER, domination_number, domination_polynomial
 from .polynomials import IntPolynomial, ord_p
 
 __all__ = [
@@ -96,17 +95,18 @@ UNLABELED_GRAPH_COUNTS = (
 )
 
 
-@dataclass
 class VerificationReport:
     """One check's outcome. `status` is "pass", "fail", or "inconclusive"
     for a corpus check whose corpus cannot be certified complete."""
 
-    lemma_id: str
-    range_checked: tuple[int, int]
-    status: str
-    counterexamples: list[dict]
-    timing_ms: int
-    details: dict = field(default_factory=dict)
+    def __init__(self, lemma_id: str, range_checked: tuple[int, int], status: str,
+                 counterexamples: list[dict], timing_ms: int, details: dict | None = None):
+        self.lemma_id = lemma_id
+        self.range_checked = range_checked
+        self.status = status
+        self.counterexamples = counterexamples
+        self.timing_ms = timing_ms
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:
@@ -258,7 +258,18 @@ def _random_graph(rng: Random, max_order: int) -> Graph:
 def verify_union_product(
     pairs: int = 200, max_order: int = 8, seed: int = 20250810, guard: int = DEFAULT_GUARD
 ) -> VerificationReport:
-    """D(G + H) == D(G) * D(H) on random pairs, both sides brute force."""
+    """D(G + H) == D(G) * D(H) on random pairs, both sides brute force.
+
+    A union's order reaches 2 * max_order, so a max_order whose unions the
+    guard (or `MAX_ORDER`) would refuse is refused before the first walk.
+    """
+    reach = min(guard, MAX_ORDER)
+    if 2 * max_order > reach:
+        raise SizeGuardError(
+            f"L2-union walks unions of order up to 2 * --max-n = {2 * max_order}, above "
+            f"{reach}, the largest order the enumeration guard lets it walk (--guard-override "
+            f"raises it up to {MAX_ORDER}); lower --max-n to {reach // 2}"
+        )
     t0 = time.perf_counter()
     rng = Random(seed)
     bad = []
@@ -639,10 +650,10 @@ def verify_cycle_uniqueness_by_elimination(
 # Corpus classification
 # ---------------------------------------------------------------------------
 
-@dataclass
 class EquivalenceClassReport:
-    key_polynomial: IntPolynomial
-    members: list[str]
+    def __init__(self, key_polynomial: IntPolynomial, members: list[str]):
+        self.key_polynomial = key_polynomial
+        self.members = members
 
     @property
     def class_size(self) -> int:
@@ -656,10 +667,10 @@ class EquivalenceClassReport:
         }
 
 
-@dataclass
 class CorpusClassification:
-    classes: list[EquivalenceClassReport]
-    parse_errors: list[dict]
+    def __init__(self, classes: list[EquivalenceClassReport], parse_errors: list[dict]):
+        self.classes = classes
+        self.parse_errors = parse_errors
 
     def class_of(self, poly: IntPolynomial) -> EquivalenceClassReport | None:
         for cls in self.classes:
@@ -717,31 +728,27 @@ def classify_corpus(
     fatal, since it means the whole file is at the wrong scale. The oracle
     runs under the same guard, which every record that passes it meets.
 
+    Each record is parsed, guard-checked and walked before the next is
+    read, so memory holds the classes, not every parsed graph.
+
     Classes come back sorted by descending size, then by key polynomial
     (degree, then coefficients); members are sorted strings, so output is
     deterministic regardless of input order.
     """
-    parsed: list[tuple[str, Graph]] = []
+    groups: dict[tuple[int, ...], list[str]] = {}
     errors: list[dict] = []
     for idx, rec in enumerate(records):
+        text = _record_text(rec)
         try:
             g = parse_graph6(rec)
         except (Graph6ParseError, Graph6FormatError) as exc:
-            errors.append({
-                "index": idx,
-                "record": _record_text(rec),
-                "error": str(exc),
-            })
+            errors.append({"index": idx, "record": text, "error": str(exc)})
             continue
         if g.n > corpus_guard:
             raise SizeGuardError(
                 f"corpus record {idx} has order {g.n} above the corpus guard "
                 f"({corpus_guard}); raise it via corpus_guard (CLI: --guard-override)"
             )
-        parsed.append((_record_text(rec), g))
-
-    groups: dict[tuple[int, ...], list[str]] = {}
-    for text, g in parsed:
         key = domination_polynomial(g, guard=corpus_guard).coeffs
         groups.setdefault(key, []).append(text)
 
@@ -858,8 +865,6 @@ def verify_path_class(
 # Full suite
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
 class Check:
     """One claim of the paper, runnable by its id.
 
@@ -873,11 +878,13 @@ class Check:
     bound to that name (a profiler, say) sees the call.
     """
 
-    claim: str
-    run: Callable[..., VerificationReport]
-    min_n: int
-    default_n: int | None = None
-    step: int = 1
+    def __init__(self, claim: str, run: Callable[..., VerificationReport], min_n: int,
+                 default_n: int | None = None, step: int = 1):
+        self.claim = claim
+        self.run = run
+        self.min_n = min_n
+        self.default_n = default_n
+        self.step = step
 
     def covers(self, n: int) -> bool:
         return n >= self.min_n and (n - self.min_n) % self.step == 0

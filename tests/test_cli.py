@@ -1,14 +1,15 @@
-import argparse
 import json
 import os
+import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from dompoly import cli, cycles, graphs, oracle, verify
-from dompoly.cli import build_parser, main
+from dompoly.cli import main
 from dompoly.graphs import complete, cycle, encode_graph6, parse_graph6, path, wheel
 from dompoly.polynomials import IntPolynomial
 from dompoly.verify import CHECKS, classify_corpus, path_companion, run_all
@@ -274,11 +275,41 @@ def test_corpus_verbs_are_the_verify_checks(
     assert (again[0], _without_timing(again[1]), again[2]) == (code, _without_timing(out), err)
 
 
-def test_verify_choices_are_the_check_registry():
-    parser = build_parser()
-    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    lemma = next(a for a in verbs.choices["verify"]._actions if a.dest == "lemma")
-    assert list(lemma.choices) == [*CHECKS, "all"]
+def test_verify_choices_are_the_check_registry(capsys):
+    # `verify`'s lemma argument is added when its parser first parses, so
+    # the choices are read from what argparse prints: the registry's ids in
+    # order, then `all`.
+    ids = [*CHECKS, "all"]
+    code, out, err = run(capsys, "verify", "--help")
+    assert (code, err) == (0, "")
+    assert "{" + ",".join(ids) + "}" in out
+    code, out, err = run(capsys, "verify", "L99-nope")
+    assert (code, out) == (2, "")
+    assert "argument lemma: invalid choice: 'L99-nope' (choose from " in err
+    listed = err[err.index("(choose from ") + len("(choose from "):err.rindex(")")]
+    assert re.findall(r"[\w-]+", listed) == ids
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["eval", "--family", "cycle:6", "--at", "-1"], set()),
+    (["cycle", "6"], set()),
+    (["verify", "L5-alpha", "--max-n", "5"], {"dompoly.verify"}),
+])
+def test_a_cold_call_imports_only_what_its_verb_runs(argv, loaded):
+    # From source, as with no .pyc; modules the bare interpreter already
+    # imports (site hooks, say) are not the package's doing.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+
+    def imported(*args):
+        child = subprocess.run([sys.executable, "-X", "importtime", *args],
+                               env=env, capture_output=True, text=True, check=True)
+        return {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    watched = {"dompoly.verify", "dataclasses", "inspect"}
+    names = imported("-m", "dompoly.cli", *argv) - imported("-c", "pass")
+    assert {"dompoly", "dompoly.cycles"} <= names
+    assert names & watched == loaded
 
 
 def test_verify_default_range_matches_run_all(capsys):
@@ -488,6 +519,28 @@ def test_oversized_guard_override_is_refused_before_allocating(capsys, monkeypat
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", refusal.format(n)), argv
+
+
+def test_union_check_refuses_unions_above_the_guard_before_walking(capsys, monkeypatch):
+    # Its random unions reach order 2 * --max-n: the check refuses that
+    # before the first walk, not once a union above the guard comes up.
+    def no_walk(*args):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(oracle, "_cover_table", no_walk)
+    for argv, reach in (
+        (("verify", "L2-union", "--max-n", "13"), 24),
+        (("--guard-override", "30", "verify", "L2-union", "--max-n", "16"), 30),
+        (("--guard-override", "60", "verify", "L2-union", "--max-n", "25"), 40),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("dompoly: L2-union walks unions of order up to 2 * --max-n = "
+                              f"{2 * int(argv[-1])}, above {reach},"), argv
+        assert "--guard-override" in err and f"lower --max-n to {reach // 2}\n" in err, argv
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "L2-union", "--max-n", "12")
+    assert code == 0 and json.loads(out)["range"] == [1, 12]
 
 
 def test_search_partitions_refuses_too_many_rows_before_listing(capsys, monkeypatch):

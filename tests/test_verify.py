@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from functools import lru_cache
@@ -615,6 +617,61 @@ def test_classify_corpus_guard():
         classify_corpus([encode_graph6(cycle(10))])
     result = classify_corpus([encode_graph6(cycle(10))], corpus_guard=10)
     assert result.classes[0].class_size == 1
+
+
+# sha256 of each committed corpus's classification JSON (sorted keys),
+# as classified when every record was parsed before the first walk.
+CLASSIFICATION_SHA256 = {
+    4: "5cdea7961a2704caf32c25afc566f3cc534c37f275119054fe22c1443a7c0381",
+    5: "310f8621c0ad9a9d85259fab32e2a72fee96c058c35eec5e9bea9eb83395deca",
+    6: "cd9c25ab2b769744feb881fe3b8973c898c50e4aed524a2c2d45376f19b7c655",
+    7: "1ed3e8cd150a7fcfb69680afe721cfba6883e8f0cc748ca332f9e8b5d42f7fff",
+    8: "72391932c5af1c25c4a2ef2cb5ac6ca0ff15d5d1d755891d023e06fbf3e053ee",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLASSIFICATION_SHA256))
+def test_streamed_classification_is_unchanged(classified, n):
+    text = json.dumps(classified(n).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFICATION_SHA256[n]
+
+
+def test_streamed_classification_with_a_bad_and_an_over_guard_record():
+    records = [encode_graph6(cycle(5)), b"this is not graph6!!", encode_graph6(path(5)),
+               encode_graph6(cycle(10)), encode_graph6(wheel(5))]
+    with pytest.raises(SizeGuardError) as refusal:
+        classify_corpus(records)
+    assert str(refusal.value) == (
+        "corpus record 3 has order 10 above the corpus guard (9); "
+        "raise it via corpus_guard (CLI: --guard-override)"
+    )
+    assert classify_corpus(records, corpus_guard=10).to_json_dict() == {
+        "classes": [
+            {"key_polynomial": ["0", "0", "3", "8", "5", "1"], "class_size": 1, "members": ["DhC"]},
+            {"key_polynomial": ["0", "0", "5", "10", "5", "1"], "class_size": 1, "members": ["Dhc"]},
+            {"key_polynomial": ["0", "1", "10", "10", "5", "1"], "class_size": 1, "members": ["D|s"]},
+            {"key_polynomial": ["0", "0", "0", "0", "25", "102", "150", "110", "45", "10", "1"],
+             "class_size": 1, "members": ["IhCGGC@_G"]},
+        ],
+        "parse_errors": [{
+            "index": 1, "record": "this is not graph6!!",
+            "error": "truncated bit vector: need 230 bytes for n=53 (byte offset 20)",
+        }],
+    }
+
+
+def test_classification_walks_each_record_before_reading_the_next(monkeypatch):
+    walked = []
+    walk = verify.domination_polynomial
+    monkeypatch.setattr(verify, "domination_polynomial", lambda g, **kw: walked.append(g.n) or walk(g, **kw))
+
+    def records():
+        for i, g in enumerate((cycle(4), path(5), wheel(6))):
+            assert len(walked) == i  # every record drawn so far is walked
+            yield encode_graph6(g)
+
+    result = classify_corpus(records())
+    assert walked == [4, 5, 6] and len(result.classes) == 3
 
 
 def test_classify_order5_connected(corpus):
