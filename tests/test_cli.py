@@ -234,6 +234,18 @@ def test_verify_all_with_corpus_dir(capsys):
     ]
 
 
+def test_verify_all_matches_golden(capsys):
+    """Every report of `verify all --corpus-dir` stays byte-identical, but
+    for its timing."""
+    code, out, _ = run(capsys, "verify", "all", "--corpus-dir", str(CORPUS_DIR))
+    assert code == 0
+    payload = json.loads(out)
+    for report in payload["reports"]:
+        report.pop("timing_ms")
+    golden = (GOLDEN_DIR / "verify_all.json").read_text()
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == golden
+
+
 def test_verify_all_classifies_each_corpus_order_once(capsys, monkeypatch):
     orders = []
 
