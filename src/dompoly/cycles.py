@@ -12,12 +12,11 @@ shadow of that recurrence:
     theta_n = D''(C_n, -1)         a_n    = D(C_n, -3)
     a_n     = (-1)^n * 3^ceil(n/3) * b_n
 
-Each sequence has two routes, and the test suite cross-asserts both
-against direct evaluation of the polynomial (or its derivatives), so a
-wrong branch in one cannot survive: alpha, beta and theta are closed
-form vs. jet (`cycle_jets`: D, D', ... at one point, stepped through n),
-b is its 3-branch recurrence vs. factoring a_n, taken from the jet.
-`ord3_bounds` is the one ord_3 table; `predicted_ord3` and verify read it.
+Each periodic fact is one table: `JET_TABLE`, (alpha, beta, theta) by n
+mod 4, read by `closed_jet`; and `B_MOD_9`, one period of b_n mod 9, read
+by `b_mod_9` and so by `predicted_ord3`. The routes that check them read
+neither: `cycle_polynomials`, `cycle_jets` and its seeds, `b_values`,
+`b_value_by_factoring` and `ord3_bounds` (the three-branch ord_3 table).
 
 Nothing is memoized: `cycle_polynomials`, `cycle_jets` and `b_values`
 are generators holding three terms; the single-n functions take the n-th
@@ -37,19 +36,32 @@ __all__ = [
     "cycle_polynomial",
     "cycle_jets",
     "cycle_jet",
+    "JET_TABLE",
+    "closed_jet",
     "alpha",
     "beta",
     "theta",
     "b_values",
     "b_value_by_factoring",
     "ord3_bounds",
+    "B_MOD_9",
+    "b_mod_9",
     "predicted_ord3",
-    "REMARK_RESIDUES_MOD_27",
 ]
 
-# Residues r mod 27 with r % 3 == 1 for which ord_3(a_n) is one above the
-# baseline ceil(n/3).
-REMARK_RESIDUES_MOD_27 = frozenset({4, 13, 22})
+# The 2-jet (alpha, beta, theta) = (D, D', D'')(C_n, -1). Row r holds, for
+# n = r mod 4 and each component, the coefficients (c0, c1, c2) of
+# 4 * value = c0 + c1*n + c2*n^2.
+JET_TABLE = (
+    ((12, 0, 0), (0, -4, 0), (0, -4, 1)),   # 3, -n, n(n-4)/4
+    ((-4, 0, 0), (0, 4, 0), (0, 2, -2)),    # -1, n, -n(n-1)/2
+    ((-4, 0, 0), (0, 0, 0), (0, 2, 1)),     # -1, 0, n(n+2)/4
+    ((-4, 0, 0), (0, 0, 0), (0, 0, 0)),     # -1, 0, 0
+)
+
+# b_1, ..., b_27 mod 9: b mod 9 has period 27, so entry (n - 1) % 27 is b_n
+# mod 9. No entry is 0, so 9 never divides b_n.
+B_MOD_9 = (1, 1, 3, 3, 7, 6, 2, 7, 3, 7, 7, 3, 3, 4, 6, 5, 4, 3, 4, 4, 3, 3, 1, 6, 8, 1, 3)
 
 
 def _ceil3(n: int) -> int:
@@ -112,34 +124,29 @@ def cycle_jet(n: int, t: int, k: int = 0) -> tuple[int, ...]:
     return _nth(cycle_jets(t, min(k, n)), n)
 
 
+def closed_jet(n: int) -> tuple[int, int, int]:
+    """(alpha, beta, theta)(n), read from `JET_TABLE`. It holds for every
+    n >= 1, and at n = -2, -1, 0 it gives the constants `cycle_jets` is
+    seeded with."""
+    fours = [c0 + c1 * n + c2 * n * n for c0, c1, c2 in JET_TABLE[n % 4]]
+    if any(v % 4 for v in fours):
+        raise InternalInconsistencyError(f"JET_TABLE row {n % 4} is not 4 times an integer at n = {n}")
+    return tuple(v // 4 for v in fours)
+
+
 def alpha(n: int) -> int:
     """D(C_n, -1): 3 when 4 | n, else -1."""
-    _require_positive(n)
-    return 3 if n % 4 == 0 else -1
+    return closed_jet(n)[0]
 
 
 def beta(n: int) -> int:
-    """D'(C_n, -1) in closed form: -n, n, 0, 0 by n mod 4."""
-    _require_positive(n)
-    r = n % 4
-    if r == 0:
-        return -n
-    if r == 1:
-        return n
-    return 0
+    """D'(C_n, -1): -n, n, 0, 0 by n mod 4."""
+    return closed_jet(n)[1]
 
 
 def theta(n: int) -> int:
-    """D''(C_n, -1) in closed form, by n mod 4."""
-    _require_positive(n)
-    r = n % 4
-    if r == 0:
-        return n * (n - 4) // 4
-    if r == 1:
-        return -n * (n - 1) // 2
-    if r == 2:
-        return n * (n + 2) // 4
-    return 0
+    """D''(C_n, -1): n(n-4)/4, -n(n-1)/2, n(n+2)/4, 0 by n mod 4."""
+    return closed_jet(n)[2]
 
 
 def b_values() -> Iterator[int]:
@@ -168,9 +175,7 @@ def b_value_by_factoring(n: int, a_n: int) -> int:
     _require_positive(n)
     q, r = divmod(a_n if n % 2 == 0 else -a_n, 3 ** _ceil3(n))
     if r != 0:
-        raise InternalInconsistencyError(
-            f"3^ceil({n}/3) does not divide a_{n} = {a_n}"
-        )
+        raise InternalInconsistencyError(f"3^ceil({n}/3) does not divide a_{n} = {a_n}")
     return q
 
 
@@ -182,8 +187,13 @@ def ord3_bounds(n: int) -> tuple[int, int]:
     return base + (n % 3 == 0), base + (n % 3 != 2)
 
 
+def b_mod_9(n: int) -> int:
+    """b_n mod 9, read from `B_MOD_9`."""
+    return B_MOD_9[(n - 1) % 27]
+
+
 def predicted_ord3(n: int) -> int:
-    """ord_3(a_n) predicted from n alone: the table's upper bound where n
-    mod 27 is in {4, 13, 22} (all 3k+1), else its lower bound."""
-    low, high = ord3_bounds(n)
-    return high if n % 27 in REMARK_RESIDUES_MOD_27 else low
+    """ord_3(a_n) = ceil(n/3) + ord_3(b_n), where ord_3(b_n) is 1 when 3
+    divides `b_mod_9(n)` and 0 otherwise, as 9 never divides b_n."""
+    _require_positive(n)
+    return _ceil3(n) + (b_mod_9(n) % 3 == 0)

@@ -49,15 +49,16 @@ MAX_ORDER = 40
 
 
 def _check_guard(n: int, guard: int):
-    if n > guard:
-        raise SizeGuardError(
-            f"order {n} exceeds the enumeration guard ({guard}); raise it via "
-            f"the guard argument (CLI: --guard-override)"
-        )
+    # The ceiling first: raising the guard cannot help an order above it.
     if n > MAX_ORDER:
         raise SizeGuardError(
             f"order {n} exceeds {MAX_ORDER}, the largest order any guard lets "
             f"a 2^n enumeration reach"
+        )
+    if n > guard:
+        raise SizeGuardError(
+            f"order {n} exceeds the enumeration guard ({guard}); raise it via "
+            f"the guard argument (CLI: --guard-override)"
         )
 
 

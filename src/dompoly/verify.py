@@ -19,8 +19,11 @@ elimination (`verify_cycle_uniqueness_by_elimination`). alpha at -1, the
 lowest index and ord_3 at -3 leave only three-part partitions, and in
 each of the ten alpha-compatible residue patterns of three parts mod 4
 the jet difference at -1 is a polynomial in the parts that is never 0.
-The closed forms and the ord_3 table it reads are checked against the
-cycle jets at every n up to the range's end.
+The closed forms (`cycles.JET_TABLE`, read through `closed_jet`) and the
+ord_3 table it reads are checked against the cycle jets at every n up to
+the range's end; L5-alpha, REL2-beta and REL3-theta check the closed forms
+too. L6-ord3 (n <= 30) and R1-remark (every n) check `cycles.B_MOD_9`,
+read through `b_mod_9`, against `b_values`.
 
 Enumeration is the reference route (`verify_cycle_uniqueness_range`) and
 the route of `search-partitions`. Both take each partition from
@@ -42,16 +45,15 @@ from random import Random
 from typing import Callable, Iterable, Iterator
 
 from .cycles import (
-    alpha,
+    b_mod_9,
     b_value_by_factoring,
     b_values,
-    beta,
+    closed_jet,
     cycle_jets,
     cycle_polynomial,
     cycle_polynomials,
     ord3_bounds,
     predicted_ord3,
-    theta,
 )
 from .errors import Graph6FormatError, Graph6ParseError, ParameterDomainError, SizeGuardError
 from .graphs import Graph, cycle, disjoint_union, parse_graph6, path, wheel
@@ -255,21 +257,24 @@ def _random_graph(rng: Random, max_order: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _refuse_past_reach(walk: str, max_n: int, per_n: int, guard: int):
+    """Refuse, before any walk, walks to order per_n * max_n that the oracle
+    would refuse under `guard` or `MAX_ORDER`."""
+    reach = min(guard, MAX_ORDER)
+    if per_n * max_n > reach:
+        raise SizeGuardError(
+            f"{walk} = {per_n * max_n}, above {reach}, the lesser of the enumeration guard "
+            f"({guard}) and the oracle's ceiling {MAX_ORDER} (--guard-override raises the "
+            f"guard); lower --max-n to {reach // per_n}"
+        )
+
+
 def verify_union_product(
     pairs: int = 200, max_order: int = 8, seed: int = 20250810, guard: int = DEFAULT_GUARD
 ) -> VerificationReport:
-    """D(G + H) == D(G) * D(H) on random pairs, both sides brute force.
-
-    A union's order reaches 2 * max_order, so a max_order whose unions the
-    guard (or `MAX_ORDER`) would refuse is refused before the first walk.
-    """
-    reach = min(guard, MAX_ORDER)
-    if 2 * max_order > reach:
-        raise SizeGuardError(
-            f"L2-union walks unions of order up to 2 * --max-n = {2 * max_order}, above "
-            f"{reach}, the largest order the enumeration guard lets it walk (--guard-override "
-            f"raises it up to {MAX_ORDER}); lower --max-n to {reach // 2}"
-        )
+    """D(G + H) == D(G) * D(H) on random pairs of order <= max_order, both
+    sides brute force."""
+    _refuse_past_reach("L2-union walks unions of order up to 2 * --max-n", max_order, 2, guard)
     t0 = time.perf_counter()
     rng = Random(seed)
     bad = []
@@ -292,7 +297,8 @@ def verify_union_product(
 def verify_cycle_recurrence(
     n_max: int = 15, guard: int = DEFAULT_GUARD
 ) -> VerificationReport:
-    """Recurrence D(C_n) against the subset-enumeration oracle."""
+    """Recurrence D(C_n) against the subset-enumeration oracle, n <= n_max."""
+    _refuse_past_reach("L3-cycle walks C_n up to --max-n", n_max, 1, guard)
     t0 = time.perf_counter()
     bad = []
     for n, by_recurrence in zip(range(1, n_max + 1), cycle_polynomials()):
@@ -332,17 +338,16 @@ def verify_gamma_additivity_and_ceiling(n_max: int = 15) -> VerificationReport:
     return _report("L4-gamma", 1, n_max, bad, t0)
 
 
-def _scalar_identity_report(lemma_id, n_max, closed_form, derivative_order):
-    """Closed form vs. the cycle jet at -1 vs. the differentiated polynomial."""
+def _scalar_identity_report(lemma_id, n_max, j):
+    """Component j of `closed_jet` vs. the cycle jet at -1 vs. the j-times
+    differentiated polynomial."""
     t0 = time.perf_counter()
     bad = []
-    walk = zip(range(1, n_max + 1), cycle_jets(-1, derivative_order), cycle_polynomials())
+    walk = zip(range(1, n_max + 1), cycle_jets(-1, j), cycle_polynomials())
     for n, jet, p in walk:
-        for _ in range(derivative_order):
+        for _ in range(j):
             p = p.derivative()
-        evaluated = p.eval_at(-1)
-        cf = closed_form(n)
-        rec = jet[derivative_order]
+        cf, rec, evaluated = closed_jet(n)[j], jet[j], p.eval_at(-1)
         if not (cf == rec == evaluated):
             bad.append({
                 "n": n, "closed_form": str(cf), "recurrence": str(rec),
@@ -352,22 +357,15 @@ def _scalar_identity_report(lemma_id, n_max, closed_form, derivative_order):
 
 
 def verify_alpha(n_max: int = 200) -> VerificationReport:
-    return _scalar_identity_report("L5-alpha", n_max, alpha, 0)
+    return _scalar_identity_report("L5-alpha", n_max, 0)
 
 
 def verify_beta(n_max: int = 200) -> VerificationReport:
-    return _scalar_identity_report("REL2-beta", n_max, beta, 1)
+    return _scalar_identity_report("REL2-beta", n_max, 1)
 
 
 def verify_theta(n_max: int = 200) -> VerificationReport:
-    return _scalar_identity_report("REL3-theta", n_max, theta, 2)
-
-
-# First 30 values of b_n mod 9; the golden vector the b recurrence must hit.
-_B_MOD9_FIRST_30 = (
-    1, 1, 3, 3, 7, 6, 2, 7, 3, 7, 7, 3, 3, 4, 6,
-    5, 4, 3, 4, 4, 3, 3, 1, 6, 8, 1, 3, 1, 1, 3,
-)
+    return _scalar_identity_report("REL3-theta", n_max, 2)
 
 
 def _ord3_within(a: int, low: int, high: int) -> bool:
@@ -382,7 +380,7 @@ def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
     Checks, for every n in range: ord_3(a_n) is within `ord3_bounds(n)`,
     and where it is, b_n from the recurrence equals b_n from factoring
     a_n; 9 does not divide b_n; and the first 30 values of b_n mod 9
-    equal the golden vector.
+    equal the golden vector, `b_mod_9`.
     """
     t0 = time.perf_counter()
     bad = []
@@ -396,28 +394,23 @@ def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
             bad.append({"check": "b-routes", "n": n, "recurrence": str(b_rec), "factoring": str(b_fac)})
         if b_rec % 9 == 0:
             bad.append({"check": "nine-divides-b", "n": n, "b": str(b_rec)})
-        if n <= 30 and b_rec % 9 != _B_MOD9_FIRST_30[n - 1]:
-            bad.append({
-                "check": "golden-vector", "n": n,
-                "b_mod_9": b_rec % 9, "expected": _B_MOD9_FIRST_30[n - 1],
-            })
+        if n <= 30 and b_rec % 9 != b_mod_9(n):
+            bad.append({"check": "golden-vector", "n": n, "b_mod_9": b_rec % 9, "expected": b_mod_9(n)})
     return _report("L6-ord3", 1, n_max, bad, t0)
 
 
 def verify_remark(n_max: int = 1000) -> VerificationReport:
     """The exact ord_3 classification and the mod-9 period of b.
 
-    b_{t+27} == b_t (mod 9) for all t with t+27 in range, and ord_3(a_n)
-    equals `predicted_ord3(n)`, which resolves the table's n = 3k+1 branch.
+    b_n mod 9 from the recurrence equals `b_mod_9(n)`, one period of 27,
+    at every n in range, and ord_3(a_n) equals `predicted_ord3(n)`, which
+    reads the same period to resolve the table's n = 3k+1 branch.
     """
     t0 = time.perf_counter()
     bad = []
-    b = list(islice(b_values(), max(n_max, 0)))
-    for t, (b_t, b_t27) in enumerate(zip(b, b[27:]), start=1):
-        if (b_t27 - b_t) % 9 != 0:
-            bad.append({"check": "period-27", "t": t,
-                        "b_t_mod_9": b_t % 9, "b_t27_mod_9": b_t27 % 9})
-    for n, (a_n,) in zip(range(1, n_max + 1), cycle_jets(-3)):
+    for n, (a_n,), b_n in zip(range(1, n_max + 1), cycle_jets(-3), b_values()):
+        if b_n % 9 != b_mod_9(n):
+            bad.append({"check": "period-27", "n": n, "b_mod_9": b_n % 9, "expected": b_mod_9(n)})
         predicted = predicted_ord3(n)
         if not _ord3_within(a_n, predicted, predicted):
             bad.append({"check": "exact-ord3", "n": n, "ord3": ord_p(a_n, 3), "predicted": predicted})
@@ -494,11 +487,6 @@ def _jet_product(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int,
     return (a * a2, a * b2 + b * a2, a * c2 + 2 * b * b2 + c * a2)
 
 
-def _closed_jet(n: int) -> tuple[int, int, int]:
-    """(alpha, beta, theta)(n), read by module-global name so tests can plant values."""
-    return alpha(n), beta(n), theta(n)
-
-
 def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
     """Three-part partitions: table completeness and case elimination.
 
@@ -515,7 +503,7 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
     bad = []
     case_counts = {k: 0 for k in range(1, 11)}
     total = full_compares = compatible = 0
-    jets = {n: _closed_jet(n) for n in range(3, n_max + 1)}
+    jets = {n: closed_jet(n) for n in range(3, n_max + 1)}
     reads = {c: _case_certificate(p, 3)["component"] for p, c in TEN_CASES.items()}
     for n1, n2, n3 in _triples(n_max):
         total += 1
@@ -579,9 +567,9 @@ def _case_certificate(pattern, min_part: int) -> dict:
     differences = {}
     for k in _POINTS:
         parts = [4 * k_i + m for k_i, m in zip(k, least)]
-        f, g, h = map(_closed_jet, parts)
+        f, g, h = map(closed_jet, parts)
         product = _jet_product(_jet_product(f, g), h)
-        differences[k] = [p - q for p, q in zip(product, _closed_jet(sum(parts)))]
+        differences[k] = [p - q for p, q in zip(product, closed_jet(sum(parts)))]
     for j, component in ((1, "beta"), (2, "theta")):
         # Basis polynomial m at point k is prod C(k_i, m_i): 0 unless m <= k,
         # and 1 at k = m, so the coefficients come by forward substitution.
@@ -613,14 +601,14 @@ def verify_cycle_uniqueness_by_elimination(
     """For every n in n_min..n_max, only the trivial partition {n} reproduces
     D(C_n,x), by the paper's elimination; no partition is enumerated.
 
-    A walk to n_max checks the premises: the 2-jet at -1 is `_closed_jet(n)`
+    A walk to n_max checks the premises: the 2-jet at -1 is `closed_jet(n)`
     and ord_3(D(C_n, -3)) is within `ord3_bounds(n)`. The reduction above
     leaves three parts, with residues mod 4 in an alpha-compatible pattern;
-    recomputed from `alpha`, those patterns must be the `TEN_CASES`. On each
-    class mod 4, alpha, beta and theta have degree 0, 1 and 2 in n, so with
-    part i = 4*k_i + r_i, r_i the least part >= min_part of its class, each
-    case's jet difference is a polynomial of degree <= 2 in (k1, k2, k3):
-    `_case_certificate` reads it from ten `_jet_product` evaluations.
+    recomputed from `closed_jet`, those patterns must be the `TEN_CASES`. On
+    each class mod 4, alpha, beta and theta have degree 0, 1 and 2 in n, so
+    with part i = 4*k_i + r_i, r_i the least part >= min_part of its class,
+    each case's jet difference is a polynomial of degree <= 2 in (k1, k2,
+    k3): `_case_certificate` reads it from ten `_jet_product` evaluations.
     """
     if n_min < 3:
         raise ParameterDomainError(f"cycle uniqueness check needs n >= 3, got {n_min}")
@@ -629,14 +617,14 @@ def verify_cycle_uniqueness_by_elimination(
     t0 = time.perf_counter()
     bad = []
     for n, jet, (a_n,) in zip(range(1, n_max + 1), cycle_jets(-1, 2), cycle_jets(-3)):
-        if jet != _closed_jet(n):
+        if jet != closed_jet(n):
             bad.append({"check": "closed-form-jet", "n": n, "jet": list(map(str, jet)),
-                        "closed_form": list(map(str, _closed_jet(n)))})
+                        "closed_form": list(map(str, closed_jet(n)))})
         low, high = ord3_bounds(n)
         if not _ord3_within(a_n, low, high):
             bad.append({"check": "ord3-table", "n": n, "allowed": [low, high]})
     compatible = {(sum(rs) % 4, rs) for rs in combinations_with_replacement(range(4), 3)
-                  if alpha(4 + sum(rs) % 4) == math.prod(alpha(4 + r) for r in rs)}
+                  if closed_jet(4 + sum(rs) % 4)[0] == math.prod(closed_jet(4 + r)[0] for r in rs)}
     if compatible != set(TEN_CASES):
         bad.append({"check": "ten-cases-table", "alpha_compatible": sorted(compatible)})
     cases = {str(case): _case_certificate(pattern, min_part) for pattern, case in TEN_CASES.items()}

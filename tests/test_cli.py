@@ -169,9 +169,11 @@ def test_family_guard_refuses_before_building(capsys, monkeypatch):
         monkeypatch.setitem(graphs.FAMILY_NAMES, name, (spy, arity))
     refusal = ("dompoly: order {} exceeds the enumeration guard ({}); raise it via "
                "the guard argument (CLI: --guard-override)\n")
+    # No guard reaches order 100000, so the ceiling is named, not the guard.
+    ceiling = "dompoly: order 100000 exceeds 40, the largest order any guard lets a 2^n enumeration reach\n"
     for verb, extra in (("gamma", ()), ("poly", ()), ("eval", ("--at", "2"))):
         code, out, err = run(capsys, verb, "--family", "complete:100000", *extra)
-        assert (code, out, err) == (3, "", refusal.format(100000, 24)), verb
+        assert (code, out, err) == (3, "", ceiling), verb
     code, out, err = run(capsys, "--guard-override", "30", "gamma",
                          "--family", "complete-cycle-join:20,20")
     assert (code, out, err) == (3, "", refusal.format(40, 30))
@@ -553,6 +555,29 @@ def test_union_check_refuses_unions_above_the_guard_before_walking(capsys, monke
     monkeypatch.undo()
     code, out, _ = run(capsys, "verify", "L2-union", "--max-n", "12")
     assert code == 0 and json.loads(out)["range"] == [1, 12]
+
+
+def test_cycle_recurrence_check_refuses_past_the_guard_before_walking(capsys, monkeypatch):
+    # L3-cycle walks C_1..C_max-n through the oracle: an order the guard or
+    # the ceiling would refuse is refused before C_1 is walked.
+    def no_walk(*args):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(oracle, "_cover_table", no_walk)
+    for argv, reach in (
+        (("verify", "L3-cycle", "--max-n", "25"), 24),
+        (("--guard-override", "40", "verify", "L3-cycle", "--max-n", "41"), 40),
+        (("--guard-override", "60", "verify", "L3-cycle", "--max-n", "50"), 40),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(f"dompoly: L3-cycle walks C_n up to --max-n = {argv[-1]}, "
+                              f"above {reach},"), argv
+        assert f"guard ({argv[1] if argv[0] != 'verify' else 24})" in err, argv
+        assert f"lower --max-n to {reach}\n" in err, argv
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "L3-cycle", "--max-n", "24")
+    assert code == 0 and json.loads(out)["range"] == [1, 24]
 
 
 def test_search_partitions_refuses_too_many_rows_before_listing(capsys, monkeypatch):

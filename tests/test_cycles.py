@@ -3,11 +3,15 @@ from itertools import islice
 
 import pytest
 
+from dompoly import cycles
 from dompoly.cycles import (
+    B_MOD_9,
+    JET_TABLE,
     alpha,
     b_value_by_factoring,
     b_values,
     beta,
+    closed_jet,
     cycle_jet,
     cycle_jets,
     cycle_polynomial,
@@ -16,7 +20,7 @@ from dompoly.cycles import (
     predicted_ord3,
     theta,
 )
-from dompoly.errors import ParameterDomainError
+from dompoly.errors import InternalInconsistencyError, ParameterDomainError
 from dompoly.graphs import cycle
 from dompoly.oracle import domination_polynomial
 from dompoly.polynomials import IntPolynomial, ord_p
@@ -104,6 +108,47 @@ def test_scalar_routes_agree(n):
         == p.derivative().derivative().eval_at(-1)
     )
     assert cycle_jet(n, -3)[0] == p.eval_at(-3)
+
+
+def test_jet_table_is_the_jet_at_minus_one():
+    """Every row is 4 times an integer polynomial in n on its class; the
+    table gives the jet's seeds at n = -2, -1, 0 and the jet at -1 after."""
+    assert [closed_jet(n) for n in (-2, -1, 0)] == [(-1, 0, 0), (-1, 0, 0), (3, 0, 0)]
+    for n, jet in zip(range(1, 3000), cycle_jets(-1, 2)):
+        assert closed_jet(n) == jet, n
+        assert (alpha(n), beta(n), theta(n)) == jet, n
+
+
+def test_a_jet_row_that_is_not_4_times_an_integer_raises(monkeypatch):
+    rows = [list(row) for row in JET_TABLE]
+    rows[1][2] = (1, 2, -2)
+    monkeypatch.setattr(cycles, "JET_TABLE", tuple(map(tuple, rows)))
+    assert closed_jet(4) == (3, -4, 0)
+    with pytest.raises(InternalInconsistencyError):
+        closed_jet(5)
+
+
+def test_b_mod_9_is_one_period_of_b():
+    assert len(B_MOD_9) == 27 and B_MOD_9 == B_MOD9[:27]
+    for n, b_n in zip(range(1, 5001), b_values()):
+        assert cycles.b_mod_9(n) == b_n % 9, n
+
+
+def test_reference_routes_do_not_read_the_tables(monkeypatch):
+    """The routes the tables are checked against give the same answers with
+    both tables gone."""
+    def answers():
+        return (
+            list(islice(cycle_polynomials(), 30)), list(islice(cycle_jets(-1, 2), 30)),
+            list(islice(cycle_jets(-3), 30)), list(islice(b_values(), 30)),
+            [b_value_by_factoring(n, a) for n, (a,) in zip(range(1, 31), cycle_jets(-3))],
+            [ord3_bounds(n) for n in range(1, 31)],
+        )
+
+    expected = answers()
+    monkeypatch.setattr(cycles, "JET_TABLE", None)
+    monkeypatch.setattr(cycles, "B_MOD_9", None)
+    assert answers() == expected
 
 
 def _direct_jet(p, t):

@@ -12,7 +12,7 @@ from dompoly.errors import ParameterDomainError, SizeGuardError
 from dompoly.graphs import cycle, disjoint_union, encode_graph6, complete, parse_graph6, path, wheel
 from dompoly.oracle import domination_polynomial
 from dompoly.polynomials import IntPolynomial, ord_p
-from dompoly import verify
+from dompoly import cycles, verify
 from dompoly.verify import (
     FINGERPRINT_MODULUS,
     FINGERPRINT_POINT,
@@ -288,14 +288,56 @@ def test_ord3_table_fails_without_raising_below_the_table(monkeypatch):
     assert [(ex["check"], ex["n"]) for ex in rep.counterexamples] == [("exact-ord3", 7)]
 
 
+def _plant_b_mod_9(monkeypatch, n, value):
+    """B_MOD_9 with the entry for n (mod 27) replaced by value."""
+    table = list(cycles.B_MOD_9)
+    table[(n - 1) % 27] = value
+    monkeypatch.setattr(cycles, "B_MOD_9", tuple(table))
+
+
 def test_remark_fails_on_a_raised_prediction(monkeypatch):
-    predicted = verify.predicted_ord3
-    monkeypatch.setattr(verify, "predicted_ord3", lambda n: predicted(n) + (n == 17))
+    """b_17 mod 9 is 4; planted as 3, it raises predicted_ord3(17) by one."""
+    predicted = verify.predicted_ord3(17)
+    _plant_b_mod_9(monkeypatch, 17, 3)
     rep = verify_remark(40)
-    assert rep.counterexamples == [
+    assert [ex for ex in rep.counterexamples if ex["check"] == "exact-ord3"] == [
         {"check": "exact-ord3", "n": 17, "ord3": ord_p(_minus_three_values(17)[-1], 3),
-         "predicted": predicted(17) + 1},
+         "predicted": predicted + 1},
     ]
+    assert [ex for ex in rep.counterexamples if ex["check"] == "period-27"] == [
+        {"check": "period-27", "n": 17, "b_mod_9": 4, "expected": 3},
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 28))
+def test_a_wrong_b_mod_9_entry_fails_remark_and_the_golden_vector(monkeypatch, n):
+    """One entry of the period off: R1 reports it at every n of its class
+    mod 27 in range, and L6's golden vector at those n <= 30."""
+    wrong = cycles.B_MOD_9[n - 1] % 9 + 1
+    _plant_b_mod_9(monkeypatch, n, wrong)
+    hits = list(range(n, 61, 27))
+    rep = verify_remark(60)
+    period = [ex for ex in rep.counterexamples if ex["check"] == "period-27"]
+    assert rep.status == "fail" and [ex["n"] for ex in period] == hits
+    assert {ex["expected"] for ex in period} == {wrong}
+    rep = verify_ord3_table(60)
+    assert rep.status == "fail"
+    assert [(ex["check"], ex["n"]) for ex in rep.counterexamples] == [
+        ("golden-vector", m) for m in hits if m <= 30
+    ]
+
+
+def test_remark_claim_is_read_off_b_mod_9():
+    """Where n = 3k+1, ord_3(a_n) is one above ceil(n/3) exactly when 3
+    divides b_n mod 9: the residues mod 27 that R1's claim names. No entry
+    is 0, which is L6's "9 never divides b_n"."""
+    table = cycles.B_MOD_9
+    raised = sorted(r for r in range(1, 28) if r % 3 == 1 and table[r - 1] % 3 == 0)
+    assert raised == [4, 13, 22]
+    assert "{%s}" % ",".join(map(str, raised)) in verify.CHECKS["R1-remark"].claim
+    assert "b mod 9 has period 27" in verify.CHECKS["R1-remark"].claim
+    assert len(table) == 27 and 0 not in table
+    assert "9 never divides b_n" in verify.CHECKS["L6-ord3"].claim
 
 
 def test_report_json_shape():
@@ -417,9 +459,30 @@ def test_case_certificates_are_the_jet_differences(min_part):
             assert component == 1 or difference[1] == 0, (case, k)
 
 
-def _plant_theta_off_by_one(monkeypatch):
-    theta = verify.theta
-    monkeypatch.setattr(verify, "theta", lambda n: theta(n) + (n % 4 == 2))
+def _plant_jet_row(monkeypatch, row, component, coefficients):
+    """JET_TABLE with one component of one row replaced."""
+    rows = [list(r) for r in cycles.JET_TABLE]
+    rows[row][component] = coefficients
+    monkeypatch.setattr(cycles, "JET_TABLE", tuple(map(tuple, rows)))
+
+
+def _plant_theta_off_by_one(monkeypatch, row=2):
+    c0, c1, c2 = cycles.JET_TABLE[row][2]
+    _plant_jet_row(monkeypatch, row, 2, (c0 + 4, c1, c2))
+
+
+@pytest.mark.parametrize("row", range(4))
+def test_a_theta_row_off_by_one_fails_rel3_and_the_elimination(monkeypatch, row):
+    theta = [verify.closed_jet(n)[2] for n in range(41)]
+    _plant_theta_off_by_one(monkeypatch, row)
+    rep = verify_theta(40)
+    assert rep.status == "fail"
+    assert [ex["n"] for ex in rep.counterexamples] == [n for n in range(1, 41) if n % 4 == row]
+    assert all(ex["closed_form"] == str(theta[ex["n"]] + 1) for ex in rep.counterexamples)
+    assert verify_alpha(40).passed and verify_beta(40).passed
+    rep = verify_cycle_uniqueness_by_elimination(3, 40)
+    found = [ex["n"] for ex in rep.counterexamples if ex["check"] == "closed-form-jet"]
+    assert rep.status == "fail" and found == [n for n in range(1, 41) if n % 4 == row]
 
 
 def _plant_dropped_case(monkeypatch):
@@ -519,8 +582,9 @@ def test_ten_case_jet_only_rejects(monkeypatch):
         compared.append(parts)
         return partition_matches_cycle(parts)
 
-    monkeypatch.setattr(verify, "beta", lambda n: 0)
-    monkeypatch.setattr(verify, "theta", lambda n: 0)
+    for row in range(4):
+        _plant_jet_row(monkeypatch, row, 1, (0, 0, 0))
+        _plant_jet_row(monkeypatch, row, 2, (0, 0, 0))
     monkeypatch.setattr(verify, "partition_matches_cycle", matches)
     rep = verify_ten_case_table(40)
     alpha_compatible = [
@@ -540,7 +604,8 @@ def _not_eliminated(rep):
 def test_ten_cases_catch_cases_7_and_10_with_theta_planted_to_0(monkeypatch):
     """Cases 7 and 10 are eliminated by theta alone: planted to 0, every
     alpha-compatible triple of those cases is reported, and no other."""
-    monkeypatch.setattr(verify, "theta", lambda n: 0)
+    for row in range(4):
+        _plant_jet_row(monkeypatch, row, 2, (0, 0, 0))
     rep = verify_ten_case_table(40)
     expected = set()
     for parts in verify._triples(40):
@@ -557,9 +622,10 @@ def test_ten_cases_catch_a_planted_beta_past_the_certificates(monkeypatch):
     """beta(40) planted to -79, the beta of (21, 16, 3)'s product: the two
     case-1 triples whose product has that beta are reported. The case
     certificates read n <= 26 only, so they stay as they were."""
-    real = verify.beta
-    monkeypatch.setattr(verify, "beta", lambda n: -79 if n == 40 else real(n))
-    jets = {n: verify._closed_jet(n) for n in (3, 16, 21)}
+    real = verify.closed_jet
+    planted = (real(40)[0], -79, real(40)[2])
+    monkeypatch.setattr(verify, "closed_jet", lambda n: planted if n == 40 else real(n))
+    jets = {n: real(n) for n in (3, 16, 21)}
     assert verify._jet_product(verify._jet_product(jets[21], jets[16]), jets[3])[1] == -79
     rep = verify_ten_case_table(40)
     assert _not_eliminated(rep) == {(40, 1, (21, 16, 3)), (40, 1, (25, 11, 4))}
