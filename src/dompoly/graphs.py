@@ -260,8 +260,6 @@ def join(g: Graph, h: Graph) -> Graph:
 
 _G6_MAX_N = 62
 _G6_HEADER = b">>graph6<<"
-# Each graph6 data byte, less 63, as its six bits, high bit first.
-_G6_SIX_BITS = tuple(format(x, "06b") for x in range(64))
 
 
 def parse_graph6(record: bytes | str) -> Graph:
@@ -291,24 +289,30 @@ def parse_graph6(record: bytes | str) -> Graph:
     if len(data) - 1 > nbytes:
         raise Graph6ParseError("trailing bytes after bit vector", 1 + nbytes)
 
-    groups = []
+    # Each body byte, less 63, gives six bits, high bit first; shifted into
+    # one int, the first upper-triangle bit is the highest.
+    bits = 0
     for i in range(1, 1 + nbytes):
         if not 63 <= data[i] <= 126:
             raise Graph6ParseError(f"byte {data[i]} outside graph6 range", i)
-        groups.append(_G6_SIX_BITS[data[i] - 63])
-    # Upper-triangle bits, column by column: (0,1), (0,2), (1,2), (0,3), ...
-    flags = "".join(groups)
-    if "1" in flags[nbits:]:
+        bits = bits << 6 | data[i] - 63
+    pad = 6 * nbytes - nbits
+    if bits & ((1 << pad) - 1):
         raise Graph6ParseError("nonzero padding bit", nbytes)
 
+    # Upper-triangle bits, column by column: (0,1), (0,2), (1,2), (0,3), ...
+    # Column v is the v bits above the columns after it, (0,v) highest.
     closed = [1 << v for v in range(n)]
-    k = 0
+    shift = 6 * nbytes
     for v in range(1, n):
-        for u in range(v):
-            if flags[k] == "1":
-                closed[u] |= 1 << v
-                closed[v] |= 1 << u
-            k += 1
+        shift -= v
+        column = bits >> shift & ((1 << v) - 1)
+        while column:
+            low = column & -column
+            u = v - low.bit_length()
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
+            column ^= low
     return Graph(n, closed)
 
 

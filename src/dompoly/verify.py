@@ -273,7 +273,13 @@ def verify_union_product(
     pairs: int = 200, max_order: int = 8, seed: int = 20250810, guard: int = DEFAULT_GUARD
 ) -> VerificationReport:
     """D(G + H) == D(G) * D(H) on random pairs of order <= max_order, both
-    sides brute force."""
+    sides brute force.
+
+    The oracle picks its route by order: factors of order up to
+    `TRUTH_TABLE_MAX_ORDER` (10) count by truth tables, and unions above it
+    by the pair sum. At the default max_order of 8, unions reach order 16,
+    so the check also cross-checks the two routes against each other.
+    """
     _refuse_past_reach("L2-union walks unions of order up to 2 * --max-n", max_order, 2, guard)
     t0 = time.perf_counter()
     rng = Random(seed)
@@ -673,8 +679,11 @@ class CorpusClassification:
         degree of its key polynomial, as d(G, n) = 1), no record repeats
         another byte for byte, and the record count is the number of graphs
         on n unlabeled vertices. Two records of isomorphic graphs are not
-        detected: telling them apart needs canonical labelling, which this
-        package does not have.
+        detected, so a corpus that lists one graph twice under different
+        labellings and omits another still certifies. Isomorphic graphs
+        share their polynomial, so an isomorphism test between the members
+        of each class would find such pairs, with no canonical labelling;
+        this package has no such test yet.
         """
         problems = []
         if self.parse_errors:

@@ -103,11 +103,27 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(Graph6ParseError) as exc:
         parse_graph6(b"B" + bytes([30]))  # byte below the graph6 range
     assert exc.value.offset == 1
+    for record, offset in ((b"B" + bytes([127]), 1), (b"D?" + bytes([127]), 2)):  # above it
+        with pytest.raises(Graph6ParseError, match="^byte 127 outside graph6 range") as exc:
+            parse_graph6(record)
+        assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("record, offset, cleared", [
+    (b"A@", 1, b"A?"),  # n = 2: one edge bit, then five padding bits
+    (b"Dh@", 2, b"Dh?"),  # n = 5: ten edge bits, the lower of two padding bits set
+    (b"DhA", 2, b"Dh?"),  # the higher one
+])
+def test_nonzero_padding_bit(record, offset, cleared):
+    with pytest.raises(Graph6ParseError, match="^nonzero padding bit") as exc:
+        parse_graph6(record)
+    assert exc.value.offset == offset
+    assert encode_graph6(parse_graph6(cleared)) == cleared
 
 
 def test_roundtrip_over_corpora():
     """Every committed corpus record re-encodes to the same bytes."""
-    for n in (4, 5, 6, 7):
+    for n in (4, 5, 6, 7, 8):
         for rec in load_corpus(n):
             g = parse_graph6(rec)
             assert g.n == n

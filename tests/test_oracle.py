@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +178,88 @@ def test_profile_of_the_largest_complete_graph():
 
 def test_path_profile():
     assert domination_profile(path(6)) == (0, 1, 10, 13, 6, 1)
+
+
+def test_routes_agree_on_the_order_8_corpus():
+    # The literal reference is too slow at order 8, so the pair sum stands
+    # in for it: the two routes share no code.
+    records = load_corpus(8)
+    assert len(records) == 12346
+    assert 8 <= oracle.TRUTH_TABLE_MAX_ORDER
+    for record in records:
+        g = parse_graph6(record)
+        table = oracle._truth_table_profile(g.closed)
+        assert table == oracle._pair_sum_profile(g.closed), record
+        assert domination_profile(g) == table, record
+
+
+def _matching_across_halves(n):
+    # Perfect at even n; the pair sum keeps every pair of half-covers.
+    h = (n + 1) // 2
+    return Graph.from_edges(n, [(v, v + h) for v in range(n - h)])
+
+
+@pytest.mark.parametrize("n", [oracle.TRUTH_TABLE_MAX_ORDER, oracle.TRUTH_TABLE_MAX_ORDER + 1])
+def test_both_routes_match_the_reference_at_the_cutoff(n):
+    for g in (cycle(n), wheel(n), complete(n), Graph.from_edges(n, []), _matching_across_halves(n)):
+        reference = _reference_profile(g)
+        assert oracle._truth_table_profile(g.closed) == reference, g
+        assert oracle._pair_sum_profile(g.closed) == reference, g
+        assert domination_profile(g) == reference, g
+
+
+def test_the_order_alone_picks_the_route(monkeypatch):
+    taken = []
+    for name in ("_truth_table_profile", "_pair_sum_profile"):
+        route = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda closed, name=name, route=route: taken.append(name) or route(closed))
+    cutoff = oracle.TRUTH_TABLE_MAX_ORDER
+    for n in range(cutoff + 3):
+        domination_profile(Graph.from_edges(n, []))
+    assert taken == ["_truth_table_profile"] * (cutoff + 1) + ["_pair_sum_profile"] * 2
+
+
+_TABLES_BUILT = """
+from dompoly import oracle
+from dompoly.graphs import cycle
+built = oracle._truth_tables.cache_info().currsize
+print(built)
+for n in (5, 5, 11):
+    oracle.domination_profile(cycle(n))
+    print(oracle._truth_tables.cache_info().currsize - built)
+"""
+
+
+def test_truth_tables_are_built_once_per_order_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", _TABLES_BUILT], env=env,
+                           capture_output=True, text=True, check=True)
+    # None at import; order 5's once; none for the pair sum's order 11.
+    assert child.stdout.split() == ["0", "1", "1", "1"]
+
+
+@pytest.mark.parametrize("order", [4, 5, 6, 7, 8])
+def test_top_coefficients_count_the_sets_whose_complement_is_undominated(order):
+    # V minus k vertices fails to dominate exactly when it misses some N[v]:
+    # k = 1, an isolated vertex; k = 2, a vertex and its one neighbor (a K_2
+    # component is that pair twice); k = 3 at minimum degree 2, N[v] of a
+    # degree-2 vertex, counted once per distinct set.
+    n = order
+    exercised = [0, 0, 0]
+    for record in load_corpus(order):
+        g = parse_graph6(record)
+        counts = domination_profile(g)
+        degrees = [g.degree(v) for v in range(n)]
+        assert counts[n - 2] == n - degrees.count(0), record
+        exercised[0] += 1
+        if min(degrees) < 1:
+            continue
+        k2 = sum(comp.bit_count() == 2 for comp in g.component_masks())
+        assert counts[n - 3] == comb(n, 2) - degrees.count(1) + k2, record
+        exercised[1] += 1
+        if min(degrees) < 2:
+            continue
+        triples = {g.closed[v] for v in range(n) if degrees[v] == 2}
+        assert counts[n - 4] == comb(n, 3) - len(triples), record
+        exercised[2] += 1
+    assert all(exercised), exercised
