@@ -43,29 +43,4 @@ from .oracle import (
 )
 from .polynomials import IntPolynomial, ord_p
 
-# The verify names load with their module on first use (PEP 562): it is
-# the package's largest module, and most CLI verbs never run it.
-_FROM_VERIFY = frozenset({
-    "CorpusClassification",
-    "EquivalenceClassReport",
-    "VerificationReport",
-    "classify_corpus",
-    "enumerate_partitions",
-    "partition_polynomial",
-    "run_all",
-    "verify_cycle_uniqueness_range",
-    "verify_path_class",
-    "verify_ten_case_table",
-    "verify_wheel_uniqueness",
-})
-
-
-def __getattr__(name):
-    if name in _FROM_VERIFY:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __version__ = "0.1.0"

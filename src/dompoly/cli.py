@@ -153,13 +153,14 @@ def _read_corpus(path: str | Path) -> list[bytes]:
 
 
 def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:
-    """The order<k>.g6 files of a directory, keyed by k. A directory that
-    gives no corpus check an order to run on is an input error."""
+    """The order<k>.g6 files of a directory, keyed by k. Two files of one
+    order (order6.g6 and order06.g6), or a directory that gives no corpus
+    check an order to run on, are input errors."""
     from . import verify
 
     if not Path(dir_str).is_dir():
         raise ParameterDomainError(f"--corpus-dir {dir_str} is not a directory")
-    corpora = {}
+    files = {}
     for f in sorted(Path(dir_str).glob("order*.g6")):
         try:
             order = int(f.stem.removeprefix("order"))
@@ -167,7 +168,12 @@ def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:
             raise ParameterDomainError(
                 f"corpus file {f} is not named order<k>.g6 with an integer k"
             ) from None
-        corpora[order] = _read_corpus(f)
+        if order in files:
+            raise ParameterDomainError(
+                f"corpus files {files[order]} and {f} are both of order {order}"
+            )
+        files[order] = f
+    corpora = {order: _read_corpus(f) for order, f in files.items()}
     if not any(c.covers(k) for c in verify.CHECKS.values() if c.default_n is None
                for k in corpora):
         raise ParameterDomainError(

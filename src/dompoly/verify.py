@@ -29,11 +29,12 @@ Enumeration is the reference route (`verify_cycle_uniqueness_range`) and
 the route of `search-partitions`. Both take each partition from
 `match_partitions`, fingerprint first, full compare second: the
 product of the parts' values D(C_p, t) mod 2^61-1 at one fixed point t
-must equal D(C_n, t) mod 2^61-1 before the product polynomial is built
-and compared with D(C_n, x) coefficient by coefficient. Equal
-polynomials have equal values, so the fingerprint only ever rejects; a
-match is always decided by the exact compare. One `cycle_jets` walk to n
-gives a search's fingerprints, and nothing is cached between searches.
+must equal D(C_n, t) mod 2^61-1 before the exact compare. Equal
+polynomials have equal values, so the fingerprint only ever rejects.
+Every exact compare, here and in T5-ten-cases, is
+`partition_polynomial(parts) == cycle_polynomial(n)`, coefficient by
+coefficient. One `cycle_jets` walk to n gives a search's fingerprints,
+and nothing is cached between searches.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ __all__ = [
     "enumerate_partitions",
     "partition_polynomial",
     "match_partitions",
-    "partition_matches_cycle",
     "verify_union_product",
     "verify_cycle_recurrence",
     "verify_gamma_additivity_and_ceiling",
@@ -186,23 +186,14 @@ def _partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
             largest = first
 
 
-def _cycle_factors(n: int) -> list:
-    """[None, D(C_1), ..., D(C_n)] from one walk, so part p indexes its factor."""
-    return [None, *islice(cycle_polynomials(), max(n, 0))]
-
-
-def _product(parts: tuple[int, ...], factors) -> IntPolynomial:
-    """Product of factors[p] over the parts, in the parts' order."""
-    return math.prod((factors[p] for p in parts), start=IntPolynomial.one())
-
-
 def partition_polynomial(parts: Iterable[int]) -> IntPolynomial:
     """Product of cycle polynomials over the parts (1 for no parts), in the
     parts' order; one walk up to the largest part supplies the factors."""
     parts = tuple(parts)
     if parts and min(parts) < 1:
         raise ParameterDomainError(f"cycle parts must be >= 1, got {list(parts)}")
-    return _product(parts, _cycle_factors(max(parts, default=0)))
+    factors = [None, *islice(cycle_polynomials(), max(parts, default=0))]
+    return math.prod((factors[p] for p in parts), start=IntPolynomial.one())
 
 
 # A fingerprint is D(C_p, t) mod a prime at one fixed point t. Evaluation
@@ -219,29 +210,18 @@ def match_partitions(n: int, min_part: int = 3) -> Iterator[tuple[tuple[int, ...
     min_part, in `enumerate_partitions` order.
 
     The outcome is None when the parts' fingerprint product differs from
-    D(C_n)'s, so no full compare ran; otherwise it is whether the product
-    polynomial equals D(C_n). One `cycle_jets` walk to n gives every
-    fingerprint and one `cycle_polynomials` walk every factor.
+    D(C_n)'s, so no full compare ran; otherwise it is the exact compare,
+    `partition_polynomial(parts) == cycle_polynomial(n)`. One `cycle_jets`
+    walk to n gives every fingerprint.
     """
-    partitions = enumerate_partitions(n, min_part)  # checks n >= 1 before the walks
+    partitions = enumerate_partitions(n, min_part)  # checks n >= 1 before the walk
     modulus = FINGERPRINT_MODULUS
     fingerprints = [0, *(v % modulus for (v,) in islice(cycle_jets(FINGERPRINT_POINT), n))]
-    factors = _cycle_factors(n)
     for parts in partitions:
         if math.prod(fingerprints[p] for p in parts) % modulus != fingerprints[n]:
             yield parts, None
         else:
-            yield parts, _product(parts, factors) == factors[n]
-
-
-def partition_matches_cycle(parts: tuple[int, ...]) -> bool:
-    """Whether the product of D(C_p) over the parts equals D(C_n), n =
-    sum(parts), by the exact compare; one walk to n supplies every factor."""
-    if not parts or min(parts) < 1:
-        raise ParameterDomainError(f"cycle parts must be >= 1, got {list(parts)}")
-    n = sum(parts)
-    factors = _cycle_factors(n)
-    return _product(parts, factors) == factors[n]
+            yield parts, partition_polynomial(parts) == cycle_polynomial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +249,13 @@ def _refuse_past_reach(walk: str, max_n: int, per_n: int, guard: int):
         )
 
 
-def verify_union_product(
-    pairs: int = 200, max_order: int = 8, seed: int = 20250810, guard: int = DEFAULT_GUARD
-) -> VerificationReport:
-    """D(G + H) == D(G) * D(H) on random pairs of order <= max_order, both
-    sides brute force.
+UNION_PAIRS = 200
+UNION_SEED = 20250810
+
+
+def verify_union_product(max_order: int = 8, guard: int = DEFAULT_GUARD) -> VerificationReport:
+    """D(G + H) == D(G) * D(H) on `UNION_PAIRS` random pairs of order <=
+    max_order, drawn from `UNION_SEED`, both sides brute force.
 
     The oracle picks its route by order: factors of order up to
     `TRUTH_TABLE_MAX_ORDER` (10) count by truth tables, and unions above it
@@ -282,9 +264,9 @@ def verify_union_product(
     """
     _refuse_past_reach("L2-union walks unions of order up to 2 * --max-n", max_order, 2, guard)
     t0 = time.perf_counter()
-    rng = Random(seed)
+    rng = Random(UNION_SEED)
     bad = []
-    for i in range(pairs):
+    for i in range(UNION_PAIRS):
         g = _random_graph(rng, max_order)
         h = _random_graph(rng, max_order)
         combined = domination_polynomial(disjoint_union(g, h), guard=guard)
@@ -297,7 +279,7 @@ def verify_union_product(
                 "union_polynomial": combined.coefficient_strings(),
                 "product_polynomial": product.coefficient_strings(),
             })
-    return _report("L2-union", 1, max_order, bad, t0, {"pairs": pairs, "seed": seed})
+    return _report("L2-union", 1, max_order, bad, t0, {"pairs": UNION_PAIRS, "seed": UNION_SEED})
 
 
 def verify_cycle_recurrence(
@@ -517,7 +499,7 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
         product, want = _jet_product(_jet_product(jets[n1], jets[n2]), jets[n3]), jets[n]
         if product == want:
             full_compares += 1
-            if partition_matches_cycle((n1, n2, n3)):
+            if partition_polynomial((n1, n2, n3)) == cycle_polynomial(n):
                 bad.append({"check": "product-equals-cycle", "n": n, "partition": [n1, n2, n3]})
         if product[0] != want[0]:
             continue
@@ -601,10 +583,8 @@ def _case_certificate(pattern, min_part: int) -> dict:
     }
 
 
-def verify_cycle_uniqueness_by_elimination(
-    n_min: int = 3, n_max: int = 1000, min_part: int = 3
-) -> VerificationReport:
-    """For every n in n_min..n_max, only the trivial partition {n} reproduces
+def verify_cycle_uniqueness_by_elimination(n_max: int = 1000, min_part: int = 3) -> VerificationReport:
+    """For every n in 3..n_max, only the trivial partition {n} reproduces
     D(C_n,x), by the paper's elimination; no partition is enumerated.
 
     A walk to n_max checks the premises: the 2-jet at -1 is `closed_jet(n)`
@@ -616,8 +596,6 @@ def verify_cycle_uniqueness_by_elimination(
     each case's jet difference is a polynomial of degree <= 2 in (k1, k2,
     k3): `_case_certificate` reads it from ten `_jet_product` evaluations.
     """
-    if n_min < 3:
-        raise ParameterDomainError(f"cycle uniqueness check needs n >= 3, got {n_min}")
     if min_part not in (1, 3):
         raise ParameterDomainError(f"min_part must be 1 or 3, got {min_part}")
     t0 = time.perf_counter()
@@ -637,7 +615,7 @@ def verify_cycle_uniqueness_by_elimination(
     bad += [{"check": "case-witness", "case": int(case), **certificate}
             for case, certificate in cases.items() if certificate["witness"] is None]
     details = {"route": "elimination", "cases": cases, "min_part": min_part}
-    return _report("T5-partitions", n_min, n_max, bad, t0, details)
+    return _report("T5-partitions", 3, n_max, bad, t0, details)
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +903,7 @@ CHECKS: dict[str, Check] = {
     ),
     "T5-partitions": Check(
         "only the trivial cycle partition reproduces D(C_n,x)",
-        lambda n, min_part=3: verify_cycle_uniqueness_by_elimination(3, n, min_part), 3, 1000,
+        lambda n, min_part=3: verify_cycle_uniqueness_by_elimination(n, min_part), 3, 1000,
     ),
     "T5-ten-cases": Check(
         "every alpha-compatible part triple falls in the 10-case table and is eliminated",

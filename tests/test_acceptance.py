@@ -52,7 +52,7 @@ def test_criterion_01_oracle_recurrence_equivalence():
 
 def test_criterion_02_union_product_law():
     t0 = time.perf_counter()
-    report = verify_union_product(pairs=200, max_order=8)
+    report = verify_union_product(max_order=8)
     _criterion(2, "D(G+H) == D(G)*D(H), 200 random pairs of order <= 8",
                report.passed, time.perf_counter() - t0, 30)
 

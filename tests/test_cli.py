@@ -427,6 +427,18 @@ def test_exit_code_3_on_input_errors(capsys, tmp_path):
         assert code == 3 and "--guard-override" in err and out == "", argv
 
 
+@pytest.mark.parametrize("full,partial", (("order6.g6", "order06.g6"), ("order06.g6", "order6.g6")))
+def test_two_corpus_files_of_one_order_are_refused(capsys, tmp_path, full, partial):
+    """order6.g6 and order06.g6 both name order 6: whichever sorts first,
+    the run is refused, and the message names both files."""
+    records = (CORPUS_DIR / "order6.g6").read_bytes()
+    (tmp_path / full).write_bytes(records)
+    (tmp_path / partial).write_bytes(b"".join(records.splitlines(keepends=True)[:3]))
+    code, out, err = run(capsys, "verify", "all", "--corpus-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "order6.g6" in err and "order06.g6" in err and "order 6" in err
+
+
 def test_closed_stdout_is_not_a_traceback(capsys, monkeypatch, tmp_path):
     class ClosedPipe:
         def __init__(self):

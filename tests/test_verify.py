@@ -20,7 +20,6 @@ from dompoly.verify import (
     classify_corpus,
     enumerate_partitions,
     match_partitions,
-    partition_matches_cycle,
     partition_polynomial,
     path_companion,
     run_all,
@@ -143,14 +142,18 @@ def test_match_partitions_yields_every_partition_and_the_exact_answer(min_part, 
                 assert outcome == (partition_polynomial(parts) == target), parts
 
 
-def test_fingerprint_filter_agrees_on_triples():
-    cycle_polys = dict(zip(range(1, 46), cycle_polynomials()))
-    for n1 in range(3, 40):
-        for n2 in range(3, n1 + 1):
-            for n3 in range(3, min(n2, 45 - n1 - n2) + 1):
-                parts = (n1, n2, n3)
-                exhaustive = partition_polynomial(parts) == cycle_polys[sum(parts)]
-                assert partition_matches_cycle(parts) == exhaustive, parts
+@pytest.mark.parametrize("min_part,n_max", ((3, 30), (1, 22)))
+def test_match_partitions_compares_exactly_the_fingerprint_matches(monkeypatch, min_part, n_max):
+    """`partition_polynomial` runs once for each partition whose outcome is
+    not None, with its parts, and never for a partition the fingerprint
+    rejected: the exact compare is that call against D(C_n)."""
+    built = []
+    real = verify.partition_polynomial
+    monkeypatch.setattr(verify, "partition_polynomial", lambda parts: built.append(parts) or real(parts))
+    for n in range(min_part, n_max + 1):
+        built.clear()
+        compared = [parts for parts, outcome in match_partitions(n, min_part) if outcome is not None]
+        assert built == compared, n
 
 
 def _without_work_counters(report):
@@ -176,8 +179,9 @@ def test_fingerprint_filter_only_rejects(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_union_product_report():
-    rep = verify_union_product(pairs=40, max_order=7)
+    rep = verify_union_product(max_order=7)
     assert rep.passed and rep.lemma_id == "L2-union"
+    assert rep.details == {"pairs": 200, "seed": 20250810}
     assert rep.counterexamples == []
 
 
@@ -390,9 +394,10 @@ def _answer(report):
 @pytest.mark.parametrize("min_part,n_max", ((3, 40), (1, 25)))
 def test_elimination_agrees_with_enumeration(min_part, n_max):
     for n in range(3, n_max + 1):
-        eliminated = verify_cycle_uniqueness_by_elimination(n, n, min_part)
+        eliminated = verify_cycle_uniqueness_by_elimination(n, min_part)
         assert _answer(eliminated) == _answer(verify_cycle_uniqueness_range(n, n, min_part)), n
-    eliminated = verify_cycle_uniqueness_by_elimination(3, n_max, min_part)
+        assert eliminated.range_checked == (3, n)
+    eliminated = verify_cycle_uniqueness_by_elimination(n_max, min_part)
     assert _answer(eliminated) == _answer(verify_cycle_uniqueness_range(3, n_max, min_part))
     assert _answer(eliminated) == ("pass", [])
     assert eliminated.range_checked == (3, n_max)
@@ -403,7 +408,7 @@ def test_elimination_default_range(monkeypatch, min_part):
     """The default range passes by the ten certificates, with no partition
     enumerated; cases 7 and 10 fall at theta, case 1 mod 4, the rest by sign."""
     calls = []
-    for name in ("enumerate_partitions", "match_partitions", "partition_matches_cycle"):
+    for name in ("enumerate_partitions", "match_partitions", "partition_polynomial"):
         monkeypatch.setattr(verify, name, lambda *args, name=name: calls.append(name))
     rep = verify_cycle_uniqueness_by_elimination(min_part=min_part)
     assert calls == []
@@ -423,9 +428,7 @@ def test_elimination_default_range(monkeypatch, min_part):
 
 def test_elimination_validation():
     with pytest.raises(ParameterDomainError):
-        verify_cycle_uniqueness_by_elimination(2, 10)
-    with pytest.raises(ParameterDomainError):
-        verify_cycle_uniqueness_by_elimination(3, 10, min_part=2)
+        verify_cycle_uniqueness_by_elimination(10, min_part=2)
 
 
 def _difference_at(difference: dict, k) -> int:
@@ -480,7 +483,7 @@ def test_a_theta_row_off_by_one_fails_rel3_and_the_elimination(monkeypatch, row)
     assert [ex["n"] for ex in rep.counterexamples] == [n for n in range(1, 41) if n % 4 == row]
     assert all(ex["closed_form"] == str(theta[ex["n"]] + 1) for ex in rep.counterexamples)
     assert verify_alpha(40).passed and verify_beta(40).passed
-    rep = verify_cycle_uniqueness_by_elimination(3, 40)
+    rep = verify_cycle_uniqueness_by_elimination(40)
     found = [ex["n"] for ex in rep.counterexamples if ex["check"] == "closed-form-jet"]
     assert rep.status == "fail" and found == [n for n in range(1, 41) if n % 4 == row]
 
@@ -506,7 +509,7 @@ def _plant_tripled_minus_three_jet(monkeypatch):
 ))
 def test_elimination_fails_on_a_planted_fault(monkeypatch, plant, check):
     plant(monkeypatch)
-    rep = verify_cycle_uniqueness_by_elimination(3, 40)
+    rep = verify_cycle_uniqueness_by_elimination(40)
     assert rep.status == "fail"
     assert check in {ex["check"] for ex in rep.counterexamples}
 
@@ -564,7 +567,7 @@ def test_ten_case_table_reads_no_fingerprint_and_compares_nothing(monkeypatch):
         real = getattr(verify, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("match_partitions", "partition_matches_cycle", "cycle_jets"):
+    for name in ("match_partitions", "partition_polynomial", "cycle_jets"):
         monkeypatch.setattr(verify, name, spy(name))
     rep = verify_ten_case_table(150)
     assert rep.passed and rep.range_checked == (9, 150)
@@ -578,14 +581,16 @@ def test_ten_case_jet_only_rejects(monkeypatch):
     no product equal to D(C_n), so the jet never decides a match."""
     compared = []
 
-    def matches(parts):
+    real = verify.partition_polynomial
+
+    def product(parts):
         compared.append(parts)
-        return partition_matches_cycle(parts)
+        return real(parts)
 
     for row in range(4):
         _plant_jet_row(monkeypatch, row, 1, (0, 0, 0))
         _plant_jet_row(monkeypatch, row, 2, (0, 0, 0))
-    monkeypatch.setattr(verify, "partition_matches_cycle", matches)
+    monkeypatch.setattr(verify, "partition_polynomial", product)
     rep = verify_ten_case_table(40)
     alpha_compatible = [
         (n1, n2, n3) for n1, n2, n3 in verify._triples(40)
