@@ -16,6 +16,7 @@ from .errors import (
     Graph6FormatError,
     Graph6ParseError,
     Graph6RangeError,
+    InputError,
     InternalInconsistencyError,
     ParameterDomainError,
     SizeGuardError,

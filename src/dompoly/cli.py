@@ -3,7 +3,7 @@
 One verb per library operation chain, JSON on stdout by default
 (`--format table` for a human-readable rendering), diagnostics on stderr.
 Exit codes: 0 all requested checks pass, 1 a verification failed, 2 usage
-error, 3 input error.
+error, 3 input error (an `errors.InputError`, or an OSError reading a file).
 """
 
 from __future__ import annotations
@@ -15,26 +15,10 @@ import sys
 from pathlib import Path
 
 from . import cycles, graphs
-from .errors import (
-    Graph6FormatError,
-    Graph6ParseError,
-    Graph6RangeError,
-    ParameterDomainError,
-    SizeGuardError,
-    ValuationError,
-)
+from .errors import InputError, ParameterDomainError, SizeGuardError
 from .graphs import Graph, iter_graph6_records, parse_graph6, split_family_spec
 from .oracle import DEFAULT_GUARD, _check_guard, domination_number, domination_polynomial
 
-_INPUT_ERRORS = (
-    ParameterDomainError,
-    SizeGuardError,
-    Graph6ParseError,
-    Graph6FormatError,
-    Graph6RangeError,
-    ValuationError,
-    OSError,
-)
 
 def _add_common_options(parser, for_subparser: bool):
     # On subparsers the defaults are SUPPRESS so a flag given after the
@@ -212,14 +196,6 @@ def _guard(args) -> int:
     return DEFAULT_GUARD if args.guard_override is None else args.guard_override
 
 
-def _corpus_guard(args) -> int:
-    from . import verify
-
-    if args.guard_override is None:
-        return verify.DEFAULT_CORPUS_GUARD
-    return args.guard_override
-
-
 def _reject_guard(args, what: str):
     """--guard-override where nothing enumerates subsets is an input error, not a no-op."""
     if args.guard_override is not None:
@@ -341,7 +317,7 @@ def _run_verify(args):
     if check.default_n is None:
         records = _read_corpus(need("--corpus", args.corpus))
         n = need("--n", args.n)
-        rep = check.run(n, verify.classify_corpus(records, corpus_guard=_corpus_guard(args)), **options)
+        rep = check.run(n, verify.classify_corpus(records, corpus_guard=args.guard_override), **options)
     else:
         max_n = check.default_n if args.max_n is None else args.max_n
         if max_n < check.min_n:
@@ -393,7 +369,7 @@ def _run_classify(args):
     from . import verify
 
     records = _read_corpus(args.corpus)
-    result = verify.classify_corpus(records, corpus_guard=_corpus_guard(args))
+    result = verify.classify_corpus(records, corpus_guard=args.guard_override)
     return result.to_json_dict(), True
 
 
@@ -455,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         payload, ok = args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"dompoly: {exc}", file=sys.stderr)
         return 3
 

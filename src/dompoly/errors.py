@@ -1,20 +1,24 @@
 """Exception types shared across the package.
 
-All of these derive from ValueError so that casual callers can catch one
-thing; the distinct classes exist because the CLI maps them to exit codes
-and because tests pin down which failure mode occurred.
+Every input error derives from `InputError`, a ValueError, so casual
+callers can catch one thing, and `InputError` means exit 3; the distinct
+classes exist because tests pin down which failure mode occurred.
 """
 
 
-class ParameterDomainError(ValueError):
+class InputError(ValueError):
+    """Input the package refuses: bad parameters, oversized requests, bad graph6."""
+
+
+class ParameterDomainError(InputError):
     """A named graph family was requested with out-of-range parameters."""
 
 
-class SizeGuardError(ValueError):
+class SizeGuardError(InputError):
     """An enumeration was requested above the configured size guard."""
 
 
-class Graph6ParseError(ValueError):
+class Graph6ParseError(InputError):
     """Malformed graph6 input. `offset` is the byte position of the problem."""
 
     def __init__(self, message: str, offset: int):
@@ -22,15 +26,15 @@ class Graph6ParseError(ValueError):
         self.offset = offset
 
 
-class Graph6FormatError(ValueError):
+class Graph6FormatError(InputError):
     """Input is a related format (sparse6/digraph6) this package does not read."""
 
 
-class Graph6RangeError(ValueError):
+class Graph6RangeError(InputError):
     """Graph order outside what the graph6 encoding supports."""
 
 
-class ValuationError(ValueError):
+class ValuationError(InputError):
     """p-adic valuation requested for 0, where it is undefined."""
 
 

@@ -263,11 +263,12 @@ _G6_HEADER = b">>graph6<<"
 
 
 def parse_graph6(record: bytes | str) -> Graph:
-    """Decode one graph6 record into a Graph."""
+    """Decode one bare graph6 record into a Graph.
+
+    The record carries no `>>graph6<<` header and no line terminator;
+    `iter_graph6_records` strips both from file lines.
+    """
     data = record.encode("ascii") if isinstance(record, str) else record
-    data = data.rstrip(b"\r\n")
-    if data.startswith(_G6_HEADER):
-        data = data[len(_G6_HEADER):]
     if not data:
         raise Graph6ParseError("empty record", 0)
     if data[0:1] in (b":", b";"):
@@ -321,36 +322,27 @@ def encode_graph6(g: Graph) -> bytes:
     n = g.n
     if n > _G6_MAX_N:
         raise Graph6RangeError(f"graph6 orders above {_G6_MAX_N} are not supported")
-    bits = bytearray()
-    group = 0
-    filled = 0
+    # The upper triangle, column by column, into one int, (0,1) highest, as
+    # `parse_graph6` reads it; zero-padded to whole six-bit groups.
+    bits = 0
     for v in range(1, n):
         col = g.closed[v]
         for u in range(v):
-            group = (group << 1) | ((col >> u) & 1)
-            filled += 1
-            if filled == 6:
-                bits.append(group + 63)
-                group = 0
-                filled = 0
-    if filled:
-        bits.append((group << (6 - filled)) + 63)
-    return bytes([n + 63]) + bytes(bits)
+            bits = bits << 1 | col >> u & 1
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    bits <<= 6 * nbytes - nbits
+    return bytes([n + 63] + [(bits >> 6 * i & 63) + 63 for i in reversed(range(nbytes))])
 
 
-def iter_graph6_records(lines: Iterable[bytes | str]) -> Iterator[bytes]:
-    """Yield raw graph6 records from file lines.
+def iter_graph6_records(lines: Iterable[bytes]) -> Iterator[bytes]:
+    """Yield bare graph6 records from file lines.
 
-    Blank lines and a leading ">>graph6<<" header line are skipped;
-    everything else is passed through stripped of the line terminator.
+    Each line loses its line terminator and a `>>graph6<<` header it starts
+    with, on any line, so concatenated files read as one; lines left empty
+    are skipped.
     """
     for line in lines:
-        raw = line.encode("ascii") if isinstance(line, str) else line
-        raw = raw.rstrip(b"\r\n")
-        if not raw:
-            continue
-        if raw.startswith(_G6_HEADER):
-            raw = raw[len(_G6_HEADER):]
-            if not raw:
-                continue
-        yield raw
+        raw = line.rstrip(b"\r\n").removeprefix(_G6_HEADER)
+        if raw:
+            yield raw

@@ -58,7 +58,7 @@ from .cycles import (
 )
 from .errors import Graph6FormatError, Graph6ParseError, ParameterDomainError, SizeGuardError
 from .graphs import Graph, cycle, disjoint_union, parse_graph6, path, wheel
-from .oracle import DEFAULT_GUARD, MAX_ORDER, domination_number, domination_polynomial
+from .oracle import DEFAULT_GUARD, MAX_ORDER, domination_number, domination_polynomial, domination_profile
 from .polynomials import IntPolynomial, ord_p
 
 __all__ = [
@@ -643,12 +643,10 @@ class CorpusClassification:
     def __init__(self, classes: list[EquivalenceClassReport], parse_errors: list[dict]):
         self.classes = classes
         self.parse_errors = parse_errors
+        self._by_key = {c.key_polynomial.coeffs: c for c in classes}
 
     def class_of(self, poly: IntPolynomial) -> EquivalenceClassReport | None:
-        for cls in self.classes:
-            if cls.key_polynomial == poly:
-                return cls
-        return None
+        return self._by_key.get(poly.coeffs)
 
     def completeness_problems(self, n: int) -> list[str]:
         """Why the classified records cannot be the complete order-n corpus.
@@ -685,21 +683,16 @@ class CorpusClassification:
         }
 
 
-def _record_text(record: bytes | str) -> str:
-    if isinstance(record, bytes):
-        return record.decode("ascii", errors="replace")
-    return record
-
-
 def classify_corpus(
-    records: Iterable[bytes | str],
-    *,
-    corpus_guard: int = DEFAULT_CORPUS_GUARD,
+    records: Iterable[bytes], *, corpus_guard: int | None = None
 ) -> CorpusClassification:
-    """Group graph6 records into exact polynomial-equivalence classes.
+    """Group bare graph6 records (bytes, as `iter_graph6_records` yields
+    them) into exact polynomial-equivalence classes.
 
-    Per-record parse failures are collected, not fatal. An order above
-    `corpus_guard` (default 9; a full order-10 corpus is ~12M graphs) is
+    Records are grouped by their `domination_profile`, which determines the
+    polynomial; each class builds its key polynomial once. Per-record parse
+    failures are collected, not fatal. An order above `corpus_guard` (None
+    means DEFAULT_CORPUS_GUARD, 9; a full order-10 corpus is ~12M graphs) is
     fatal, since it means the whole file is at the wrong scale. The oracle
     runs under the same guard, which every record that passes it meets.
 
@@ -710,10 +703,12 @@ def classify_corpus(
     (degree, then coefficients); members are sorted strings, so output is
     deterministic regardless of input order.
     """
+    if corpus_guard is None:
+        corpus_guard = DEFAULT_CORPUS_GUARD
     groups: dict[tuple[int, ...], list[str]] = {}
     errors: list[dict] = []
     for idx, rec in enumerate(records):
-        text = _record_text(rec)
+        text = rec.decode("ascii", errors="replace")
         try:
             g = parse_graph6(rec)
         except (Graph6ParseError, Graph6FormatError) as exc:
@@ -724,11 +719,15 @@ def classify_corpus(
                 f"corpus record {idx} has order {g.n} above the corpus guard "
                 f"({corpus_guard}); raise it via corpus_guard (CLI: --guard-override)"
             )
-        key = domination_polynomial(g, guard=corpus_guard).coeffs
+        key = domination_profile(g, guard=corpus_guard)
         groups.setdefault(key, []).append(text)
 
+    # The null graph's empty profile is the polynomial 1, as in
+    # `domination_polynomial`; every other profile ends in d(G, n) = 1.
     classes = [
-        EquivalenceClassReport(IntPolynomial(key), sorted(members))
+        EquivalenceClassReport(
+            IntPolynomial((0,) + key) if key else IntPolynomial.one(), sorted(members)
+        )
         for key, members in groups.items()
     ]
     classes.sort(key=lambda c: (-c.class_size, c.key_polynomial.degree, c.key_polynomial.coeffs))
@@ -934,10 +933,9 @@ def run_all(
     """
     reports = [c.run(c.default_n) for c in CHECKS.values() if c.default_n is not None]
     corpus_checks = [c for c in CHECKS.values() if c.default_n is None]
-    corpus_guard = DEFAULT_CORPUS_GUARD if guard is None else guard
     walk_guard = DEFAULT_GUARD if guard is None else guard
     classified = {
-        n: classify_corpus(records, corpus_guard=corpus_guard)
+        n: classify_corpus(records, corpus_guard=guard)
         for n, records in sorted((corpora or {}).items())
         if any(c.covers(n) for c in corpus_checks)
     }

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dompoly import cli, cycles, graphs, oracle, verify
+from dompoly import cli, cycles, errors, graphs, oracle, verify
 from dompoly.cli import main
 from dompoly.graphs import complete, cycle, encode_graph6, parse_graph6, path, wheel
 from dompoly.polynomials import IntPolynomial
@@ -192,10 +192,16 @@ def test_family_guard_refuses_before_building(capsys, monkeypatch):
 
 def test_poly_on_graph6_file(capsys, tmp_path):
     f = tmp_path / "k3.g6"
-    f.write_bytes(b">>graph6<<\nBw\n")
-    code, out, _ = run(capsys, "poly", "--graph6", str(f))
-    assert code == 0
-    assert json.loads(out)["results"][0]["coefficients"] == ["0", "3", "3", "1"]
+    outs = []
+    # A header line; then CRLF line ends, a blank line and a header glued
+    # to the record, which must read the same.
+    for content in (b">>graph6<<\nBw\n", b"\r\n>>graph6<<Bw\r\n\r\n"):
+        f.write_bytes(content)
+        code, out, _ = run(capsys, "poly", "--graph6", str(f))
+        assert code == 0
+        outs.append(out)
+    assert json.loads(outs[0])["results"][0]["coefficients"] == ["0", "3", "3", "1"]
+    assert outs[1] == outs[0]
 
 
 def test_verify_verbs(capsys):
@@ -425,6 +431,32 @@ def test_exit_code_3_on_input_errors(capsys, tmp_path):
     ):
         code, out, err = run(capsys, "--guard-override", "30", *argv)
         assert code == 3 and "--guard-override" in err and out == "", argv
+
+
+def test_exit_code_3_is_input_error_and_nothing_else(capsys, monkeypatch):
+    """Every input-error class is an `InputError`, which main maps to exit 3;
+    a plain ValueError from a bug, or a failed cross-check, is not."""
+    input_errors = (
+        errors.ParameterDomainError("bad"), errors.SizeGuardError("bad"),
+        errors.Graph6ParseError("bad", 0), errors.Graph6FormatError("bad"),
+        errors.Graph6RangeError("bad"), errors.ValuationError("bad"),
+    )
+    assert not isinstance(errors.InternalInconsistencyError("bug"), errors.InputError)
+
+    def raising(exc):
+        def verb(args):
+            raise exc
+        return verb
+
+    for exc in input_errors:
+        assert isinstance(exc, errors.InputError)
+        monkeypatch.setattr(cli, "_run_cycle", raising(exc))
+        code, out, err = run(capsys, "cycle", "6")
+        assert (code, out, err) == (3, "", f"dompoly: {exc}\n"), exc
+    for bug in (ValueError("bug"), errors.InternalInconsistencyError("bug")):
+        monkeypatch.setattr(cli, "_run_cycle", raising(bug))
+        with pytest.raises(type(bug), match="^bug$"):
+            main(["cycle", "6"])
 
 
 @pytest.mark.parametrize("full,partial", (("order6.g6", "order06.g6"), ("order06.g6", "order6.g6")))

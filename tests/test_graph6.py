@@ -28,8 +28,12 @@ def test_known_records():
     assert parse_graph6(b"?").n == 0
 
 
-def test_header_prefix_tolerated():
-    assert parse_graph6(b">>graph6<<A_") == complete(2)
+def test_parse_graph6_takes_bare_records():
+    """Framing belongs to `iter_graph6_records`: a header or a line
+    terminator left on a record is a parse error."""
+    for record in (b">>graph6<<A_", b"A_\n"):
+        with pytest.raises(Graph6ParseError):
+            parse_graph6(record)
 
 
 @pytest.mark.parametrize(

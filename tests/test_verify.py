@@ -733,8 +733,8 @@ def test_streamed_classification_with_a_bad_and_an_over_guard_record():
 
 def test_classification_walks_each_record_before_reading_the_next(monkeypatch):
     walked = []
-    walk = verify.domination_polynomial
-    monkeypatch.setattr(verify, "domination_polynomial", lambda g, **kw: walked.append(g.n) or walk(g, **kw))
+    walk = verify.domination_profile
+    monkeypatch.setattr(verify, "domination_profile", lambda g, **kw: walked.append(g.n) or walk(g, **kw))
 
     def records():
         for i, g in enumerate((cycle(4), path(5), wheel(6))):
@@ -743,6 +743,26 @@ def test_classification_walks_each_record_before_reading_the_next(monkeypatch):
 
     result = classify_corpus(records())
     assert walked == [4, 5, 6] and len(result.classes) == 3
+
+
+def test_classification_keys_records_by_profile(monkeypatch, classified, corpus):
+    """Records are grouped by the oracle's profile; no record builds a
+    polynomial of its own."""
+    expected = classified(6).to_json_dict()
+
+    def no_polynomial(g, **kw):
+        raise AssertionError("classification built a polynomial per record")
+
+    monkeypatch.setattr(verify, "domination_polynomial", no_polynomial)
+    assert classify_corpus(corpus(6)).to_json_dict() == expected
+
+
+def test_classify_null_graph():
+    """The null graph's empty profile keys the polynomial 1."""
+    result = classify_corpus([b"?"])
+    assert [c.to_json_dict() for c in result.classes] == [
+        {"key_polynomial": ["1"], "class_size": 1, "members": ["?"]}
+    ]
 
 
 def test_classify_order5_connected(corpus):
