@@ -1,11 +1,14 @@
 import random
+import re
+from collections import Counter
 
 import networkx as nx
 import pytest
 
-from dompoly.errors import Graph6FormatError, Graph6ParseError, Graph6RangeError
+from dompoly.errors import Graph6FormatError, Graph6ParseError, Graph6RangeError, InputError
 from dompoly.graphs import (
     Graph,
+    _g6_table,
     complete,
     cycle,
     encode_graph6,
@@ -111,6 +114,10 @@ def test_parse_errors_carry_offsets():
         with pytest.raises(Graph6ParseError, match="^byte 127 outside graph6 range") as exc:
             parse_graph6(record)
         assert exc.value.offset == offset
+    for record, offset in (("Bé", 1), ("\u00e9", 0), ("D?\u2603", 2)):  # str, not ASCII
+        with pytest.raises(Graph6ParseError, match="^non-ASCII character") as exc:
+            parse_graph6(record)
+        assert exc.value.offset == offset
 
 
 @pytest.mark.parametrize("record, offset, cleared", [
@@ -140,3 +147,173 @@ def test_iter_graph6_records():
     assert records == [b"@", b"A_", b"Bw"]
     # header glued to the first record on one line
     assert list(iter_graph6_records([b">>graph6<<@"])) == [b"@"]
+
+
+# ---------------------------------------------------------------------------
+# The table-driven decoder against the column-loop decoder it replaced
+# ---------------------------------------------------------------------------
+
+def _column_loop_parse_graph6(record):
+    """The column-loop decoder `parse_graph6` replaced, followed by the
+    validating `Graph` constructor: the reference for its answers and errors."""
+    data = record.encode("ascii") if isinstance(record, str) else record
+    if not data:
+        raise Graph6ParseError("empty record", 0)
+    if data[0:1] in (b":", b";"):
+        raise Graph6FormatError("sparse6 records are not supported")
+    if data[0:1] == b"&":
+        raise Graph6FormatError("digraph6 records are not supported")
+    if data[0] == 126:
+        raise Graph6RangeError("graph6 orders above 62 are not supported")
+    if not 63 <= data[0] <= 125:
+        raise Graph6ParseError(f"invalid order byte {data[0]}", 0)
+    n = data[0] - 63
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - 1 < nbytes:
+        raise Graph6ParseError(
+            f"truncated bit vector: need {nbytes} bytes for n={n}", len(data)
+        )
+    if len(data) - 1 > nbytes:
+        raise Graph6ParseError("trailing bytes after bit vector", 1 + nbytes)
+    bits = 0
+    for i in range(1, 1 + nbytes):
+        if not 63 <= data[i] <= 126:
+            raise Graph6ParseError(f"byte {data[i]} outside graph6 range", i)
+        bits = bits << 6 | data[i] - 63
+    pad = 6 * nbytes - nbits
+    if bits & ((1 << pad) - 1):
+        raise Graph6ParseError("nonzero padding bit", nbytes)
+    closed = [1 << v for v in range(n)]
+    shift = 6 * nbytes
+    for v in range(1, n):
+        shift -= v
+        column = bits >> shift & ((1 << v) - 1)
+        while column:
+            low = column & -column
+            u = v - low.bit_length()
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
+            column ^= low
+    return Graph(n, closed)
+
+
+_OUT_OF_RANGE = bytes(range(63)) + bytes(range(127, 256))
+_SIX_BITS = bytes((b & 63) + 63 for b in range(256))  # a random byte to a body byte
+
+
+def _random_record(rng):
+    """One graph6 record: valid, as bytes or str, or corrupted in one of six ways."""
+    # Mostly small orders: the reference decoder's time grows as n^2.
+    roll = rng.random()
+    if roll < 0.88:
+        n = rng.randrange(11)
+    elif roll < 0.985:
+        n = rng.randrange(11, 31)
+    else:
+        n = rng.randrange(31, 63)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    pad = 6 * nbytes - nbits
+    rec = bytes([n + 63]) + rng.randbytes(nbytes).translate(_SIX_BITS)
+    if nbytes:
+        rec = rec[:-1] + bytes([(rec[-1] - 63 >> pad << pad) + 63])
+    kind = rng.randrange(8)
+    if kind == 1:  # truncated, down to the empty record
+        rec = rec[:rng.randrange(len(rec))]
+    elif kind == 2:  # trailing bytes
+        rec += bytes(rng.randrange(63, 127) for _ in range(rng.randint(1, 3)))
+    elif kind == 3:  # a byte outside 63..126 at any position
+        i = rng.randrange(len(rec))
+        rec = rec[:i] + bytes([rng.choice(_OUT_OF_RANGE)]) + rec[i + 1:]
+    elif kind == 4 and pad:  # a nonzero padding bit
+        rec = rec[:-1] + bytes([rec[-1] + rng.randrange(1, 1 << pad)])
+    elif kind == 5:  # order bytes just outside and at the ends of the short form
+        rec = bytes([rng.choice((62, 63, 125, 126, 127))]) + rec[1:]
+    elif kind == 6:  # sparse6 and digraph6 prefixes, added or in the order byte's place
+        rec = rng.choice((b":", b";", b"&")) + rec[rng.randrange(2):]
+    elif kind == 7:  # a valid record as str
+        rec = rec.decode("ascii")
+    return rec
+
+
+def _outcome(decode, record):
+    try:
+        return decode(record)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def test_decoder_matches_column_loop_reference():
+    """200,000 seeded records, valid and corrupted: the same graph, or the
+    same error class, message and offset, as the column-loop decoder."""
+    rng = random.Random(20)
+    records = [_random_record(rng) for _ in range(200_000)]
+    # By order byte, so each order's table is built once.
+    records.sort(key=lambda r: r[:1] if isinstance(r, bytes) else r[:1].encode())
+    seen = Counter()
+    for rec in records:
+        want = _outcome(_column_loop_parse_graph6, rec)
+        assert _outcome(parse_graph6, rec) == want, rec
+        seen["graph" if isinstance(want, Graph) else re.sub(r"\b\d+\b", "#", want[1].partition(" (")[0])] += 1
+    assert sorted(seen) == [
+        "byte # outside graph6 range",
+        "digraph6 records are not supported",
+        "empty record",
+        "graph",
+        "graph6 orders above # are not supported",
+        "invalid order byte #",
+        "nonzero padding bit",
+        "sparse6 records are not supported",
+        "trailing bytes after bit vector",
+        "truncated bit vector: need # bytes for n=#",
+    ]
+    assert min(seen.values()) > 1000
+
+
+def _transpose(adjacency, n):
+    out = 0
+    while adjacency:
+        low = adjacency & -adjacency
+        v, u = divmod(low.bit_length() - 1, n)
+        out |= 1 << n * u + v
+        adjacency ^= low
+    return out
+
+
+@pytest.mark.parametrize("n", range(63))
+def test_decoding_table_invariant(n):
+    """What makes parsed graphs valid without `Graph`'s re-check: every
+    entry is symmetric, loopless and inside n*n bits, and names one edge per
+    set bit of its value; a value with a nonzero padding bit marks -1."""
+    rows, diagonal, shifts = _g6_table(n)
+    nbits = n * (n - 1) // 2
+    assert len(rows) == (nbits + 5) // 6
+    assert shifts == tuple(n * v for v in range(n))
+    assert diagonal == sum(1 << (n + 1) * v for v in range(n))
+    for i, row in enumerate(rows):
+        assert len(row) == 64
+        padding = (1 << max(0, 6 * (i + 1) - nbits)) - 1
+        for x, entry in enumerate(row):
+            if x & padding:
+                assert entry == -1
+                continue
+            assert 0 <= entry < 1 << n * n
+            assert not entry & diagonal
+            assert entry.bit_count() == 2 * x.bit_count()
+            assert entry == _transpose(entry, n)
+
+
+def test_parsed_corpora_pass_graph_validation():
+    for n in (4, 5, 6, 7, 8):
+        for rec in load_corpus(n):
+            g = parse_graph6(rec)
+            assert g == Graph(g.n, g.closed)
+
+
+def test_one_decoding_table_at_a_time():
+    _g6_table.cache_clear()
+    for g in (cycle(5), cycle(40), cycle(5)):
+        assert parse_graph6(encode_graph6(g)) == g
+    info = _g6_table.cache_info()
+    assert (info.misses, info.currsize) == (3, 1)
