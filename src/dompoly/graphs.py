@@ -10,15 +10,13 @@ union and join, and a graph6 codec for ingesting corpora produced by the
 usual graph generators.
 
 `Graph(n, closed)` validates its masks, and every builder here goes
-through it except one: `parse_graph6` ORs together entries of a per-order
-table that are symmetric, loopless and inside n*n bits by construction, so
-each parsed graph is valid without a per-record re-check. The tests check
-that table invariant for every order graph6 can carry.
+through it except one: `parse_graph6` starts each mask at its own vertex
+and sets an edge u < v < n in both masks at once, so each parsed graph is
+valid as built and skips the per-record re-check.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -52,8 +50,8 @@ class Graph:
     The constructor checks that each mask stays inside the n vertices, holds
     its own vertex and agrees with its neighbors' masks. `from_edges`, the
     families, the operations and `induced_subgraph` all build through it.
-    Only `parse_graph6` builds through `_valid`, which skips the checks: its
-    masks come from table entries valid by construction.
+    Only `parse_graph6` builds through `_valid`, which skips the checks: it
+    sets every edge in both endpoints' masks, so its masks are valid as built.
     """
 
     __slots__ = ("n", "closed")
@@ -282,37 +280,6 @@ def join(g: Graph, h: Graph) -> Graph:
 
 _G6_MAX_N = 62
 _G6_HEADER = b">>graph6<<"
-_G6_BODY_BYTES = bytes(range(63, 127))
-
-
-@functools.lru_cache(maxsize=1)
-def _g6_table(n: int) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
-    """Decoding table of graph6 order n: `(rows, diagonal, shifts)`.
-
-    `rows[i][x]` is the packed n*n adjacency of the edges that the six-bit
-    value x names in body byte i: row v at bit n*v, both (u,v) and (v,u)
-    set, no diagonal bit. A value with a nonzero padding bit (only the last
-    byte has padding) maps to -1, which ORs every entry it meets to -1.
-    `diagonal` has bit v of each row set; row v starts at `shifts[v]`.
-
-    One order is held at a time: at order 62 the rows take about 7.5 MB.
-    """
-    # Upper-triangle bits column by column, (0,1), (0,2), (1,2), (0,3), ...,
-    # then the padding up to whole bytes.
-    nbits = n * (n - 1) // 2
-    edges = [1 << n * u + v | 1 << n * v + u for v in range(1, n) for u in range(v)]
-    edges += [-1] * (-nbits % 6)
-    rows = []
-    for i in range(0, len(edges), 6):
-        row = [0] * 64
-        for x in range(1, 64):
-            # The low set bit of x is the value's bit k; the byte's first
-            # triangle bit is its highest, so that bit is edges[i + 5 - k].
-            low = x & -x
-            row[x] = row[x ^ low] | edges[i + 6 - low.bit_length()]
-        rows.append(tuple(row))
-    shifts = tuple(n * v for v in range(n))
-    return tuple(rows), sum(1 << s + v for v, s in enumerate(shifts)), shifts
 
 
 def parse_graph6(record: bytes | str) -> Graph:
@@ -321,9 +288,8 @@ def parse_graph6(record: bytes | str) -> Graph:
     The record carries no `>>graph6<<` header and no line terminator;
     `iter_graph6_records` strips both from file lines.
 
-    The record's adjacency is the diagonal ORed with one `_g6_table` entry
-    per body byte. Every entry is symmetric and inside n*n bits, so the
-    neighborhoods are valid by construction and skip `Graph`'s re-check.
+    Each edge u < v < n is set in both masks at once, so the neighborhoods
+    are valid as built and skip `Graph`'s re-check.
     """
     if isinstance(record, str):
         try:
@@ -346,25 +312,40 @@ def parse_graph6(record: bytes | str) -> Graph:
     if not 63 <= data[0] <= 125:
         raise Graph6ParseError(f"invalid order byte {data[0]}", 0)
     n = data[0] - 63
-    nbytes = (n * (n - 1) // 2 + 5) // 6
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
     if len(data) - 1 < nbytes:
         raise Graph6ParseError(
             f"truncated bit vector: need {nbytes} bytes for n={n}", len(data)
         )
     if len(data) - 1 > nbytes:
         raise Graph6ParseError("trailing bytes after bit vector", 1 + nbytes)
-    body = data[1:]
-    if body.translate(None, _G6_BODY_BYTES):  # what is left is out of range
-        i = next(i for i, b in enumerate(body, 1) if not 63 <= b <= 126)
-        raise Graph6ParseError(f"byte {data[i]} outside graph6 range", i)
 
-    rows, adjacency, shifts = _g6_table(n)
-    for row, b in zip(rows, body):
-        adjacency |= row[b - 63]
-    if adjacency < 0:
+    # Each body byte, less 63, gives six bits, high bit first; shifted into
+    # one int, the first upper-triangle bit is the highest.
+    bits = 0
+    for i in range(1, 1 + nbytes):
+        if not 63 <= data[i] <= 126:
+            raise Graph6ParseError(f"byte {data[i]} outside graph6 range", i)
+        bits = bits << 6 | data[i] - 63
+    pad = 6 * nbytes - nbits
+    if bits & ((1 << pad) - 1):
         raise Graph6ParseError("nonzero padding bit", nbytes)
-    full = (1 << n) - 1
-    return Graph._valid(n, tuple([adjacency >> s & full for s in shifts]))
+
+    # Upper-triangle bits, column by column: (0,1), (0,2), (1,2), (0,3), ...
+    # Column v is the v bits above the columns after it, (0,v) highest.
+    closed = [1 << v for v in range(n)]
+    shift = 6 * nbytes
+    for v in range(1, n):
+        shift -= v
+        column = bits >> shift & ((1 << v) - 1)
+        while column:
+            low = column & -column
+            u = v - low.bit_length()
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
+            column ^= low
+    return Graph._valid(n, tuple(closed))
 
 
 def encode_graph6(g: Graph) -> bytes:
@@ -372,8 +353,8 @@ def encode_graph6(g: Graph) -> bytes:
     n = g.n
     if n > _G6_MAX_N:
         raise Graph6RangeError(f"graph6 orders above {_G6_MAX_N} are not supported")
-    # The upper triangle, column by column, into one int, (0,1) highest;
-    # zero-padded to whole six-bit groups.
+    # The upper triangle, column by column, into one int, (0,1) highest, as
+    # `parse_graph6` reads it; zero-padded to whole six-bit groups.
     bits = 0
     for v in range(1, n):
         col = g.closed[v]

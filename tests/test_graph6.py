@@ -8,7 +8,6 @@ import pytest
 from dompoly.errors import Graph6FormatError, Graph6ParseError, Graph6RangeError, InputError
 from dompoly.graphs import (
     Graph,
-    _g6_table,
     complete,
     cycle,
     encode_graph6,
@@ -150,12 +149,14 @@ def test_iter_graph6_records():
 
 
 # ---------------------------------------------------------------------------
-# The table-driven decoder against the column-loop decoder it replaced
+# The decoder against the same column loop built through the validating
+# constructor
 # ---------------------------------------------------------------------------
 
 def _column_loop_parse_graph6(record):
-    """The column-loop decoder `parse_graph6` replaced, followed by the
-    validating `Graph` constructor: the reference for its answers and errors."""
+    """The column-loop decoder followed by the validating `Graph` constructor,
+    as `parse_graph6` built graphs before it skipped the re-check: the
+    reference for its answers and errors."""
     data = record.encode("ascii") if isinstance(record, str) else record
     if not data:
         raise Graph6ParseError("empty record", 0)
@@ -248,11 +249,9 @@ def test_decoder_matches_column_loop_reference():
     """200,000 seeded records, valid and corrupted: the same graph, or the
     same error class, message and offset, as the column-loop decoder."""
     rng = random.Random(20)
-    records = [_random_record(rng) for _ in range(200_000)]
-    # By order byte, so each order's table is built once.
-    records.sort(key=lambda r: r[:1] if isinstance(r, bytes) else r[:1].encode())
     seen = Counter()
-    for rec in records:
+    for _ in range(200_000):
+        rec = _random_record(rng)
         want = _outcome(_column_loop_parse_graph6, rec)
         assert _outcome(parse_graph6, rec) == want, rec
         seen["graph" if isinstance(want, Graph) else re.sub(r"\b\d+\b", "#", want[1].partition(" (")[0])] += 1
@@ -271,49 +270,9 @@ def test_decoder_matches_column_loop_reference():
     assert min(seen.values()) > 1000
 
 
-def _transpose(adjacency, n):
-    out = 0
-    while adjacency:
-        low = adjacency & -adjacency
-        v, u = divmod(low.bit_length() - 1, n)
-        out |= 1 << n * u + v
-        adjacency ^= low
-    return out
-
-
-@pytest.mark.parametrize("n", range(63))
-def test_decoding_table_invariant(n):
-    """What makes parsed graphs valid without `Graph`'s re-check: every
-    entry is symmetric, loopless and inside n*n bits, and names one edge per
-    set bit of its value; a value with a nonzero padding bit marks -1."""
-    rows, diagonal, shifts = _g6_table(n)
-    nbits = n * (n - 1) // 2
-    assert len(rows) == (nbits + 5) // 6
-    assert shifts == tuple(n * v for v in range(n))
-    assert diagonal == sum(1 << (n + 1) * v for v in range(n))
-    for i, row in enumerate(rows):
-        assert len(row) == 64
-        padding = (1 << max(0, 6 * (i + 1) - nbits)) - 1
-        for x, entry in enumerate(row):
-            if x & padding:
-                assert entry == -1
-                continue
-            assert 0 <= entry < 1 << n * n
-            assert not entry & diagonal
-            assert entry.bit_count() == 2 * x.bit_count()
-            assert entry == _transpose(entry, n)
-
-
 def test_parsed_corpora_pass_graph_validation():
     for n in (4, 5, 6, 7, 8):
         for rec in load_corpus(n):
             g = parse_graph6(rec)
             assert g == Graph(g.n, g.closed)
 
-
-def test_one_decoding_table_at_a_time():
-    _g6_table.cache_clear()
-    for g in (cycle(5), cycle(40), cycle(5)):
-        assert parse_graph6(encode_graph6(g)) == g
-    info = _g6_table.cache_info()
-    assert (info.misses, info.currsize) == (3, 1)
