@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import cycles, graphs
 from .errors import InputError, ParameterDomainError, SizeGuardError
-from .graphs import Graph, iter_graph6_records, parse_graph6, split_family_spec
+from .graphs import iter_graph6_records, parse_graph6, split_family_spec
 from .oracle import DEFAULT_GUARD, _check_guard, domination_number, domination_polynomial
 
 
@@ -137,37 +137,39 @@ def _read_corpus(path: str | Path) -> list[bytes]:
 
 
 def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:
-    """The order<k>.g6 files of a directory, keyed by k. Two files of one
-    order (order6.g6 and order06.g6), or a directory that gives no corpus
-    check an order to run on, are input errors."""
+    """The order<k>.g6 files of a directory, keyed by k. A name whose k is
+    not ASCII digits, two files of one order (order6.g6 and order06.g6), or
+    a directory that gives no corpus check an order to run on, is an input
+    error, refused before any file is read."""
     from . import verify
 
     if not Path(dir_str).is_dir():
         raise ParameterDomainError(f"--corpus-dir {dir_str} is not a directory")
     files = {}
     for f in sorted(Path(dir_str).glob("order*.g6")):
-        try:
-            order = int(f.stem.removeprefix("order"))
-        except ValueError:
+        digits = f.stem.removeprefix("order")
+        if not (digits.isascii() and digits.isdigit()):
             raise ParameterDomainError(
                 f"corpus file {f} is not named order<k>.g6 with an integer k"
-            ) from None
+            )
+        order = int(digits)
         if order in files:
             raise ParameterDomainError(
                 f"corpus files {files[order]} and {f} are both of order {order}"
             )
         files[order] = f
-    corpora = {order: _read_corpus(f) for order, f in files.items()}
     if not any(c.covers(k) for c in verify.CHECKS.values() if c.default_n is None
-               for k in corpora):
+               for k in files):
         raise ParameterDomainError(
             f"--corpus-dir {dir_str} holds no order<k>.g6 file of an order a corpus check covers"
         )
-    return corpora
+    return {order: _read_corpus(f) for order, f in files.items()}
 
 
-def _input_graphs(args) -> list[tuple[str, Graph]]:
-    """Resolve --family / --graph6 into labeled graphs."""
+def _input_graphs(args):
+    """Resolve --family / --graph6 into labeled graphs, one at a time: a
+    --graph6 record is decoded only when the verb reaches it, so the
+    oracle's guard refuses an oversized record before the next is decoded."""
     if args.family:
         # A family's order is the sum of its parameters, so an oversized one is
         # refused before it is built; a spec the builder rejects (unknown name,
@@ -175,15 +177,18 @@ def _input_graphs(args) -> list[tuple[str, Graph]]:
         name, params = split_family_spec(args.family)
         if len(params) == graphs.FAMILY_NAMES.get(name, (None, None))[1] and min(params) >= 1:
             _check_guard(sum(params), _guard(args))
-        return [(args.family, graphs.build_family(name, *params))]
-    records = _read_corpus(args.graph6)
-    return [(f"{args.graph6}#{i}", parse_graph6(rec)) for i, rec in enumerate(records)]
+        yield args.family, graphs.build_family(name, *params)
+    else:
+        for i, rec in enumerate(_read_corpus(args.graph6)):
+            yield f"{args.graph6}#{i}", parse_graph6(rec)
 
 
 def _cycle_order(args) -> int | None:
-    """Order n when the input is the cycle family (recurrence applies)."""
+    """Order n when the input is the cycle family. The recurrence serves it
+    and walks no subsets, so --guard-override is refused here."""
     match split_family_spec(args.family) if args.family else None:
         case ("cycle", (n,)):
+            _reject_guard(args)
             return n
     return None
 
@@ -196,9 +201,11 @@ def _guard(args) -> int:
     return DEFAULT_GUARD if args.guard_override is None else args.guard_override
 
 
-def _reject_guard(args, what: str):
+def _reject_guard(args):
     """--guard-override where nothing enumerates subsets is an input error, not a no-op."""
     if args.guard_override is not None:
+        family = getattr(args, "family", None)
+        what = args.verb if family is None else f"{args.verb} --family {family}"
         raise ParameterDomainError(f"{what} does not take --guard-override")
 
 
@@ -218,7 +225,6 @@ def _cycle_polynomial(n: int):
 def _run_poly(args):
     n_cycle = _cycle_order(args)
     if n_cycle is not None:
-        _reject_guard(args, f"poly --family {args.family}")
         poly = _cycle_polynomial(n_cycle)
         results = [{"source": args.family, "order": n_cycle,
                     "coefficients": poly.coefficient_strings()}]
@@ -230,7 +236,7 @@ def _run_poly(args):
 
 
 def _run_cycle(args):
-    _reject_guard(args, "cycle")
+    _reject_guard(args)
     poly = _cycle_polynomial(args.n)
     return {"n": args.n, "coefficients": poly.coefficient_strings()}, True
 
@@ -241,7 +247,6 @@ def _run_eval(args):
         raise ParameterDomainError(f"--derivative must be >= 0, got {k}")
     n_cycle = _cycle_order(args)
     if n_cycle is not None:
-        _reject_guard(args, f"eval --family {args.family}")
         # The jet stops at D^(n): every higher derivative of D(C_n) is 0.
         jet = cycles.cycle_jet(n_cycle, args.at, k)
         values = [(args.family, jet[k] if k < len(jet) else 0)]
@@ -268,8 +273,10 @@ def _run_gamma(args):
     return {"results": results}, True
 
 
-def _reject_ignored_verify_flags(args):
-    """A flag the chosen check would ignore is an input error, not a no-op."""
+def _run_verify(args):
+    """One pass: the check's kind and options say which flags it takes, so
+    a flag it would ignore is refused, then a missing one it needs, and an
+    order its registry entry does not cover, all before any corpus is read."""
     from . import verify
 
     check = verify.CHECKS.get(args.lemma)
@@ -281,43 +288,32 @@ def _reject_ignored_verify_flags(args):
         # The options a check reads are its runner's parameters.
         code = check.run.__code__
         options = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
-    taken_by = (
+    for flag, value, taken in (
         ("--guard-override", args.guard_override, "guard" in options),
         ("--max-n", args.max_n, kind == "range"),
         ("--min-part", args.min_part, "min_part" in options),
         ("--n", args.n, kind == "corpus"),
         ("--corpus", args.corpus, kind == "corpus"),
         ("--corpus-dir", args.corpus_dir, kind == "all"),
-    )
-    for flag, value, taken in taken_by:
+    ):
         if value is not None and not taken:
             raise ParameterDomainError(f"verify {args.lemma} does not take {flag}")
 
-
-def _run_verify(args):
-    from . import verify
-
-    def need(flag, value):
-        if value is None:
-            raise ParameterDomainError(
-                f"verify {args.lemma} requires {flag}"
-            )
-        return value
-
-    _reject_ignored_verify_flags(args)
-    if args.lemma == "all":
+    if kind == "all":
         corpora = _read_corpus_dir(args.corpus_dir) if args.corpus_dir else None
         reports = verify.run_all(corpora=corpora, guard=args.guard_override)
         ok = all(r.passed for r in reports)
         return {"reports": [r.to_json_dict() for r in reports]}, ok
 
-    check = verify.CHECKS[args.lemma]
     given = {"guard": args.guard_override, "min_part": args.min_part}
-    options = {k: v for k, v in given.items() if v is not None}
-    if check.default_n is None:
-        records = _read_corpus(need("--corpus", args.corpus))
-        n = need("--n", args.n)
-        rep = check.run(n, verify.classify_corpus(records, corpus_guard=args.guard_override), **options)
+    kwargs = {k: v for k, v in given.items() if v is not None}
+    if kind == "corpus":
+        for flag, value in (("--corpus", args.corpus), ("--n", args.n)):
+            if value is None:
+                raise ParameterDomainError(f"verify {args.lemma} requires {flag}")
+        verify._require_covered(args.lemma, args.n)
+        result = verify.classify_corpus(_read_corpus(args.corpus), corpus_guard=args.guard_override)
+        rep = check.run(args.n, result, **kwargs)
     else:
         max_n = check.default_n if args.max_n is None else args.max_n
         if max_n < check.min_n:
@@ -325,7 +321,7 @@ def _run_verify(args):
                 f"verify {args.lemma} covers n >= {check.min_n}; --max-n {max_n} "
                 f"leaves nothing to check"
             )
-        rep = check.run(max_n, **options)
+        rep = check.run(max_n, **kwargs)
     return rep.to_json_dict(), rep.passed
 
 
@@ -344,7 +340,7 @@ def _partition_count(n: int, min_part: int) -> int:
 
 
 def _run_search_partitions(args):
-    _reject_guard(args, "search-partitions")
+    _reject_guard(args)
     # n < 1 is left to the enumeration, which refuses it with its own message.
     if args.n >= 1 and (count := _partition_count(args.n, args.min_part)) > MAX_SEARCH_ROWS:
         raise SizeGuardError(f"search-partitions {args.n} would list {count} partitions, "
@@ -377,19 +373,15 @@ def _run_classify(args):
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _render_table(verb: str, payload: dict) -> str:
+def _render_table(payload: dict) -> str:
+    """The layout follows the payload: check reports (one, or `verify all`'s
+    list), a corpus classification, a partition search, or else the JSON."""
     lines = []
-    if verb == "verify" and "reports" in payload:
-        reports = payload["reports"]
-    elif verb in ("verify", "path-class", "wheel"):
-        reports = [payload]
-    else:
-        reports = None
-    if reports is not None:
+    if "reports" in payload or "lemma_id" in payload:
         from . import verify
 
         lines.append(f"{'check':<14} {'range':<12} {'status':<12} {'cex':>4}  claim")
-        for r in reports:
+        for r in payload.get("reports", [payload]):
             rng = f"{r['range'][0]}..{r['range'][1]}"
             claim = verify.CHECKS[r["lemma_id"]].claim
             lines.append(
@@ -397,7 +389,7 @@ def _render_table(verb: str, payload: dict) -> str:
                 f"{len(r['counterexamples']):>4}  {claim}"
             )
         return "\n".join(lines)
-    if verb == "classify":
+    if "classes" in payload:
         lines.append(f"{'size':>6}  {'degree':>6}  members")
         for c in payload["classes"]:
             members = " ".join(c["members"][:4])
@@ -408,7 +400,7 @@ def _render_table(verb: str, payload: dict) -> str:
         if payload["parse_errors"]:
             lines.append(f"parse errors: {len(payload['parse_errors'])}")
         return "\n".join(lines)
-    if verb == "search-partitions":
+    if "partitions" in payload:
         for row in payload["partitions"]:
             mark = "=" if row["matches"] else " "
             lines.append(f"{mark} {'+'.join(str(p) for p in row['parts'])}")
@@ -437,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.format == "table":
-            print(_render_table(args.verb, payload))
+            print(_render_table(payload))
         else:
             print(json.dumps(payload, indent=2, sort_keys=True))
         sys.stdout.flush()

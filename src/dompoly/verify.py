@@ -755,8 +755,7 @@ def verify_wheel_uniqueness(
     under `guard`. The report is inconclusive unless the corpus certifies
     as complete (`CorpusClassification.completeness_problems`).
     """
-    if n < 4:
-        raise ParameterDomainError(f"wheel uniqueness needs n >= 4, got {n}")
+    _require_covered("COR-wheel", n)
     t0 = time.perf_counter()
     target = domination_polynomial(wheel(n), guard=guard)
     cls = result.class_of(target)
@@ -804,10 +803,7 @@ def verify_path_class(
     than assumption.
     As for the wheel, an uncertified corpus makes the report inconclusive.
     """
-    if n % 3 != 0 or n < 6:
-        raise ParameterDomainError(
-            f"path class check needs n >= 6 with 3 | n, got {n}"
-        )
+    _require_covered("P-path-class", n)
     t0 = time.perf_counter()
     target = domination_polynomial(path(n), guard=guard)
     variant_matches = {}
@@ -845,11 +841,13 @@ class Check:
     A range check (`default_n` set) covers min_n..max_n and runs as
     `run(max_n)`. A corpus check (`default_n` None) covers one order n out
     of min_n, min_n + step, ... and runs as `run(n, classify_corpus(records))`
-    over the complete corpus of that order. Either way, the keyword
-    parameters its runner declares (`guard`, `min_part`) are the only
-    options it reads, and their defaults live there. Each runner looks its
-    `verify_*` function up by module-global name when called, so a wrapper
-    bound to that name (a profiler, say) sees the call.
+    over the complete corpus of that order. `covers` is the only rule for
+    those orders: the corpus checks, `run_all` and the CLI (which refuses an
+    uncovered order before reading a corpus) all read it. Either way, the
+    keyword parameters its runner declares (`guard`, `min_part`) are the
+    only options it reads, and their defaults live there. Each runner looks
+    its `verify_*` function up by module-global name when called, so a
+    wrapper bound to that name (a profiler, say) sees the call.
     """
 
     def __init__(self, claim: str, run: Callable[..., VerificationReport], min_n: int,
@@ -862,6 +860,15 @@ class Check:
 
     def covers(self, n: int) -> bool:
         return n >= self.min_n and (n - self.min_n) % self.step == 0
+
+
+def _require_covered(lemma_id: str, n: int) -> None:
+    """Refuse an order the corpus check `lemma_id` does not cover, by its
+    registry entry's rule."""
+    check = CHECKS[lemma_id]
+    if not check.covers(n):
+        orders = ", ".join(str(check.min_n + i * check.step) for i in range(3))
+        raise ParameterDomainError(f"{lemma_id} covers n = {orders}, ...; got {n}")
 
 
 # In `run_all` order: range checks first, then the corpus checks.

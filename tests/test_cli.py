@@ -295,6 +295,68 @@ def test_corpus_verbs_are_the_verify_checks(
     assert (again[0], _without_timing(again[1]), again[2]) == (code, _without_timing(out), err)
 
 
+def _refuse_reading(monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("a corpus was read")
+
+    monkeypatch.setattr(cli, "_read_corpus", no_read)
+    monkeypatch.setattr(verify, "classify_corpus", no_read)
+
+
+def test_uncovered_order_is_refused_before_the_corpus_is_read(capsys, monkeypatch):
+    """An --n the registry's `covers` leaves out exits 3 with the registry's
+    message before the corpus is read or classified, as alias or as verify."""
+    _refuse_reading(monkeypatch)
+    corpus8 = str(CORPUS_DIR / "order8.g6")
+    for argv, message in (
+        (("verify", "COR-wheel", "--n", "3", "--corpus", corpus8), "COR-wheel covers n = 4, 5, 6, ...; got 3"),
+        (("wheel", "3", corpus8), "COR-wheel covers n = 4, 5, 6, ...; got 3"),
+        (("path-class", "7", corpus8), "P-path-class covers n = 6, 9, 12, ...; got 7"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"dompoly: {message}\n"), argv
+
+
+def test_corpus_dir_of_uncovered_orders_is_refused_before_reading(capsys, monkeypatch, tmp_path):
+    _refuse_reading(monkeypatch)
+    for k in (1, 3):
+        shutil.copy(CORPUS_DIR / "order4.g6", tmp_path / f"order{k}.g6")
+    code, out, err = run(capsys, "verify", "all", "--corpus-dir", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == (f"dompoly: --corpus-dir {tmp_path} holds no order<k>.g6 file of an "
+                   "order a corpus check covers\n")
+
+
+@pytest.mark.parametrize("name", ["order6_0.g6", "order-4.g6", "order+6.g6", "order 6.g6",
+                                  "order\u0666.g6", "order.g6"])
+def test_corpus_file_names_take_ascii_digits_only(capsys, monkeypatch, tmp_path, name):
+    """k in order<k>.g6 is ASCII digits: int()'s signs, spaces, underscores
+    and non-ASCII digits are refused, before any file is read."""
+    _refuse_reading(monkeypatch)
+    shutil.copy(CORPUS_DIR / "order4.g6", tmp_path / "order4.g6")
+    shutil.copy(CORPUS_DIR / "order6.g6", tmp_path / name)
+    code, out, err = run(capsys, "verify", "all", "--corpus-dir", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == f"dompoly: corpus file {tmp_path / name} is not named order<k>.g6 with an integer k\n"
+
+
+def test_graph6_records_are_decoded_as_they_are_walked(capsys, monkeypatch, tmp_path):
+    """The oracle's guard refuses an oversized --graph6 record before the
+    next record is decoded, so the rest of the file is never parsed."""
+    f = tmp_path / "k62-first.g6"
+    f.write_bytes(b"\n".join([encode_graph6(complete(62))] + [encode_graph6(cycle(5))] * 999) + b"\n")
+    parsed = []
+    monkeypatch.setattr(cli, "parse_graph6", lambda rec: parsed.append(rec) or parse_graph6(rec))
+    refusal = "dompoly: order 62 exceeds 40, the largest order any guard lets a 2^n enumeration reach\n"
+    for verb, extra in (("poly", ()), ("eval", ("--at", "2")), ("gamma", ())):
+        parsed.clear()
+        code, out, err = run(capsys, verb, "--graph6", str(f), *extra)
+        assert (code, out, err, len(parsed)) == (3, "", refusal, 1), verb
+    # In file order, so an oversized record before a malformed one is the one reported.
+    f.write_bytes(encode_graph6(complete(62)) + b"\nnot a record!!\n")
+    assert run(capsys, "gamma", "--graph6", str(f))[2] == refusal
+
+
 def test_verify_choices_are_the_check_registry(capsys):
     # `verify`'s lemma argument is added when its parser first parses, so
     # the choices are read from what argparse prints: the registry's ids in
@@ -661,6 +723,14 @@ def test_table_format(capsys, tmp_path):
     code, out, _ = run(capsys, "--format", "table", "classify", str(f))
     assert code == 0
     assert "members" in out
+
+    # The corpus verbs are verify checks, and render as a check table.
+    corpus6 = str(CORPUS_DIR / "order6.g6")
+    tables = [run(capsys, "--format", "table", *argv)[:2] for argv in (
+        ("wheel", "6", corpus6), ("verify", "COR-wheel", "--n", "6", "--corpus", corpus6),
+    )]
+    assert tables[0] == tables[1] and tables[0][1].startswith("check ")
+    assert "COR-wheel" in tables[0][1]
 
 
 def test_common_flags_accepted_after_the_verb(capsys):

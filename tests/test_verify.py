@@ -14,6 +14,7 @@ from dompoly.oracle import domination_polynomial
 from dompoly.polynomials import IntPolynomial, ord_p
 from dompoly import cycles, verify
 from dompoly.verify import (
+    CHECKS,
     FINGERPRINT_MODULUS,
     FINGERPRINT_POINT,
     TEN_CASES,
@@ -886,6 +887,21 @@ def test_path_class_validation():
         verify_path_class(7, classify_corpus([]))
     with pytest.raises(ParameterDomainError):
         verify_path_class(3, classify_corpus([]))
+
+
+@pytest.mark.parametrize("lemma,check", [
+    ("COR-wheel", verify_wheel_uniqueness), ("P-path-class", verify_path_class),
+])
+def test_corpus_checks_refuse_by_the_registry_rule(lemma, check):
+    """`Check.covers` is the one rule for which orders a corpus check runs
+    on: the check refuses exactly the orders its registry entry leaves out."""
+    empty = classify_corpus([])
+    for n in range(13):
+        if CHECKS[lemma].covers(n):
+            assert check(n, empty).status == "inconclusive", (lemma, n)
+        else:
+            with pytest.raises(ParameterDomainError):
+                check(n, empty)
 
 
 # ---------------------------------------------------------------------------
