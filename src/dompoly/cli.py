@@ -275,8 +275,9 @@ def _run_gamma(args):
 
 def _run_verify(args):
     """One pass: the check's kind and options say which flags it takes, so
-    a flag it would ignore is refused, then a missing one it needs, and an
-    order its registry entry does not cover, all before any corpus is read."""
+    a flag it would ignore is refused, then a missing one it needs, then an
+    order its registry entry does not cover or its walk guard refuses, all
+    before any corpus is read."""
     from . import verify
 
     check = verify.CHECKS.get(args.lemma)
@@ -312,6 +313,8 @@ def _run_verify(args):
             if value is None:
                 raise ParameterDomainError(f"verify {args.lemma} requires {flag}")
         verify._require_covered(args.lemma, args.n)
+        # The check walks W_n or P_n, of order n, under the walk guard.
+        _check_guard(args.n, _guard(args))
         result = verify.classify_corpus(_read_corpus(args.corpus), corpus_guard=args.guard_override)
         rep = check.run(args.n, result, **kwargs)
     else:

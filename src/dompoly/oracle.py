@@ -13,16 +13,24 @@ the subsets that meet the mask m, for every m, and the table of each
 subset size k. The dominating sets are then the AND of meets[N[v]] over
 the vertices v, and d(G,k) is the popcount of that table ANDed with size
 k's. A walk costs n ANDs and n popcounts of 2^n-bit ints; in-process on
-a 2-CPU machine, the 13,591 corpus graphs of orders 4..8 took 0.06 s
-against 0.4 s by the pair sum below. What the tables cost is their build,
-4^n bits per order. The cutoff is the measured crossover: on random
-graphs of orders 6..13, a truth-table walk took 5-9x less than a pair sum
-(6 us against 55 us at order 10), and the build took 0.35-0.55 ms at
-order 10, 0.9-1.4 ms at 11 and 2.4-3.7 ms at 12, where the tables hold
-0.18, 0.63 and 2.4 MB. `verify all` walks 23 graphs of order 10, whose
-savings (1.1 ms) repay that order's build, and 18 of order 11, whose
-savings (1.1 ms) about match its build. All the tables up to order 10
-hold about 0.26 MB.
+a 2-CPU machine, the walks of the 13,591 corpus graphs of orders 4..8
+took 0.03 s against 0.27 s by the pair sum below. What the tables cost
+is their build, 4^n bits per order. The cutoff is the measured
+crossover: on random graphs of orders 6..13, a truth-table walk took
+5-9x less than a pair sum (6 us against 55 us at order 10), and the
+build took 0.35-0.55 ms at order 10, 0.9-1.4 ms at 11 and 2.4-3.7 ms at
+12, where the tables hold 0.18, 0.63 and 2.4 MB. `verify all` walks 23
+graphs of order 10, whose savings (1.1 ms) repay that order's build, and
+18 of order 11, whose savings (1.1 ms) about match its build. All the
+tables up to order 10 hold about 0.26 MB.
+
+`graph6_profile` feeds that walk straight from a graph6 record's bytes,
+for `classify_corpus`. A byte table per order, built on first use from
+`parse_graph6`'s decodes of one-bit records, holds each body byte's share
+of the packed closed neighborhoods, so a record's rows are the sum of its
+bytes' entries and no Graph is built. The 13,591 corpus records took
+0.04 s that way, decoding included, against 0.11 s through `parse_graph6`
+and `domination_profile`. The byte tables up to order 10 hold 0.15 MB.
 
 Orders above the cutoff sum over pairs of half-covers. The vertices are
 split into a low and a high half. For each half, the subsets are grouped
@@ -48,10 +56,10 @@ guard.
 from __future__ import annotations
 
 from functools import cache, reduce
-from operator import and_, or_
+from operator import and_, getitem, or_
 
-from .errors import SizeGuardError
-from .graphs import Graph
+from .errors import Graph6ParseError, SizeGuardError
+from .graphs import Graph, encode_graph6, parse_graph6
 from .polynomials import IntPolynomial
 
 __all__ = [
@@ -59,6 +67,7 @@ __all__ = [
     "domination_profile",
     "domination_polynomial",
     "domination_number",
+    "graph6_profile",
 ]
 
 DEFAULT_GUARD = 24
@@ -127,6 +136,58 @@ def _truth_table_profile(closed: tuple[int, ...]) -> tuple[int, ...]:
     meets, sizes = _truth_tables(len(closed))
     dominating = reduce(and_, [meets[nb] for nb in closed], (1 << len(meets)) - 1)
     return tuple((dominating & size).bit_count() for size in sizes[1:])
+
+
+@cache
+def _graph6_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Order n's graph6 byte table: entry [i][b] is what byte value b at
+    position i of a record adds to the packed closed neighborhoods (N[v] at
+    bits v*n), or at least the flag 2^(n*n) where `parse_graph6` would
+    refuse that byte. Position 0, the order byte, adds the diagonal."""
+    flag = 1 << n * n
+    edgeless = encode_graph6(Graph(n, [1 << v for v in range(n)]))
+    diagonal = sum(1 << v * (n + 1) for v in range(n))
+    table = [[flag] * 256 for _ in edgeless]
+    table[0][edgeless[0]] = diagonal
+    for i in range(1, len(edgeless)):
+        # Each bit b of the byte from a one-bit record; the values with bit
+        # b set add its edges to those below 2^b.
+        values = [0]
+        for b in range(6):
+            try:
+                g = parse_graph6(edgeless[:i] + bytes([edgeless[i] + (1 << b)]) + edgeless[i + 1:])
+            except Graph6ParseError:  # a padding bit
+                bit = flag
+            else:
+                bit = sum(nb << v * n for v, nb in enumerate(g.closed)) - diagonal
+            values += [v + bit for v in values]
+        table[i][63:127] = values
+    return tuple(map(tuple, table))
+
+
+def graph6_profile(record: bytes, guard: int) -> tuple[int, ...] | None:
+    """`domination_profile(parse_graph6(record), guard=guard)` for a record
+    of order at most TRUTH_TABLE_MAX_ORDER and `guard`, read through the
+    order's byte table into the truth-table walk with no Graph built; None
+    for any record the table cannot read, which `parse_graph6` decodes or
+    refuses."""
+    n = record[0] - 63 if record else -1
+    if not 0 <= n <= TRUTH_TABLE_MAX_ORDER or n > guard:
+        return None
+    table = _graph6_table(n)
+    if len(record) != len(table):
+        return None
+    packed = sum(map(getitem, table, record))
+    if packed >> n * n:
+        return None
+    meets, sizes = _truth_tables(n)
+    full = (1 << n) - 1
+    dominating = -1
+    # The last row holds its own vertex, so `packed` stays nonzero for n rows.
+    while packed:
+        dominating &= meets[packed & full]
+        packed >>= n
+    return tuple([(dominating & size).bit_count() for size in sizes[1:]])
 
 
 def _pair_sum_profile(closed: tuple[int, ...]) -> tuple[int, ...]:

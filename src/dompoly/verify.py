@@ -58,7 +58,14 @@ from .cycles import (
 )
 from .errors import Graph6FormatError, Graph6ParseError, ParameterDomainError, SizeGuardError
 from .graphs import Graph, cycle, disjoint_union, parse_graph6, path, wheel
-from .oracle import DEFAULT_GUARD, MAX_ORDER, domination_number, domination_polynomial, domination_profile
+from .oracle import (
+    DEFAULT_GUARD,
+    MAX_ORDER,
+    domination_number,
+    domination_polynomial,
+    domination_profile,
+    graph6_profile,
+)
 from .polynomials import IntPolynomial, ord_p
 
 __all__ = [
@@ -689,15 +696,20 @@ def classify_corpus(
     """Group bare graph6 records (bytes, as `iter_graph6_records` yields
     them) into exact polynomial-equivalence classes.
 
-    Records are grouped by their `domination_profile`, which determines the
-    polynomial; each class builds its key polynomial once. Per-record parse
-    failures are collected, not fatal. An order above `corpus_guard` (None
-    means DEFAULT_CORPUS_GUARD, 9; a full order-10 corpus is ~12M graphs) is
+    Records are grouped by their domination profile, which determines the
+    polynomial; each class builds its key polynomial once. A record the
+    oracle's byte table reads (`graph6_profile`: an order up to
+    TRUTH_TABLE_MAX_ORDER and `corpus_guard`, well formed) goes straight
+    into the truth-table walk with no Graph built. Any other record goes
+    through `parse_graph6`, the guard check and `domination_profile`, so
+    errors and refusals are theirs. Per-record parse failures are
+    collected, not fatal. An order above `corpus_guard` (None means
+    DEFAULT_CORPUS_GUARD, 9; a full order-10 corpus is ~12M graphs) is
     fatal, since it means the whole file is at the wrong scale. The oracle
     runs under the same guard, which every record that passes it meets.
 
-    Each record is parsed, guard-checked and walked before the next is
-    read, so memory holds the classes, not every parsed graph.
+    Each record is read, guard-checked and walked before the next is
+    drawn, so memory holds the classes, not every parsed graph.
 
     Classes come back sorted by descending size, then by key polynomial
     (degree, then coefficients); members are sorted strings, so output is
@@ -709,17 +721,19 @@ def classify_corpus(
     errors: list[dict] = []
     for idx, rec in enumerate(records):
         text = rec.decode("ascii", errors="replace")
-        try:
-            g = parse_graph6(rec)
-        except (Graph6ParseError, Graph6FormatError) as exc:
-            errors.append({"index": idx, "record": text, "error": str(exc)})
-            continue
-        if g.n > corpus_guard:
-            raise SizeGuardError(
-                f"corpus record {idx} has order {g.n} above the corpus guard "
-                f"({corpus_guard}); raise it via corpus_guard (CLI: --guard-override)"
-            )
-        key = domination_profile(g, guard=corpus_guard)
+        key = graph6_profile(rec, corpus_guard)
+        if key is None:
+            try:
+                g = parse_graph6(rec)
+            except (Graph6ParseError, Graph6FormatError) as exc:
+                errors.append({"index": idx, "record": text, "error": str(exc)})
+                continue
+            if g.n > corpus_guard:
+                raise SizeGuardError(
+                    f"corpus record {idx} has order {g.n} above the corpus guard "
+                    f"({corpus_guard}); raise it via corpus_guard (CLI: --guard-override)"
+                )
+            key = domination_profile(g, guard=corpus_guard)
         groups.setdefault(key, []).append(text)
 
     # The null graph's empty profile is the polynomial 1, as in

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -304,14 +305,25 @@ def _refuse_reading(monkeypatch):
 
 
 def test_uncovered_order_is_refused_before_the_corpus_is_read(capsys, monkeypatch):
-    """An --n the registry's `covers` leaves out exits 3 with the registry's
-    message before the corpus is read or classified, as alias or as verify."""
+    """An --n the registry's `covers` leaves out, or the walk guard refuses,
+    exits 3 with that message before the corpus is read or classified, as
+    alias or as verify."""
     _refuse_reading(monkeypatch)
     corpus8 = str(CORPUS_DIR / "order8.g6")
     for argv, message in (
         (("verify", "COR-wheel", "--n", "3", "--corpus", corpus8), "COR-wheel covers n = 4, 5, 6, ...; got 3"),
         (("wheel", "3", corpus8), "COR-wheel covers n = 4, 5, 6, ...; got 3"),
         (("path-class", "7", corpus8), "P-path-class covers n = 6, 9, 12, ...; got 7"),
+        # W_n and P_n are walked under the enumeration guard, which --n meets or not.
+        (("wheel", "30", corpus8), "order 30 exceeds the enumeration guard (24); raise it via "
+                                   "the guard argument (CLI: --guard-override)"),
+        (("path-class", "30", corpus8), "order 30 exceeds the enumeration guard (24); raise it via "
+                                        "the guard argument (CLI: --guard-override)"),
+        (("verify", "P-path-class", "--n", "30", "--corpus", corpus8),
+         "order 30 exceeds the enumeration guard (24); raise it via the guard argument "
+         "(CLI: --guard-override)"),
+        (("--guard-override", "50", "wheel", "45", corpus8),
+         "order 45 exceeds 40, the largest order any guard lets a 2^n enumeration reach"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", f"dompoly: {message}\n"), argv
@@ -347,11 +359,15 @@ def test_graph6_records_are_decoded_as_they_are_walked(capsys, monkeypatch, tmp_
     f.write_bytes(b"\n".join([encode_graph6(complete(62))] + [encode_graph6(cycle(5))] * 999) + b"\n")
     parsed = []
     monkeypatch.setattr(cli, "parse_graph6", lambda rec: parsed.append(rec) or parse_graph6(rec))
+    # Only corpus classification reads records through the oracle's byte tables.
+    tables = cache(oracle._graph6_table.__wrapped__)
+    monkeypatch.setattr(oracle, "_graph6_table", tables)
     refusal = "dompoly: order 62 exceeds 40, the largest order any guard lets a 2^n enumeration reach\n"
     for verb, extra in (("poly", ()), ("eval", ("--at", "2")), ("gamma", ())):
         parsed.clear()
         code, out, err = run(capsys, verb, "--graph6", str(f), *extra)
         assert (code, out, err, len(parsed)) == (3, "", refusal, 1), verb
+    assert tables.cache_info().misses == 0
     # In file order, so an oversized record before a malformed one is the one reported.
     f.write_bytes(encode_graph6(complete(62)) + b"\nnot a record!!\n")
     assert run(capsys, "gamma", "--graph6", str(f))[2] == refusal

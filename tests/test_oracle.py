@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 from math import comb
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from dompoly import oracle
 from dompoly.errors import SizeGuardError
-from dompoly.graphs import Graph, complete, cycle, disjoint_union, parse_graph6, path, wheel
+from dompoly.graphs import Graph, complete, cycle, disjoint_union, encode_graph6, parse_graph6, path, wheel
 from dompoly.oracle import domination_number, domination_polynomial, domination_profile
 from dompoly.polynomials import IntPolynomial
 
@@ -236,6 +237,33 @@ def test_truth_tables_are_built_once_per_order_on_first_use():
                            capture_output=True, text=True, check=True)
     # None at import; order 5's once; none for the pair sum's order 11.
     assert child.stdout.split() == ["0", "1", "1", "1"]
+
+
+@pytest.mark.parametrize("order", [4, 5, 6, 7, 8])
+def test_graph6_profile_matches_the_parsed_walk_on_the_corpus(order):
+    for record in load_corpus(order):
+        assert oracle.graph6_profile(record, 9) == domination_profile(parse_graph6(record)), record
+
+
+def test_graph6_profile_matches_the_parsed_walk_on_random_graphs():
+    rng = random.Random(22)
+    for n in range(oracle.TRUTH_TABLE_MAX_ORDER + 1):
+        for density in (0, 0.1, 0.3, 0.5, 0.7, 1):
+            for _ in range(5):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+                record = encode_graph6(Graph.from_edges(n, edges))
+                assert oracle.graph6_profile(record, n) == domination_profile(parse_graph6(record)), record
+
+
+def test_graph6_tables_serve_only_orders_up_to_the_cutoff_and_the_guard(monkeypatch):
+    tables = cache(oracle._graph6_table.__wrapped__)
+    monkeypatch.setattr(oracle, "_graph6_table", tables)
+    cutoff = oracle.TRUTH_TABLE_MAX_ORDER
+    for n, guard in ((cutoff + 1, 40), (40, 40), (61, 62), (62, 62), (9, 8), (4, 3)):
+        assert oracle.graph6_profile(encode_graph6(cycle(n)), guard) is None, n
+    assert tables.cache_info().misses == 0
+    assert oracle.graph6_profile(encode_graph6(cycle(4)), 4) == (0, 6, 4, 1)
+    assert tables.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("order", [4, 5, 6, 7, 8])

@@ -3,16 +3,16 @@ import itertools
 import json
 import math
 import random
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import pytest
 
 from dompoly.cycles import alpha, cycle_jets, cycle_polynomial, cycle_polynomials
-from dompoly.errors import ParameterDomainError, SizeGuardError
-from dompoly.graphs import cycle, disjoint_union, encode_graph6, complete, parse_graph6, path, wheel
+from dompoly.errors import InputError, ParameterDomainError, SizeGuardError
+from dompoly.graphs import Graph, cycle, disjoint_union, encode_graph6, complete, parse_graph6, path, wheel
 from dompoly.oracle import domination_polynomial
 from dompoly.polynomials import IntPolynomial, ord_p
-from dompoly import cycles, verify
+from dompoly import cycles, oracle, verify
 from dompoly.verify import (
     CHECKS,
     FINGERPRINT_MODULUS,
@@ -733,17 +733,95 @@ def test_streamed_classification_with_a_bad_and_an_over_guard_record():
 
 
 def test_classification_walks_each_record_before_reading_the_next(monkeypatch):
+    """By either route: the oracle's byte tables up to TRUTH_TABLE_MAX_ORDER,
+    `parse_graph6` then `domination_profile` above it."""
     walked = []
-    walk = verify.domination_profile
-    monkeypatch.setattr(verify, "domination_profile", lambda g, **kw: walked.append(g.n) or walk(g, **kw))
+    for name in ("graph6_profile", "domination_profile"):
+        def spy(*args, name=name, walk=getattr(verify, name), **kw):
+            key = walk(*args, **kw)
+            if key is not None:
+                walked.append((name, len(key)))
+            return key
 
-    def records():
-        for i, g in enumerate((cycle(4), path(5), wheel(6))):
+        monkeypatch.setattr(verify, name, spy)
+
+    def records(graphs):
+        for i, g in enumerate(graphs):
             assert len(walked) == i  # every record drawn so far is walked
             yield encode_graph6(g)
 
-    result = classify_corpus(records())
-    assert walked == [4, 5, 6] and len(result.classes) == 3
+    for route, graphs, guard in (
+        ("graph6_profile", (cycle(4), path(5), wheel(6)), None),
+        ("domination_profile", (cycle(11), path(11), wheel(11)), 11),
+    ):
+        walked.clear()
+        result = classify_corpus(records(graphs), corpus_guard=guard)
+        assert walked == [(route, g.n) for g in graphs] and len(result.classes) == 3
+
+
+def _classified_or_refused(records, guard):
+    try:
+        return classify_corpus(records, corpus_guard=guard).to_json_dict()
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _mutations(record):
+    """Records `parse_graph6` refuses or reads differently: every order
+    byte 63..75 and 126, a foreign format, a body byte out of range, a set
+    padding bit, one byte short or long, and the empty record."""
+    yield from (bytes([order]) + record[1:] for order in [*range(63, 76), 126])
+    yield from (prefix + record[1:] for prefix in (b":", b";", b"&"))
+    yield from (record + tail for tail in (b"?", b"~"))
+    if len(record) > 1:
+        yield record[:-1]
+        for bad in (0, 62, 127, 255):
+            yield record[:1] + bytes([bad]) + record[2:]
+            yield record[:-1] + bytes([bad])
+        yield record[:-1] + bytes([record[-1] | 1])  # the lowest bit; padding unless 6 | n(n-1)/2
+    yield b""
+
+
+def test_classification_by_byte_tables_matches_the_parse_route(monkeypatch):
+    """Classes, parse errors (index, record, message) and refusals are the
+    same with the oracle's byte-table route turned off, on seeded graphs of
+    orders 0..10 and their mutations, under corpus guards that refuse
+    some orders and admit others."""
+    rng = random.Random(22)
+    graphs = [
+        encode_graph6(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                           if rng.random() < density]))
+        for n in range(11) for density in (0, 0.3, 0.7, 1)
+    ]
+    records = graphs + [m for record in graphs for m in _mutations(record)]
+    rng.shuffle(records)
+    # Order byte 126 raises out of the classification, so the whole list
+    # goes without it and each record is also classified on its own.
+    listed = [r for r in records if r[:1] != b"~"]
+    by_list = {guard: _classified_or_refused(listed, guard) for guard in (None, 10)}
+    by_record = {(guard, r): _classified_or_refused([r], guard) for guard in (0, 7, 9, 10) for r in records}
+    monkeypatch.setattr(verify, "graph6_profile", lambda record, guard: None)
+    assert by_list == {guard: _classified_or_refused(listed, guard) for guard in (None, 10)}
+    assert by_record == {key: _classified_or_refused([key[1]], key[0]) for key in by_record}
+    errors = " ".join(e["error"] for e in by_list[10]["parse_errors"])
+    for refusal in ("nonzero padding bit", "outside graph6 range", "truncated", "trailing",
+                    "empty record", "sparse6", "digraph6"):
+        assert refusal in errors, refusal
+
+
+def test_interleaved_orders_classify_as_their_union_with_one_table_each(monkeypatch, corpus, classified):
+    orders = range(4, 9)
+    union = [c for n in orders for c in classified(n).to_json_dict()["classes"]]
+    mixed = [r for row in itertools.zip_longest(*map(corpus, orders)) for r in row if r is not None]
+    tables = cache(oracle._graph6_table.__wrapped__)
+    monkeypatch.setattr(oracle, "_graph6_table", tables)
+    result = classify_corpus(mixed).to_json_dict()
+    assert result["parse_errors"] == []
+    assert sorted(map(json.dumps, result["classes"])) == sorted(map(json.dumps, union))
+    assert (tables.cache_info().misses, tables.cache_info().hits) == (5, len(mixed) - 5)
+    # Order 11 is above the cutoff: parse_graph6 reads it and no table is built.
+    classify_corpus([encode_graph6(cycle(11))], corpus_guard=11)
+    assert tables.cache_info().misses == 5
 
 
 def test_classification_keys_records_by_profile(monkeypatch, classified, corpus):
