@@ -85,8 +85,9 @@ def cycle_polynomials() -> Iterator[IntPolynomial]:
     # The constants that `cycle_jets` is seeded with: D_{-2}, D_{-1}, D_0.
     older, old, last = (-1,), (-1,), (3,)
     while True:
-        coeffs = (0, *(a + b + c for a, b, c in zip_longest(older, old, last, fillvalue=0)))
-        yield IntPolynomial(coeffs)
+        # D_n's leading coefficient is 1, so the tuple is canonical as built.
+        coeffs = (0, *map(sum, zip_longest(older, old, last, fillvalue=0)))
+        yield IntPolynomial._of(coeffs)
         older, old, last = old, last, coeffs
 
 

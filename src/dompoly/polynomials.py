@@ -2,13 +2,16 @@
 
 Coefficients are plain Python ints, so every operation is exact at any
 size. The coefficient vector is kept canonical: no trailing zeros, and the
-zero polynomial is the empty vector. Multiplication is schoolbook
-convolution, O(d1*d2) coefficient products; the degrees in this package
-stay in the low hundreds, where that is the right trade.
+zero polynomial is the empty vector. The public constructor converts and
+trims what it is given; sums, products and derivatives are built
+canonical and skip that through the private `_of`. Multiplication is
+schoolbook convolution, O(d1*d2) coefficient products; the degrees in
+this package stay in the low hundreds, where that is the right trade.
 """
 
 from __future__ import annotations
 
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from .errors import ValuationError
@@ -29,6 +32,14 @@ class IntPolynomial:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         object.__setattr__(self, "coeffs", _trim([int(c) for c in coeffs]))
+
+    @classmethod
+    def _of(cls, coeffs: tuple[int, ...]) -> "IntPolynomial":
+        """A polynomial on a tuple of ints the caller built canonical (no
+        trailing zero): no re-check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
@@ -67,10 +78,7 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+        return IntPolynomial._of(_trim([*map(add, a, b), *a[len(b):]]))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -82,7 +90,7 @@ class IntPolynomial:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-        return IntPolynomial(out)
+        return IntPolynomial._of(_trim(out))
 
     def eval_at(self, t: int) -> int:
         """Exact evaluation at the integer t, by Horner's rule."""
@@ -93,7 +101,8 @@ class IntPolynomial:
 
     def derivative(self) -> "IntPolynomial":
         """Formal derivative."""
-        return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        coeffs = self.coeffs
+        return IntPolynomial._of(tuple(map(mul, range(1, len(coeffs)), coeffs[1:])))
 
     def coefficient_strings(self) -> list[str]:
         """Decimal coefficient strings, degree 0 upward (the wire form)."""

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import time
 from itertools import combinations_with_replacement, islice
+from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable, Iterator
 
@@ -60,11 +61,13 @@ from .errors import Graph6FormatError, Graph6ParseError, ParameterDomainError, S
 from .graphs import Graph, cycle, disjoint_union, parse_graph6, path, wheel
 from .oracle import (
     DEFAULT_GUARD,
+    LANES,
     MAX_ORDER,
     domination_number,
     domination_polynomial,
     domination_profile,
-    graph6_profile,
+    graph6_lane_lengths,
+    graph6_profiles,
 )
 from .polynomials import IntPolynomial, ord_p
 
@@ -698,18 +701,22 @@ def classify_corpus(
 
     Records are grouped by their domination profile, which determines the
     polynomial; each class builds its key polynomial once. A record the
-    oracle's byte table reads (`graph6_profile`: an order up to
-    TRUTH_TABLE_MAX_ORDER and `corpus_guard`, well formed) goes straight
-    into the truth-table walk with no Graph built. Any other record goes
+    oracle's byte lanes read (an order up to TRUTH_TABLE_MAX_ORDER and
+    `corpus_guard`, of its order's length) waits with the others of its
+    order until LANES of them are drawn or the input ends, and they are
+    walked at once by `graph6_profiles`, with no Graph built. A batch with a
+    byte outside 63..126 or a set padding bit, and any other record, goes
     through `parse_graph6`, the guard check and `domination_profile`, so
     errors and refusals are theirs. Per-record parse failures are
-    collected, not fatal. An order above `corpus_guard` (None means
-    DEFAULT_CORPUS_GUARD, 9; a full order-10 corpus is ~12M graphs) is
-    fatal, since it means the whole file is at the wrong scale. The oracle
-    runs under the same guard, which every record that passes it meets.
+    collected, not fatal, and listed in index order. An order above
+    `corpus_guard` (None means DEFAULT_CORPUS_GUARD, 9; a full order-10
+    corpus is ~12M graphs) is fatal, since it means the whole file is at
+    the wrong scale. The oracle runs under the same guard, which every
+    record that passes it meets.
 
-    Each record is read, guard-checked and walked before the next is
-    drawn, so memory holds the classes, not every parsed graph.
+    A record the lanes cannot read is walked before the next is drawn, and
+    at most LANES records per order wait unwalked, so memory holds the
+    classes and those batches, not every parsed graph.
 
     Classes come back sorted by descending size, then by key polynomial
     (degree, then coefficients); members are sorted strings, so output is
@@ -717,34 +724,65 @@ def classify_corpus(
     """
     if corpus_guard is None:
         corpus_guard = DEFAULT_CORPUS_GUARD
-    groups: dict[tuple[int, ...], list[str]] = {}
+    groups: dict[tuple[int, ...], list[bytes]] = {}
     errors: list[dict] = []
+
+    def parse_route(idx: int, rec: bytes):
+        try:
+            g = parse_graph6(rec)
+        except (Graph6ParseError, Graph6FormatError) as exc:
+            errors.append({"index": idx, "record": rec.decode("ascii", errors="replace"),
+                           "error": str(exc)})
+            return
+        if g.n > corpus_guard:
+            raise SizeGuardError(
+                f"corpus record {idx} has order {g.n} above the corpus guard "
+                f"({corpus_guard}); raise it via corpus_guard (CLI: --guard-override)"
+            )
+        groups.setdefault(domination_profile(g, guard=corpus_guard), []).append(rec)
+
+    def walk(indices: list[int], batch: list[bytes]):
+        profiles = graph6_profiles(batch)
+        if profiles is None:
+            for idx, rec in zip(indices, batch):
+                parse_route(idx, rec)
+        else:
+            for key, rec in zip(profiles, batch):
+                groups.setdefault(key, []).append(rec)
+        indices.clear()
+        batch.clear()
+
+    lengths = graph6_lane_lengths(corpus_guard)
+    pending = {head: ([], []) for head in lengths}
     for idx, rec in enumerate(records):
-        text = rec.decode("ascii", errors="replace")
-        key = graph6_profile(rec, corpus_guard)
-        if key is None:
-            try:
-                g = parse_graph6(rec)
-            except (Graph6ParseError, Graph6FormatError) as exc:
-                errors.append({"index": idx, "record": text, "error": str(exc)})
-                continue
-            if g.n > corpus_guard:
-                raise SizeGuardError(
-                    f"corpus record {idx} has order {g.n} above the corpus guard "
-                    f"({corpus_guard}); raise it via corpus_guard (CLI: --guard-override)"
-                )
-            key = domination_profile(g, guard=corpus_guard)
-        groups.setdefault(key, []).append(text)
+        head = rec[:1]
+        if len(rec) == lengths.get(head):
+            indices, batch = pending[head]
+            indices.append(idx)
+            batch.append(rec)
+            if len(batch) == LANES:
+                walk(indices, batch)
+        else:
+            parse_route(idx, rec)
+    for indices, batch in pending.values():
+        if batch:
+            walk(indices, batch)
+    # A batch that fell back was parsed after the records drawn behind it.
+    errors.sort(key=itemgetter("index"))
 
     # The null graph's empty profile is the polynomial 1, as in
-    # `domination_polynomial`; every other profile ends in d(G, n) = 1.
+    # `domination_polynomial`; every other profile ends in d(G, n) = 1. So
+    # a profile's length is its polynomial's degree, and profiles of one
+    # length sort as their polynomials' coefficients do. Every member
+    # parsed, so it is ASCII with no newline.
+    ordered = sorted(groups.items(), key=lambda item: (-len(item[1]), len(item[0]), item[0]))
     classes = [
         EquivalenceClassReport(
-            IntPolynomial((0,) + key) if key else IntPolynomial.one(), sorted(members)
+            IntPolynomial._of((0, *key) if key else (1,)),
+            b"\n".join(sorted(members)).decode("ascii").split("\n"),
         )
-        for key, members in groups.items()
+        for key, members in ordered
     ]
-    classes.sort(key=lambda c: (-c.class_size, c.key_polynomial.degree, c.key_polynomial.coeffs))
     return CorpusClassification(classes, errors)
 
 

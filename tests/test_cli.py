@@ -359,15 +359,15 @@ def test_graph6_records_are_decoded_as_they_are_walked(capsys, monkeypatch, tmp_
     f.write_bytes(b"\n".join([encode_graph6(complete(62))] + [encode_graph6(cycle(5))] * 999) + b"\n")
     parsed = []
     monkeypatch.setattr(cli, "parse_graph6", lambda rec: parsed.append(rec) or parse_graph6(rec))
-    # Only corpus classification reads records through the oracle's byte tables.
-    tables = cache(oracle._graph6_table.__wrapped__)
-    monkeypatch.setattr(oracle, "_graph6_table", tables)
+    # Only corpus classification reads records through the oracle's byte lanes.
+    layouts = cache(oracle._graph6_layout.__wrapped__)
+    monkeypatch.setattr(oracle, "_graph6_layout", layouts)
     refusal = "dompoly: order 62 exceeds 40, the largest order any guard lets a 2^n enumeration reach\n"
     for verb, extra in (("poly", ()), ("eval", ("--at", "2")), ("gamma", ())):
         parsed.clear()
         code, out, err = run(capsys, verb, "--graph6", str(f), *extra)
         assert (code, out, err, len(parsed)) == (3, "", refusal, 1), verb
-    assert tables.cache_info().misses == 0
+    assert layouts.cache_info().misses == 0
     # In file order, so an oversized record before a malformed one is the one reported.
     f.write_bytes(encode_graph6(complete(62)) + b"\nnot a record!!\n")
     assert run(capsys, "gamma", "--graph6", str(f))[2] == refusal

@@ -239,31 +239,60 @@ def test_truth_tables_are_built_once_per_order_on_first_use():
     assert child.stdout.split() == ["0", "1", "1", "1"]
 
 
+def _lane_profiles(records):
+    """The byte lanes' profiles, LANES records at a time."""
+    lanes = oracle.LANES
+    return [p for i in range(0, len(records), lanes) for p in oracle.graph6_profiles(records[i:i + lanes])]
+
+
 @pytest.mark.parametrize("order", [4, 5, 6, 7, 8])
 def test_graph6_profile_matches_the_parsed_walk_on_the_corpus(order):
-    for record in load_corpus(order):
-        assert oracle.graph6_profile(record, 9) == domination_profile(parse_graph6(record)), record
+    records = load_corpus(order)
+    assert _lane_profiles(records) == [domination_profile(parse_graph6(r)) for r in records]
 
 
 def test_graph6_profile_matches_the_parsed_walk_on_random_graphs():
     rng = random.Random(22)
     for n in range(oracle.TRUTH_TABLE_MAX_ORDER + 1):
-        for density in (0, 0.1, 0.3, 0.5, 0.7, 1):
-            for _ in range(5):
-                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
-                record = encode_graph6(Graph.from_edges(n, edges))
-                assert oracle.graph6_profile(record, n) == domination_profile(parse_graph6(record)), record
+        records = [
+            encode_graph6(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                               if rng.random() < density]))
+            for density in (0, 0.1, 0.3, 0.5, 0.7, 1) for _ in range(5)
+        ]
+        assert bytes([63 + n]) in oracle.graph6_lane_lengths(n)
+        assert _lane_profiles(records) == [domination_profile(parse_graph6(r)) for r in records], n
 
 
 def test_graph6_tables_serve_only_orders_up_to_the_cutoff_and_the_guard(monkeypatch):
-    tables = cache(oracle._graph6_table.__wrapped__)
-    monkeypatch.setattr(oracle, "_graph6_table", tables)
+    layouts = cache(oracle._graph6_layout.__wrapped__)
+    monkeypatch.setattr(oracle, "_graph6_layout", layouts)
     cutoff = oracle.TRUTH_TABLE_MAX_ORDER
     for n, guard in ((cutoff + 1, 40), (40, 40), (61, 62), (62, 62), (9, 8), (4, 3)):
-        assert oracle.graph6_profile(encode_graph6(cycle(n)), guard) is None, n
-    assert tables.cache_info().misses == 0
-    assert oracle.graph6_profile(encode_graph6(cycle(4)), 4) == (0, 6, 4, 1)
-    assert tables.cache_info().misses == 1
+        lengths = oracle.graph6_lane_lengths(guard)
+        assert encode_graph6(cycle(n))[:1] not in lengths, n
+        assert max(lengths) == bytes([63 + min(cutoff, guard)])
+    assert layouts.cache_info().misses == 0
+    record = encode_graph6(cycle(4))
+    assert oracle.graph6_lane_lengths(4)[record[:1]] == len(record)
+    assert list(oracle.graph6_profiles([record])) == [(0, 6, 4, 1)]
+    assert layouts.cache_info().misses == 1
+
+
+def test_byte_lanes_hold_every_count_up_to_the_cutoff():
+    """A lane is one byte, and d(G, k) <= C(n, k): below 256 for every order
+    the lanes read (C(10, 5) = 252), but not at 11 (C(11, 5) = 462)."""
+    for n in range(oracle.TRUTH_TABLE_MAX_ORDER + 1):
+        assert max(comb(n, k) for k in range(n + 1)) < 256, n
+
+
+def test_complete_10_fills_its_lane_without_a_carry():
+    """K_10's d = 252 at k = 5 is the largest count a lane holds; beside
+    the empty graph's lanes, a carry out of it would show in theirs."""
+    k10, empty = encode_graph6(complete(10)), encode_graph6(Graph(10, [1 << v for v in range(10)]))
+    full, alone = domination_profile(complete(10)), (0,) * 9 + (1,)
+    profiles = list(oracle.graph6_profiles([k10, empty, k10, k10, empty]))
+    assert profiles == [full, alone, full, full, alone]
+    assert full[4] == 252 == max(full)
 
 
 @pytest.mark.parametrize("order", [4, 5, 6, 7, 8])

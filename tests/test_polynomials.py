@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from dompoly.cycles import cycle_polynomials
 from dompoly.errors import ValuationError
 from dompoly.polynomials import IntPolynomial, ord_p
 
@@ -100,6 +103,27 @@ def test_leibniz_rule(p, q):
 def test_canonical_form_closed_under_operations(p, q):
     for result in (p + q, p * q, p.derivative()):
         assert not result.coeffs or result.coeffs[-1] != 0
+
+
+def _canonical(r):
+    return type(r) is IntPolynomial and r.coeffs == IntPolynomial(r.coeffs).coeffs and all(
+        type(c) is int for c in r.coeffs)
+
+
+def test_results_built_unchecked_are_canonical():
+    """Sums, products, derivatives and cycle polynomials skip the public
+    constructor's checks; each must still equal what that constructor
+    builds from its coefficients."""
+    rng = random.Random(23)
+    for _ in range(500):
+        p, q = (IntPolynomial(rng.randint(-4, 4) for _ in range(rng.randint(0, 7))) for _ in "pq")
+        neg = IntPolynomial(-c for c in p.coeffs)
+        constant = IntPolynomial((rng.randint(-9, 9),))
+        results = (p + q, q + p, p * q, p.derivative(), p + neg, neg + p, p * neg, constant.derivative())
+        assert all(map(_canonical, results)), (p, q)
+        assert (p + neg).is_zero and constant.derivative().is_zero
+    for n, d in zip(range(1, 60), cycle_polynomials()):
+        assert _canonical(d) and d.degree == n
 
 
 @given(

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -732,31 +733,45 @@ def test_streamed_classification_with_a_bad_and_an_over_guard_record():
     }
 
 
-def test_classification_walks_each_record_before_reading_the_next(monkeypatch):
-    """By either route: the oracle's byte tables up to TRUTH_TABLE_MAX_ORDER,
-    `parse_graph6` then `domination_profile` above it."""
-    walked = []
-    for name in ("graph6_profile", "domination_profile"):
-        def spy(*args, name=name, walk=getattr(verify, name), **kw):
-            key = walk(*args, **kw)
-            if key is not None:
-                walked.append((name, len(key)))
-            return key
+def test_classification_holds_at_most_lanes_records_of_an_order_unwalked(monkeypatch, corpus, classified):
+    """By the byte lanes, no more than LANES records of one order are drawn
+    and not yet walked; by `parse_graph6` then `domination_profile` (order
+    11, above TRUTH_TABLE_MAX_ORDER), each record is walked before the next
+    is drawn."""
+    orders = range(4, 9)
+    union = sum(len(classified(n).classes) for n in orders)
+    walked = collections.Counter()
 
-        monkeypatch.setattr(verify, name, spy)
+    def lanes_spy(batch, walk=verify.graph6_profiles):
+        walked[batch[0][0] - 63] += len(batch)
+        return walk(batch)
 
-    def records(graphs):
-        for i, g in enumerate(graphs):
-            assert len(walked) == i  # every record drawn so far is walked
-            yield encode_graph6(g)
+    def parse_spy(g, walk=verify.domination_profile, **kw):
+        walked[g.n] += 1
+        return walk(g, **kw)
 
-    for route, graphs, guard in (
-        ("graph6_profile", (cycle(4), path(5), wheel(6)), None),
-        ("domination_profile", (cycle(11), path(11), wheel(11)), 11),
-    ):
-        walked.clear()
-        result = classify_corpus(records(graphs), corpus_guard=guard)
-        assert walked == [(route, g.n) for g in graphs] and len(result.classes) == 3
+    monkeypatch.setattr(verify, "graph6_profiles", lanes_spy)
+    monkeypatch.setattr(verify, "domination_profile", parse_spy)
+    drawn, most_pending = collections.Counter(), collections.Counter()
+
+    def records(recs):
+        for rec in recs:
+            n = rec[0] - 63
+            drawn[n] += 1
+            yield rec
+            most_pending[n] = max(most_pending[n], drawn[n] - walked[n])
+
+    mixed = [r for row in itertools.zip_longest(*map(corpus, orders)) for r in row if r is not None]
+    assert len(classify_corpus(records(mixed)).classes) == union
+    assert walked == drawn and max(most_pending.values()) <= verify.LANES
+    # Order 8's 12,346 records fill a batch, whose last record is walked
+    # before the next is drawn.
+    assert most_pending[8] == verify.LANES - 1
+
+    drawn.clear(), walked.clear(), most_pending.clear()
+    result = classify_corpus(records(map(encode_graph6, (cycle(11), path(11), wheel(11)))),
+                             corpus_guard=11)
+    assert len(result.classes) == 3 and walked == drawn == {11: 3} and most_pending == {11: 0}
 
 
 def _classified_or_refused(records, guard):
@@ -778,13 +793,19 @@ def _mutations(record):
         for bad in (0, 62, 127, 255):
             yield record[:1] + bytes([bad]) + record[2:]
             yield record[:-1] + bytes([bad])
-        yield record[:-1] + bytes([record[-1] | 1])  # the lowest bit; padding unless 6 | n(n-1)/2
+        # The lowest bit of the byte less 63; padding unless 6 | n(n-1)/2.
+        yield record[:-1] + bytes([63 + (record[-1] - 63 | 1)])
     yield b""
+
+
+def _parse_route_only(monkeypatch):
+    """Turn the byte lanes off: every record takes `parse_graph6`."""
+    monkeypatch.setattr(verify, "graph6_lane_lengths", lambda guard: {})
 
 
 def test_classification_by_byte_tables_matches_the_parse_route(monkeypatch):
     """Classes, parse errors (index, record, message) and refusals are the
-    same with the oracle's byte-table route turned off, on seeded graphs of
+    same with the oracle's byte lanes turned off, on seeded graphs of
     orders 0..10 and their mutations, under corpus guards that refuse
     some orders and admit others."""
     rng = random.Random(22)
@@ -800,7 +821,7 @@ def test_classification_by_byte_tables_matches_the_parse_route(monkeypatch):
     listed = [r for r in records if r[:1] != b"~"]
     by_list = {guard: _classified_or_refused(listed, guard) for guard in (None, 10)}
     by_record = {(guard, r): _classified_or_refused([r], guard) for guard in (0, 7, 9, 10) for r in records}
-    monkeypatch.setattr(verify, "graph6_profile", lambda record, guard: None)
+    _parse_route_only(monkeypatch)
     assert by_list == {guard: _classified_or_refused(listed, guard) for guard in (None, 10)}
     assert by_record == {key: _classified_or_refused([key[1]], key[0]) for key in by_record}
     errors = " ".join(e["error"] for e in by_list[10]["parse_errors"])
@@ -813,15 +834,62 @@ def test_interleaved_orders_classify_as_their_union_with_one_table_each(monkeypa
     orders = range(4, 9)
     union = [c for n in orders for c in classified(n).to_json_dict()["classes"]]
     mixed = [r for row in itertools.zip_longest(*map(corpus, orders)) for r in row if r is not None]
-    tables = cache(oracle._graph6_table.__wrapped__)
-    monkeypatch.setattr(oracle, "_graph6_table", tables)
+    layouts = cache(oracle._graph6_layout.__wrapped__)
+    monkeypatch.setattr(oracle, "_graph6_layout", layouts)
     result = classify_corpus(mixed).to_json_dict()
     assert result["parse_errors"] == []
     assert sorted(map(json.dumps, result["classes"])) == sorted(map(json.dumps, union))
-    assert (tables.cache_info().misses, tables.cache_info().hits) == (5, len(mixed) - 5)
-    # Order 11 is above the cutoff: parse_graph6 reads it and no table is built.
+    # One layout per order, read once per batch of up to LANES records.
+    batches = sum(-(-len(corpus(n)) // verify.LANES) for n in orders)
+    assert (layouts.cache_info().misses, layouts.cache_info().hits) == (5, batches - 5)
+    # Order 11 is above the cutoff: parse_graph6 reads it and no layout is built.
     classify_corpus([encode_graph6(cycle(11))], corpus_guard=11)
-    assert tables.cache_info().misses == 5
+    assert layouts.cache_info().misses == 5
+
+
+@pytest.mark.parametrize("size, batches", [
+    (oracle.LANES - 1, [oracle.LANES - 1]), (oracle.LANES, [oracle.LANES]),
+    (oracle.LANES + 1, [oracle.LANES, 1]),
+])
+def test_batches_around_lanes_records_match_the_parse_route(monkeypatch, corpus, size, batches):
+    records = corpus(8)[:size]
+    walked = []
+    monkeypatch.setattr(verify, "graph6_profiles",
+                        lambda batch, walk=verify.graph6_profiles: walked.append(len(batch)) or walk(batch))
+    by_lanes = classify_corpus(records).to_json_dict()
+    assert walked == batches
+    _parse_route_only(monkeypatch)
+    assert by_lanes == classify_corpus(records).to_json_dict()
+
+
+def test_malformed_record_in_a_full_batch_takes_the_parse_route(monkeypatch, corpus):
+    """A padding bit or an out-of-range byte in a record of the right order
+    and length sends its whole batch through `parse_graph6`; the parse
+    errors still come back in index order, among those of records that
+    were parsed as they were drawn."""
+    records = corpus(8)[:verify.LANES + 3]
+    good = records[1000]
+    records[5] = records[1800] = b"not graph6"
+    records[1000] = good[:-1] + bytes([63 + (good[-1] - 63 | 1)])  # a padding bit: 28 bits in 5 bytes
+    records[1500] = good[:2] + b"\x7f" + good[3:]
+    records.append(b"?" + good)
+    walked = []
+
+    def spy(batch, walk=verify.graph6_profiles):
+        profiles = walk(batch)
+        walked.append((len(batch), profiles is None))
+        return profiles
+
+    monkeypatch.setattr(verify, "graph6_profiles", spy)
+    by_lanes = classify_corpus(records).to_json_dict()
+    # The full batch fell back; the one record drawn after it took the lanes.
+    assert walked == [(verify.LANES, True), (1, False)]
+    errors = by_lanes["parse_errors"]
+    assert [e["index"] for e in errors] == [5, 1000, 1500, 1800, 2051]
+    assert [errors[1]["error"], errors[2]["error"]] == [
+        "nonzero padding bit (byte offset 5)", "byte 127 outside graph6 range (byte offset 2)"]
+    _parse_route_only(monkeypatch)
+    assert by_lanes == classify_corpus(records).to_json_dict()
 
 
 def test_classification_keys_records_by_profile(monkeypatch, classified, corpus):
@@ -834,6 +902,17 @@ def test_classification_keys_records_by_profile(monkeypatch, classified, corpus)
 
     monkeypatch.setattr(verify, "domination_polynomial", no_polynomial)
     assert classify_corpus(corpus(6)).to_json_dict() == expected
+
+
+def test_class_keys_and_walked_polynomials_are_canonical(classified, corpus):
+    """Class keys and `domination_polynomial` skip the public constructor's
+    checks; each equals what that constructor builds."""
+    for n in range(4, 9):
+        for c in classified(n).classes:
+            assert c.key_polynomial == IntPolynomial(c.key_polynomial.coeffs) and c.key_polynomial.degree == n
+    for record in [b"?", *corpus(5)]:
+        d = domination_polynomial(parse_graph6(record))
+        assert d.coeffs == IntPolynomial(d.coeffs).coeffs and d.coeffs[-1] == 1
 
 
 def test_classify_null_graph():
