@@ -20,12 +20,17 @@ neither: `cycle_polynomials`, `cycle_jets` and its seeds, `b_values`,
 
 Nothing is memoized: `cycle_polynomials`, `cycle_jets` and `b_values`
 are generators holding three terms; the single-n functions take the n-th
-item of a fresh walk, so loops over n walk a generator instead.
+item of a fresh walk, so loops over n walk a generator instead. The
+walks are straight-line steps: `cycle_polynomials` adds three coefficient
+tuples of known lengths with C-level `map`, and `cycle_jets(t)` (k = 0,
+the values alone) holds three ints, while k >= 1 takes the Leibniz step
+on whole jets.
 """
 
 from __future__ import annotations
 
-from itertools import count, islice, zip_longest
+from itertools import count, islice
+from operator import add
 from typing import Iterator
 
 from .errors import InternalInconsistencyError, ParameterDomainError
@@ -85,8 +90,11 @@ def cycle_polynomials() -> Iterator[IntPolynomial]:
     # The constants that `cycle_jets` is seeded with: D_{-2}, D_{-1}, D_0.
     older, old, last = (-1,), (-1,), (3,)
     while True:
-        # D_n's leading coefficient is 1, so the tuple is canonical as built.
-        coeffs = (0, *map(sum, zip_longest(older, old, last, fillvalue=0)))
+        # last is the longest of the three, at most one longer than old and
+        # two longer than older (lengths n, n-1, n-2 from D_3 on), so the
+        # zero-padded sums read every coefficient. D_n's leading
+        # coefficient is 1, so the tuple is canonical as built.
+        coeffs = (0, *map(add, map(add, last, old + (0,)), older + (0, 0)))
         yield IntPolynomial._of(coeffs)
         older, old, last = old, last, coeffs
 
@@ -105,11 +113,25 @@ def cycle_jets(t: int, k: int = 0) -> Iterator[tuple[int, ...]]:
         D_n^(j)(t) = t * S_n^(j)(t) + j * S_n^(j-1)(t),
 
     so each step needs only the last three jets: memory stays flat in n.
+    At k = 0 that is D_n(t) = t * S_n(t), walked on three ints.
     """
     if k < 0:
         raise ParameterDomainError(f"derivative order must be >= 0, got {k}")
     # Run backwards, the recurrence forces the constants D_{-2} = D_{-1} = -1
-    # and D_0 = 3; seeded with them, it holds from n = 1.
+    # and D_0 = 3; both walks are seeded with them, so it holds from n = 1.
+    return _value_walk(t) if k == 0 else _jet_walk(t, k)
+
+
+def _value_walk(t: int) -> Iterator[tuple[int]]:
+    """`cycle_jets(t, 0)`: (D(C_n, t),) on three ints, with no per-step list."""
+    older, old, last = -1, -1, 3
+    while True:
+        older, old, last = old, last, t * (older + old + last)
+        yield (last,)
+
+
+def _jet_walk(t: int, k: int) -> Iterator[tuple[int, ...]]:
+    """`cycle_jets(t, k)` for k >= 1, by the Leibniz step on whole jets."""
     zeros = (0,) * k
     older, old, last = (-1, *zeros), (-1, *zeros), (3, *zeros)
     while True:
@@ -129,10 +151,13 @@ def closed_jet(n: int) -> tuple[int, int, int]:
     """(alpha, beta, theta)(n), read from `JET_TABLE`. It holds for every
     n >= 1, and at n = -2, -1, 0 it gives the constants `cycle_jets` is
     seeded with."""
-    fours = [c0 + c1 * n + c2 * n * n for c0, c1, c2 in JET_TABLE[n % 4]]
-    if any(v % 4 for v in fours):
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = JET_TABLE[n % 4]
+    a = (a2 * n + a1) * n + a0
+    b = (b2 * n + b1) * n + b0
+    c = (c2 * n + c1) * n + c0
+    if (a | b | c) & 3:
         raise InternalInconsistencyError(f"JET_TABLE row {n % 4} is not 4 times an integer at n = {n}")
-    return tuple(v // 4 for v in fours)
+    return a >> 2, b >> 2, c >> 2
 
 
 def alpha(n: int) -> int:

@@ -9,10 +9,11 @@ Also here: the named families the rest of the package builds on, disjoint
 union and join, and a graph6 codec for ingesting corpora produced by the
 usual graph generators.
 
-`Graph(n, closed)` validates its masks, and every builder here goes
-through it except one: `parse_graph6` starts each mask at its own vertex
-and sets an edge u < v < n in both masks at once, so each parsed graph is
-valid as built and skips the per-record re-check.
+`Graph(n, closed)` validates its masks. Three builders skip that
+re-check because their masks are valid as built: `parse_graph6` and
+`from_edges` start each mask at its own vertex and set each in-range edge
+between two distinct vertices in both masks at once, and `disjoint_union`
+shifts two valid graphs' masks apart.
 """
 
 from __future__ import annotations
@@ -48,10 +49,13 @@ class Graph:
     """Immutable simple graph; `closed[v]` is the bitmask of N[v].
 
     The constructor checks that each mask stays inside the n vertices, holds
-    its own vertex and agrees with its neighbors' masks. `from_edges`, the
-    families, the operations and `induced_subgraph` all build through it.
-    Only `parse_graph6` builds through `_valid`, which skips the checks: it
-    sets every edge in both endpoints' masks, so its masks are valid as built.
+    its own vertex and agrees with its neighbors' masks. Three builders make
+    masks valid as built and go through `_valid`, which skips the checks:
+    `parse_graph6` and `from_edges` start each mask at its own vertex and set
+    every in-range edge between distinct vertices in both endpoints' masks,
+    and `disjoint_union` shifts the masks of two valid graphs apart.
+    `complete`, `join`, `induced_subgraph` and user code build through the
+    checks.
     """
 
     __slots__ = ("n", "closed")
@@ -99,7 +103,9 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for order {n}")
             closed[u] |= 1 << v
             closed[v] |= 1 << u
-        return cls(n, closed)
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        return cls._valid(n, tuple(closed))
 
     def degree(self, v: int) -> int:
         return self.closed[v].bit_count() - 1
@@ -257,8 +263,7 @@ def split_family_spec(spec: str) -> tuple[str, tuple[int, ...]]:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """g together with h, h's vertices shifted up by g.n."""
-    closed = list(g.closed) + [mask << g.n for mask in h.closed]
-    return Graph(g.n + h.n, closed)
+    return Graph._valid(g.n + h.n, (*g.closed, *[mask << g.n for mask in h.closed]))
 
 
 def join(g: Graph, h: Graph) -> Graph:

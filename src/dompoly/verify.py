@@ -22,7 +22,10 @@ the jet difference at -1 is a polynomial in the parts that is never 0.
 The closed forms (`cycles.JET_TABLE`, read through `closed_jet`) and the
 ord_3 table it reads are checked against the cycle jets at every n up to
 the range's end; L5-alpha, REL2-beta and REL3-theta check the closed forms
-too. L6-ord3 (n <= 30) and R1-remark (every n) check `cycles.B_MOD_9`,
+too, each by three routes: `closed_jet`, the jet walk at -1, and
+D^(j)(C_n, -1) read from the coefficients of a `cycle_polynomials` walk
+as one weighted sum (weights (-1)^(i-j) * i!/(i-j)!, built once per check).
+L6-ord3 (n <= 30) and R1-remark (every n) check `cycles.B_MOD_9`,
 read through `b_mod_9`, against `b_values`.
 
 Enumeration is the reference route (`verify_cycle_uniqueness_range`) and
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 import time
 from itertools import combinations_with_replacement, islice
-from operator import itemgetter
+from operator import itemgetter, mul
 from random import Random
 from typing import Callable, Iterable, Iterator
 
@@ -336,16 +339,25 @@ def verify_gamma_additivity_and_ceiling(n_max: int = 15) -> VerificationReport:
     return _report("L4-gamma", 1, n_max, bad, t0)
 
 
+def _derivative_weights(j: int, size: int) -> list[int]:
+    """w_0, ..., w_{size-1} with w_i = (-1)^(i-j) * i!/(i-j)! (0 for i < j):
+    the j-th derivative of sum c_i x^i at -1 is sum c_i * w_i."""
+    return [-math.perm(i, j) if (i - j) % 2 else math.perm(i, j) for i in range(size)]
+
+
 def _scalar_identity_report(lemma_id, n_max, j):
-    """Component j of `closed_jet` vs. the cycle jet at -1 vs. the j-times
-    differentiated polynomial."""
+    """Component j of `closed_jet` vs. the cycle jet at -1 vs. D^(j)(C_n, -1)
+    evaluated from the polynomial's coefficients, as one weighted sum with
+    the weights built once for degrees up to n_max."""
     t0 = time.perf_counter()
     bad = []
+    weights = _derivative_weights(j, n_max + 1)
     walk = zip(range(1, n_max + 1), cycle_jets(-1, j), cycle_polynomials())
     for n, jet, p in walk:
-        for _ in range(j):
-            p = p.derivative()
-        cf, rec, evaluated = closed_jet(n)[j], jet[j], p.eval_at(-1)
+        if len(p.coeffs) > len(weights):
+            # Only a walk off degree n gets here; the sum must read every coefficient.
+            weights = _derivative_weights(j, len(p.coeffs))
+        cf, rec, evaluated = closed_jet(n)[j], jet[j], sum(map(mul, p.coeffs, weights))
         if not (cf == rec == evaluated):
             bad.append({
                 "n": n, "closed_form": str(cf), "recurrence": str(rec),
@@ -506,13 +518,16 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
     for n1, n2, n3 in _triples(n_max):
         total += 1
         n = n1 + n2 + n3
-        product, want = _jet_product(_jet_product(jets[n1], jets[n2]), jets[n3]), jets[n]
+        f, g, h, want = jets[n1], jets[n2], jets[n3], jets[n]
+        # A triple whose alpha product differs from n's alpha cannot match
+        # n's jet and gets no case: its Leibniz products are never built.
+        if f[0] * g[0] * h[0] != want[0]:
+            continue
+        product = _jet_product(_jet_product(f, g), h)
         if product == want:
             full_compares += 1
             if partition_polynomial((n1, n2, n3)) == cycle_polynomial(n):
                 bad.append({"check": "product-equals-cycle", "n": n, "partition": [n1, n2, n3]})
-        if product[0] != want[0]:
-            continue
         compatible += 1
         pattern = (n % 4, tuple(sorted((n1 % 4, n2 % 4, n3 % 4))))
         case = TEN_CASES.get(pattern)
@@ -674,13 +689,19 @@ class CorpusClassification:
         problems = []
         if self.parse_errors:
             problems.append(f"unparseable records: {len(self.parse_errors)}")
-        wrong_order = sum(c.class_size for c in self.classes if c.key_polynomial.degree != n)
+        members, wrong_order = [], 0
+        for c in self.classes:
+            members += c.members
+            if c.key_polynomial.degree != n:
+                wrong_order += len(c.members)
         if wrong_order:
             problems.append(f"records not of order {n}: {wrong_order}")
-        repeated = sum(c.class_size - len(set(c.members)) for c in self.classes)
+        # Byte-identical records share their polynomial, so their class:
+        # repeats counted over all members are the per-class repeats.
+        repeated = len(members) - len(set(members))
         if repeated:
             problems.append(f"repeated records: {repeated}")
-        records = len(self.parse_errors) + sum(c.class_size for c in self.classes)
+        records = len(self.parse_errors) + len(members)
         expected = UNLABELED_GRAPH_COUNTS[n] if n < len(UNLABELED_GRAPH_COUNTS) else "unknown"
         if records != expected:
             problems.append(f"records: {records}, graphs of order {n}: {expected}")

@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import islice
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -126,6 +126,63 @@ def test_a_jet_row_that_is_not_4_times_an_integer_raises(monkeypatch):
     assert closed_jet(4) == (3, -4, 0)
     with pytest.raises(InternalInconsistencyError):
         closed_jet(5)
+
+
+@pytest.mark.parametrize("row", range(4))
+@pytest.mark.parametrize("component", range(3))
+@pytest.mark.parametrize("offset", (1, 2, -1))
+def test_each_component_of_each_row_is_checked_for_4_times_an_integer(monkeypatch, row, component, offset):
+    """One component of one row off by 1, 2 or -1 raises at every n of that
+    class, negative n too, and leaves the other classes as they were."""
+    rows = [list(r) for r in JET_TABLE]
+    c0, c1, c2 = rows[row][component]
+    rows[row][component] = (c0 + offset, c1, c2)
+    expected = {n: closed_jet(n) for n in range(-6, 40)}
+    monkeypatch.setattr(cycles, "JET_TABLE", tuple(map(tuple, rows)))
+    for n in range(-6, 40):
+        if n % 4 == row:
+            with pytest.raises(InternalInconsistencyError, match=f"JET_TABLE row {row} "):
+                closed_jet(n)
+        else:
+            assert closed_jet(n) == expected[n], n
+
+
+def _list_closed_jet(n):
+    """`closed_jet` as it was written before its straight-line form."""
+    fours = [c0 + c1 * n + c2 * n * n for c0, c1, c2 in JET_TABLE[n % 4]]
+    if any(v % 4 for v in fours):
+        raise InternalInconsistencyError(f"JET_TABLE row {n % 4} is not 4 times an integer at n = {n}")
+    return tuple(v // 4 for v in fours)
+
+
+def test_closed_jet_matches_its_list_form():
+    for n in range(-2, 2001):
+        assert closed_jet(n) == _list_closed_jet(n), n
+
+
+def _zip_longest_polynomials():
+    """`cycle_polynomials` as it was written before its fixed-length step:
+    each coefficient sums the three tuples, padded by `zip_longest`."""
+    older, old, last = (-1,), (-1,), (3,)
+    while True:
+        coeffs = (0, *map(sum, zip_longest(older, old, last, fillvalue=0)))
+        yield IntPolynomial(coeffs)
+        older, old, last = old, last, coeffs
+
+
+def test_cycle_polynomials_match_the_general_step():
+    for n, p, q in zip(range(1, 301), cycle_polynomials(), _zip_longest_polynomials()):
+        assert p.coeffs == q.coeffs, n
+        assert len(p.coeffs) == n + 1 and p.coeffs[-1] == 1, n
+
+
+@pytest.mark.parametrize("t", (-3, -1, 0, 1, 2, 5))
+def test_value_walk_matches_the_leibniz_step(t):
+    """cycle_jets(t) holds three ints; component 0 of cycle_jets(t, 1) comes
+    from the general step on whole jets."""
+    walks = zip(range(1, 501), cycle_jets(t), cycle_jets(t, 1))
+    for n, value, jet in walks:
+        assert type(value) is tuple and value == (jet[0],), n
 
 
 def test_b_mod_9_is_one_period_of_b():

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from dompoly.errors import ParameterDomainError
@@ -113,6 +116,45 @@ def test_graph_construction_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def _random_edge_lists(seed, count):
+    """(n, edges) pairs with edges in either orientation, some repeated."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        yield n, edges + rng.sample(edges, len(edges) // 3)
+
+
+def test_from_edges_and_disjoint_union_pass_the_constructor_checks():
+    """Both build through `Graph._valid`; every result must equal the same
+    masks built through `Graph(n, closed)`, which runs the checks."""
+    graphs = []
+    for n, edges in _random_edge_lists(2025, 300):
+        g = Graph.from_edges(n, edges)
+        assert g == Graph(n, g.closed) and type(g.closed) is tuple
+        assert set(g.edges()) == {(min(e), max(e)) for e in edges}
+        graphs.append(g)
+    for g, h in zip(graphs, graphs[1:]):
+        u = disjoint_union(g, h)
+        assert u == Graph(g.n + h.n, u.closed) and type(u.closed) is tuple
+        assert u.edges() == g.edges() + [(a + g.n, b + g.n) for a, b in h.edges()]
+
+
+@pytest.mark.parametrize("n, edges, message", (
+    (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+    (0, [(0, 0)], "self-loop at vertex 0"),
+    (2, [(0, 5)], "edge (0,5) out of range for order 2"),
+    (3, [(-1, 2)], "edge (-1,2) out of range for order 3"),
+    (-1, [(0, 1)], "edge (0,1) out of range for order -1"),
+    (-1, [], "vertex count must be nonnegative"),
+))
+def test_from_edges_refusals(n, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph.from_edges(n, edges)
 
 
 def test_graph_is_immutable_and_hashable():

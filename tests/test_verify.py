@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 from functools import cache, lru_cache
 
@@ -248,6 +249,52 @@ def test_scalar_reports():
     assert verify_alpha(120).passed
     assert verify_beta(120).passed
     assert verify_theta(120).passed
+
+
+def _differentiated_at_minus_one(p, j):
+    """D^(j)(-1) by j derivatives, then Horner's rule."""
+    for _ in range(j):
+        p = p.derivative()
+    return p.eval_at(-1)
+
+
+@pytest.mark.parametrize("j", (0, 1, 2))
+def test_weighted_evaluation_matches_differentiation(j):
+    """D^(j)(-1) as one weighted sum of the coefficients, against j
+    derivatives then Horner's rule, on D(C_1..C_300) and on seeded random
+    polynomials: the zero and constant ones, negative coefficients."""
+    weights = verify._derivative_weights(j, 301)
+    for n, p in zip(range(1, 301), cycle_polynomials()):
+        assert sum(map(operator.mul, p.coeffs, weights)) == _differentiated_at_minus_one(p, j), n
+    rng = random.Random(25)
+    polys = [IntPolynomial(), IntPolynomial((7,)), IntPolynomial((-4,)), IntPolynomial((0, -1))]
+    polys += [IntPolynomial(rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 40)))
+              for _ in range(300)]
+    for p in polys:
+        weights = verify._derivative_weights(j, len(p.coeffs))
+        assert sum(map(operator.mul, p.coeffs, weights)) == _differentiated_at_minus_one(p, j), p
+
+
+@pytest.mark.parametrize("exponent", (3, 17, 25))
+def test_scalar_reports_evaluate_every_coefficient_of_the_walk(monkeypatch, exponent):
+    """A walk whose D(C_12) carries x^exponent more fails L5, REL2 and REL3
+    at n = 12 alone, with the evaluation of the planted polynomial; at
+    exponent 25, above n_max, the weights grow to reach the extra term."""
+    walk = verify.cycle_polynomials
+    extra = IntPolynomial((0,) * exponent + (1,))
+
+    def planted():
+        for n, p in enumerate(walk(), 1):
+            yield p + extra if n == 12 else p
+
+    monkeypatch.setattr(verify, "cycle_polynomials", planted)
+    wrong = cycle_polynomial(12) + extra
+    for j, check in enumerate((verify_alpha, verify_beta, verify_theta)):
+        rep = check(20)
+        assert rep.status == "fail"
+        assert [(ex["n"], ex["evaluation"]) for ex in rep.counterexamples] == [
+            (12, str(_differentiated_at_minus_one(wrong, j)))
+        ]
 
 
 def test_ord3_and_remark_reports():
@@ -658,6 +705,78 @@ def test_ten_case_report_examples():
     assert 6 * 6 + 6 * 6 + 6 * 6 == 108
 
 
+def _ten_case_table_reference(n_max):
+    """`verify_ten_case_table`'s loop as it was before it compared alpha
+    first: both Leibniz products for every triple. Returns the report's
+    counterexamples and details."""
+    bad = []
+    case_counts = {k: 0 for k in range(1, 11)}
+    total = full_compares = compatible = 0
+    jets = {n: verify.closed_jet(n) for n in range(3, n_max + 1)}
+    reads = {c: verify._case_certificate(p, 3)["component"] for p, c in verify.TEN_CASES.items()}
+    for n1, n2, n3 in verify._triples(n_max):
+        total += 1
+        n = n1 + n2 + n3
+        product = verify._jet_product(verify._jet_product(jets[n1], jets[n2]), jets[n3])
+        want = jets[n]
+        if product == want:
+            full_compares += 1
+            if verify.partition_polynomial((n1, n2, n3)) == verify.cycle_polynomial(n):
+                bad.append({"check": "product-equals-cycle", "n": n, "partition": [n1, n2, n3]})
+        if product[0] != want[0]:
+            continue
+        compatible += 1
+        pattern = (n % 4, tuple(sorted((n1 % 4, n2 % 4, n3 % 4))))
+        case = verify.TEN_CASES.get(pattern)
+        if case is None:
+            bad.append({
+                "check": "pattern-outside-table", "n": n,
+                "partition": [n1, n2, n3], "pattern": [pattern[0], list(pattern[1])],
+            })
+            continue
+        case_counts[case] += 1
+        j = 1 if reads[case] == "beta" else 2
+        if product[:j] != want[:j] or product[j] == want[j]:
+            bad.append({
+                "check": "case-not-eliminated", "n": n, "case": case,
+                "partition": [n1, n2, n3], "component": reads[case],
+                "product_jet": list(map(str, product)), "jet_n": list(map(str, want)),
+            })
+    return bad, {
+        "triples_checked": total,
+        "full_compares": full_compares,
+        "alpha_compatible": compatible,
+        "case_counts": {str(k): v for k, v in case_counts.items()},
+    }
+
+
+def _swap_alpha(monkeypatch, row):
+    """Row's alpha planted to the other value: 3 where it was -1, and back."""
+    c0, c1, c2 = cycles.JET_TABLE[row][0]
+    _plant_jet_row(monkeypatch, row, 0, (8 - c0, c1, c2))
+
+
+@pytest.mark.parametrize("plant", (
+    "none", "alpha row 0", "alpha row 1", "alpha row 2", "alpha row 3", "beta 0", "theta 0",
+))
+def test_ten_case_table_matches_the_route_without_the_alpha_test(monkeypatch, plant):
+    """Same counterexamples and details as the loop that built every
+    triple's Leibniz products, on the true table and on planted rows."""
+    if plant.startswith("alpha"):
+        _swap_alpha(monkeypatch, int(plant[-1]))
+    elif plant != "none":
+        for row in range(4):
+            _plant_jet_row(monkeypatch, row, 1 if plant == "beta 0" else 2, (0, 0, 0))
+    bad, details = _ten_case_table_reference(40)
+    rep = verify_ten_case_table(40)
+    assert (rep.counterexamples, rep.details) == (bad, details)
+    if plant.startswith("alpha"):
+        assert rep.status == "fail"
+        assert "pattern-outside-table" in {ex["check"] for ex in rep.counterexamples}
+    else:
+        assert details["triples_checked"] > details["alpha_compatible"] > 0
+
+
 # ---------------------------------------------------------------------------
 # Corpus classification
 # ---------------------------------------------------------------------------
@@ -1037,6 +1156,54 @@ def test_corpus_checks_need_a_certified_corpus(corpus, classified):
     assert classify_corpus([]).completeness_problems(20) == [
         "records: 0, graphs of order 20: unknown"
     ]
+
+
+def _completeness_problems_reference(result, n):
+    """`completeness_problems` as it was before its one pass: four walks of
+    the classes and a set per class."""
+    problems = []
+    if result.parse_errors:
+        problems.append(f"unparseable records: {len(result.parse_errors)}")
+    wrong_order = sum(c.class_size for c in result.classes if c.key_polynomial.degree != n)
+    if wrong_order:
+        problems.append(f"records not of order {n}: {wrong_order}")
+    repeated = sum(c.class_size - len(set(c.members)) for c in result.classes)
+    if repeated:
+        problems.append(f"repeated records: {repeated}")
+    records = len(result.parse_errors) + sum(c.class_size for c in result.classes)
+    expected = verify.UNLABELED_GRAPH_COUNTS[n] if n < len(verify.UNLABELED_GRAPH_COUNTS) else "unknown"
+    if records != expected:
+        problems.append(f"records: {records}, graphs of order {n}: {expected}")
+    return problems
+
+
+def test_completeness_problems_one_fault_at_a_time(corpus):
+    complete = list(corpus(6))
+    duplicate, wrong, missing, bad = complete[40], encode_graph6(cycle(5)), complete[7], b"not a record!!"
+    cases = {
+        "duplicate": (complete + [duplicate], [
+            "repeated records: 1", "records: 157, graphs of order 6: 156",
+        ]),
+        "wrong-order": (complete + [wrong], [
+            "records not of order 6: 1", "records: 157, graphs of order 6: 156",
+        ]),
+        "missing": ([r for r in complete if r != missing], [
+            "records: 155, graphs of order 6: 156",
+        ]),
+        "parse-error": (complete + [bad], [
+            "unparseable records: 1", "records: 157, graphs of order 6: 156",
+        ]),
+        "all four": ([r for r in complete if r != missing] + [duplicate, wrong, wrong, bad, duplicate], [
+            "unparseable records: 1", "records not of order 6: 2", "repeated records: 3",
+            "records: 160, graphs of order 6: 156",
+        ]),
+        "none": (complete, []),
+    }
+    for name, (records, problems) in cases.items():
+        result = classify_corpus(records)
+        assert result.completeness_problems(6) == problems, name
+        for n in (5, 6, 20):
+            assert result.completeness_problems(n) == _completeness_problems_reference(result, n), (name, n)
 
 
 def test_path_class_validation():
