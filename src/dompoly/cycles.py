@@ -143,8 +143,10 @@ def _jet_walk(t: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def cycle_jet(n: int, t: int, k: int = 0) -> tuple[int, ...]:
     """(D(C_n,t), ..., D^(m)(C_n,t)) with m = min(k, n): the higher
-    derivatives of the degree-n D(C_n) vanish, so a huge k costs nothing."""
-    return _nth(cycle_jets(t, min(k, n)), n)
+    derivatives of the degree-n D(C_n) vanish, so a huge k costs nothing.
+    A bad n is refused first, before min(k, n) can stand in for k."""
+    _require_positive(n)
+    return next(islice(cycle_jets(t, min(k, n)), n - 1, None))
 
 
 def closed_jet(n: int) -> tuple[int, int, int]:

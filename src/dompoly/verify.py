@@ -482,12 +482,12 @@ TEN_CASES = {
 }
 
 
-def _triples(n_max: int) -> Iterator[tuple[int, int, int]]:
-    """The part triples n1 >= n2 >= n3 >= 3 with n1 + n2 + n3 <= n_max."""
+def _part_pairs(n_max: int) -> Iterator[tuple[int, int, range]]:
+    """The part triples n1 >= n2 >= n3 >= 3 with n1 + n2 + n3 <= n_max, in
+    order, as (n1, n2, the range of n3) for each pair that has an n3."""
     for n1 in range(3, n_max - 5):
         for n2 in range(3, min(n1, n_max - n1 - 3) + 1):
-            for n3 in range(3, min(n2, n_max - n1 - n2) + 1):
-                yield (n1, n2, n3)
+            yield n1, n2, range(3, min(n2, n_max - n1 - n2) + 1)
 
 
 def _jet_product(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -515,36 +515,42 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
     total = full_compares = compatible = 0
     jets = {n: closed_jet(n) for n in range(3, n_max + 1)}
     reads = {c: _case_certificate(p, 3)["component"] for p, c in TEN_CASES.items()}
-    for n1, n2, n3 in _triples(n_max):
-        total += 1
-        n = n1 + n2 + n3
-        f, g, h, want = jets[n1], jets[n2], jets[n3], jets[n]
-        # A triple whose alpha product differs from n's alpha cannot match
-        # n's jet and gets no case: its Leibniz products are never built.
-        if f[0] * g[0] * h[0] != want[0]:
-            continue
-        product = _jet_product(_jet_product(f, g), h)
-        if product == want:
-            full_compares += 1
-            if partition_polynomial((n1, n2, n3)) == cycle_polynomial(n):
-                bad.append({"check": "product-equals-cycle", "n": n, "partition": [n1, n2, n3]})
-        compatible += 1
-        pattern = (n % 4, tuple(sorted((n1 % 4, n2 % 4, n3 % 4))))
-        case = TEN_CASES.get(pattern)
-        if case is None:
-            bad.append({
-                "check": "pattern-outside-table", "n": n,
-                "partition": [n1, n2, n3], "pattern": [pattern[0], list(pattern[1])],
-            })
-            continue
-        case_counts[case] += 1
-        j = 1 if reads[case] == "beta" else 2
-        if product[:j] != want[:j] or product[j] == want[j]:
-            bad.append({
-                "check": "case-not-eliminated", "n": n, "case": case,
-                "partition": [n1, n2, n3], "component": reads[case],
-                "product_jet": list(map(str, product)), "jet_n": list(map(str, want)),
-            })
+    # The parts' residues mod 4, in order, mapped to their pattern and its
+    # case (None outside the table).
+    residues = [(r1, r2, r3) for r1 in range(4) for r2 in range(4) for r3 in range(4)]
+    patterns = {rs: (sum(rs) % 4, tuple(sorted(rs))) for rs in residues}
+    cases = {rs: (pattern, TEN_CASES.get(pattern)) for rs, pattern in patterns.items()}
+    for n1, n2, n3s in _part_pairs(n_max):
+        fg = _jet_product(jets[n1], jets[n2])
+        for n3 in n3s:
+            total += 1
+            n = n1 + n2 + n3
+            h, want = jets[n3], jets[n]
+            # A triple whose alpha product differs from n's alpha cannot match
+            # n's jet and gets no case: its Leibniz product is never built.
+            if fg[0] * h[0] != want[0]:
+                continue
+            jet = _jet_product(fg, h)
+            if jet == want:
+                full_compares += 1
+                if partition_polynomial((n1, n2, n3)) == cycle_polynomial(n):
+                    bad.append({"check": "product-equals-cycle", "n": n, "partition": [n1, n2, n3]})
+            compatible += 1
+            pattern, case = cases[n1 % 4, n2 % 4, n3 % 4]
+            if case is None:
+                bad.append({
+                    "check": "pattern-outside-table", "n": n,
+                    "partition": [n1, n2, n3], "pattern": [pattern[0], list(pattern[1])],
+                })
+                continue
+            case_counts[case] += 1
+            j = 1 if reads[case] == "beta" else 2
+            if jet[:j] != want[:j] or jet[j] == want[j]:
+                bad.append({
+                    "check": "case-not-eliminated", "n": n, "case": case,
+                    "partition": [n1, n2, n3], "component": reads[case],
+                    "product_jet": list(map(str, jet)), "jet_n": list(map(str, want)),
+                })
     return _report(
         "T5-ten-cases", 9, n_max, bad, t0,
         {

@@ -125,6 +125,7 @@ def test_cycle_family_takes_the_recurrence_route(capsys, monkeypatch):
         assert code == 0 and json.loads(out)["results"][0]["source"] == f"cycle:{n}"
         for spec, message in (
             ("cycle:0", "cycle sequences need n >= 1, got 0"),
+            ("cycle:-1", "cycle sequences need n >= 1, got -1"),
             ("cycle:abc", "non-integer parameter in family spec 'cycle:abc'"),
             ("cycle", "family spec 'cycle' is missing ':params'"),
         ):

@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import islice, zip_longest
+from itertools import islice, product, zip_longest
 
 import pytest
 
@@ -58,16 +58,20 @@ def test_matches_oracle():
 
 
 def test_domain_errors():
-    with pytest.raises(ParameterDomainError):
-        cycle_polynomial(0)
-    with pytest.raises(ParameterDomainError):
-        cycle_jet(-2, -3)
-    with pytest.raises(ParameterDomainError):
-        cycle_jet(0, 1)
-    with pytest.raises(ParameterDomainError):
-        cycle_jet(5, 1, -1)
-    with pytest.raises(ParameterDomainError):
-        next(cycle_jets(1, -1))
+    """A bad n is named before a bad k, even when min(k, n) would be the
+    negative n."""
+    for call, message in (
+        (lambda: cycle_polynomial(0), "cycle sequences need n >= 1, got 0"),
+        (lambda: cycle_jet(-2, -3), "cycle sequences need n >= 1, got -2"),
+        (lambda: cycle_jet(-3, 2, 5), "cycle sequences need n >= 1, got -3"),
+        (lambda: cycle_jet(-3, 2, -1), "cycle sequences need n >= 1, got -3"),
+        (lambda: cycle_jet(0, 1), "cycle sequences need n >= 1, got 0"),
+        (lambda: cycle_jet(5, 1, -1), "derivative order must be >= 0, got -1"),
+        (lambda: next(cycle_jets(1, -1)), "derivative order must be >= 0, got -1"),
+    ):
+        with pytest.raises(ParameterDomainError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_alpha_values():
@@ -120,31 +124,24 @@ def test_jet_table_is_the_jet_at_minus_one():
 
 
 def test_a_jet_row_that_is_not_4_times_an_integer_raises(monkeypatch):
-    rows = [list(row) for row in JET_TABLE]
-    rows[1][2] = (1, 2, -2)
-    monkeypatch.setattr(cycles, "JET_TABLE", tuple(map(tuple, rows)))
-    assert closed_jet(4) == (3, -4, 0)
-    with pytest.raises(InternalInconsistencyError):
-        closed_jet(5)
-
-
-@pytest.mark.parametrize("row", range(4))
-@pytest.mark.parametrize("component", range(3))
-@pytest.mark.parametrize("offset", (1, 2, -1))
-def test_each_component_of_each_row_is_checked_for_4_times_an_integer(monkeypatch, row, component, offset):
-    """One component of one row off by 1, 2 or -1 raises at every n of that
-    class, negative n too, and leaves the other classes as they were."""
-    rows = [list(r) for r in JET_TABLE]
-    c0, c1, c2 = rows[row][component]
-    rows[row][component] = (c0 + offset, c1, c2)
+    """A planted row component, (1, 2, -2) for theta on class 1 or one
+    component of one row off by 1, 2 or -1, raises at every n of that class,
+    negative n too, and leaves the other classes as they were."""
     expected = {n: closed_jet(n) for n in range(-6, 40)}
-    monkeypatch.setattr(cycles, "JET_TABLE", tuple(map(tuple, rows)))
-    for n in range(-6, 40):
-        if n % 4 == row:
-            with pytest.raises(InternalInconsistencyError, match=f"JET_TABLE row {row} "):
-                closed_jet(n)
-        else:
-            assert closed_jet(n) == expected[n], n
+    plants = [(1, 2, (1, 2, -2))]
+    for row, component, offset in product(range(4), range(3), (1, 2, -1)):
+        c0, c1, c2 = JET_TABLE[row][component]
+        plants.append((row, component, (c0 + offset, c1, c2)))
+    for row, component, planted in plants:
+        rows = [list(r) for r in JET_TABLE]
+        rows[row][component] = planted
+        monkeypatch.setattr(cycles, "JET_TABLE", tuple(map(tuple, rows)))
+        for n in range(-6, 40):
+            if n % 4 == row:
+                with pytest.raises(InternalInconsistencyError, match=f"JET_TABLE row {row} "):
+                    closed_jet(n)
+            else:
+                assert closed_jet(n) == expected[n], (row, component, planted, n)
 
 
 def _list_closed_jet(n):

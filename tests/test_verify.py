@@ -586,14 +586,22 @@ def test_ten_cases_table_is_exactly_the_alpha_compatible_patterns():
     assert len(case_ids) == 10
 
 
+def _part_triples(n_max):
+    """The part triples n1 >= n2 >= n3 >= 3 with n1 + n2 + n3 <= n_max, in
+    order, by filtering every triple of parts up to n_max."""
+    return [
+        (n1, n2, n3)
+        for n1 in range(3, n_max + 1) for n2 in range(3, n1 + 1) for n3 in range(3, n2 + 1)
+        if n1 + n2 + n3 <= n_max
+    ]
+
+
 def test_triples_are_the_part_triples_up_to_n_max_in_order():
+    """`_part_pairs` gives each pair (n1, n2) with its nonempty range of n3."""
     for n_max in (0, 8, 9, 10, 17, 30):
-        naive = [
-            (n1, n2, n3)
-            for n1 in range(3, n_max + 1) for n2 in range(3, n1 + 1) for n3 in range(3, n2 + 1)
-            if n1 + n2 + n3 <= n_max
-        ]
-        assert list(verify._triples(n_max)) == naive, n_max
+        pairs = list(verify._part_pairs(n_max))
+        assert all(n3s for _, _, n3s in pairs), n_max
+        assert [(n1, n2, n3) for n1, n2, n3s in pairs for n3 in n3s] == _part_triples(n_max), n_max
 
 
 def test_jet_product_is_the_jet_of_the_product():
@@ -642,7 +650,7 @@ def test_ten_case_jet_only_rejects(monkeypatch):
     monkeypatch.setattr(verify, "partition_polynomial", product)
     rep = verify_ten_case_table(40)
     alpha_compatible = [
-        (n1, n2, n3) for n1, n2, n3 in verify._triples(40)
+        (n1, n2, n3) for n1, n2, n3 in _part_triples(40)
         if alpha(n1 + n2 + n3) == alpha(n1) * alpha(n2) * alpha(n3)
     ]
     assert compared == alpha_compatible
@@ -662,7 +670,7 @@ def test_ten_cases_catch_cases_7_and_10_with_theta_planted_to_0(monkeypatch):
         _plant_jet_row(monkeypatch, row, 2, (0, 0, 0))
     rep = verify_ten_case_table(40)
     expected = set()
-    for parts in verify._triples(40):
+    for parts in _part_triples(40):
         n = sum(parts)
         case = TEN_CASES.get((n % 4, tuple(sorted(p % 4 for p in parts))))
         if case in (7, 10):
@@ -714,7 +722,7 @@ def _ten_case_table_reference(n_max):
     total = full_compares = compatible = 0
     jets = {n: verify.closed_jet(n) for n in range(3, n_max + 1)}
     reads = {c: verify._case_certificate(p, 3)["component"] for p, c in verify.TEN_CASES.items()}
-    for n1, n2, n3 in verify._triples(n_max):
+    for n1, n2, n3 in _part_triples(n_max):
         total += 1
         n = n1 + n2 + n3
         product = verify._jet_product(verify._jet_product(jets[n1], jets[n2]), jets[n3])
