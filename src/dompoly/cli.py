@@ -4,6 +4,11 @@ One verb per library operation chain, JSON on stdout by default
 (`--format table` for a human-readable rendering), diagnostics on stderr.
 Exit codes: 0 all requested checks pass, 1 a verification failed, 2 usage
 error, 3 input error (an `errors.InputError`, or an OSError reading a file).
+
+A call loads only the modules its verb runs: `graphs` and `oracle` are
+imported where a graph is built, read or walked, and `verify` where a
+check runs, so a cycle-family `cycle`, `poly` or `eval` call loads
+`cycles` and no graph code.
 """
 
 from __future__ import annotations
@@ -14,10 +19,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import cycles, graphs
+from . import cycles
 from .errors import InputError, ParameterDomainError, SizeGuardError
-from .graphs import iter_graph6_records, parse_graph6, split_family_spec
-from .oracle import DEFAULT_GUARD, _check_guard, domination_number, domination_polynomial
 
 
 def _add_common_options(parser, for_subparser: bool):
@@ -37,19 +40,19 @@ def _add_common_options(parser, for_subparser: bool):
 
 
 class _VerbParser(argparse.ArgumentParser):
-    """A verb's parser. The `verify` verb's `lemma` argument is added at its
-    parser's first parse, not as the parser is built: argparse reads an
+    """A verb's parser. Its arguments are added at its first parse, not as
+    the parser is built, so a call builds the arguments of its own verb
+    only. That also defers `verify`'s `lemma` argument: argparse reads an
     argument's choices as the argument is added, and those choices are the
     ids of `verify.CHECKS`, a module most verbs never import."""
 
-    add_lemma = False
+    add_arguments = None
 
     def parse_known_args(self, args=None, namespace=None):
-        if self.add_lemma:
-            from . import verify
-
-            self.add_argument("lemma", choices=[*verify.CHECKS, "all"])
-            self.add_lemma = False
+        if self.add_arguments is not None:
+            add, self.add_arguments = self.add_arguments, None
+            _add_common_options(self, for_subparser=True)
+            add(self)
         return super().parse_known_args(args, namespace)
 
 
@@ -61,69 +64,82 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(parser, for_subparser=False)
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
 
-    def add_verb(name, func, **kwargs):
+    def add_verb(name, func, add_arguments, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        _add_common_options(p, for_subparser=True)
         p.set_defaults(func=func)
+        p.add_arguments = add_arguments
         return p
 
-    def add_graph_input(p):
+    def graph_input(p):
         grp = p.add_mutually_exclusive_group(required=True)
         grp.add_argument("--family", metavar="NAME:PARAMS",
                          help="builtin family, e.g. cycle:7 or complete-cycle-join:2,5")
         grp.add_argument("--graph6", metavar="FILE",
                          help="graph6 file, one record per line")
 
-    p = add_verb(
-        "poly", _run_poly,
+    add_verb(
+        "poly", _run_poly, graph_input,
         help="domination polynomial of a graph (brute force; the cycle "
              "family uses its recurrence, up to order 4000)",
     )
-    add_graph_input(p)
 
-    p = add_verb("cycle", _run_cycle, help="cycle polynomial D(C_n,x) by recurrence, n <= 4000")
-    p.add_argument("n", type=int)
+    def cycle_arguments(p):
+        p.add_argument("n", type=int)
 
-    p = add_verb("eval", _run_eval, help="evaluate D (or a derivative) at an integer")
-    add_graph_input(p)
-    p.add_argument("--at", type=int, required=True, metavar="T")
-    p.add_argument("--derivative", type=int, default=0, metavar="K",
-                   help="evaluate the K-th formal derivative (default 0)")
+    add_verb("cycle", _run_cycle, cycle_arguments,
+             help="cycle polynomial D(C_n,x) by recurrence, n <= 4000")
 
-    p = add_verb("gamma", _run_gamma,
-                 help="domination number: lowest index of the oracle's profile")
-    add_graph_input(p)
+    def eval_arguments(p):
+        graph_input(p)
+        p.add_argument("--at", type=int, required=True, metavar="T")
+        p.add_argument("--derivative", type=int, default=0, metavar="K",
+                       help="evaluate the K-th formal derivative (default 0)")
 
-    p = add_verb("verify", _run_verify, help="run a verification check (or 'all')")
-    p.add_lemma = True
-    p.add_argument("--max-n", type=int, default=None, metavar="N")
-    p.add_argument("--min-part", type=int, choices=(1, 3), default=None,
-                   help="cycle-partition check only: smallest cycle part (default 3)")
-    p.add_argument("--n", type=int, default=None,
-                   help="graph order for corpus-backed checks")
-    p.add_argument("--corpus", metavar="FILE",
-                   help="graph6 corpus for COR-wheel / P-path-class")
-    p.add_argument("--corpus-dir", metavar="DIR",
-                   help="directory of order<k>.g6 files; enables corpus checks under 'all'")
+    add_verb("eval", _run_eval, eval_arguments, help="evaluate D (or a derivative) at an integer")
+    add_verb("gamma", _run_gamma, graph_input,
+             help="domination number: lowest index of the oracle's profile")
 
-    p = add_verb("search-partitions", _run_search_partitions,
-                 help="list cycle partitions of n and which match D(C_n,x)")
-    p.add_argument("n", type=int)
-    p.add_argument("--min-part", type=int, choices=(1, 3), default=3)
+    def verify_arguments(p):
+        from . import verify
 
-    p = add_verb("classify", _run_classify, help="group a graph6 corpus by domination polynomial")
-    p.add_argument("corpus", metavar="FILE")
+        p.add_argument("--max-n", type=int, default=None, metavar="N")
+        p.add_argument("--min-part", type=int, choices=(1, 3), default=None,
+                       help="cycle-partition check only: smallest cycle part (default 3)")
+        p.add_argument("--n", type=int, default=None,
+                       help="graph order for corpus-backed checks")
+        p.add_argument("--corpus", metavar="FILE",
+                       help="graph6 corpus for COR-wheel / P-path-class")
+        p.add_argument("--corpus-dir", metavar="DIR",
+                       help="directory of order<k>.g6 files; enables corpus checks under 'all'")
+        p.add_argument("lemma", choices=[*verify.CHECKS, "all"])
+
+    add_verb("verify", _run_verify, verify_arguments, help="run a verification check (or 'all')")
+
+    def search_arguments(p):
+        p.add_argument("n", type=int)
+        p.add_argument("--min-part", type=int, choices=(1, 3), default=3)
+
+    add_verb("search-partitions", _run_search_partitions, search_arguments,
+             help="list cycle partitions of n and which match D(C_n,x)")
+
+    def classify_arguments(p):
+        p.add_argument("corpus", metavar="FILE")
+
+    add_verb("classify", _run_classify, classify_arguments,
+             help="group a graph6 corpus by domination polynomial")
 
     # The corpus verbs are `verify COR-wheel|P-path-class --n N --corpus FILE`
     # under another name.
+    def corpus_verb_arguments(p):
+        p.add_argument("n", type=int)
+        p.add_argument("corpus", metavar="FILE")
+
     for verb, lemma, help_text in (
         ("path-class", "P-path-class", "check the size-two class of P_n over a corpus"),
         ("wheel", "COR-wheel", "check that W_n's class is a singleton over a corpus"),
     ):
-        p = add_verb(verb, _run_verify, help=help_text)
+        p = add_verb(verb, _run_verify, corpus_verb_arguments, help=help_text)
         p.set_defaults(lemma=lemma, max_n=None, min_part=None, corpus_dir=None)
-        p.add_argument("n", type=int)
-        p.add_argument("corpus", metavar="FILE")
 
     return parser
 
@@ -132,7 +148,21 @@ def build_parser() -> argparse.ArgumentParser:
 # Graph input plumbing
 # ---------------------------------------------------------------------------
 
+def split_family_spec(spec: str) -> tuple[str, tuple[int, ...]]:
+    """Split "name:params" strings such as "cycle:7" or
+    "complete-cycle-join:2,5" into the name and the integer parameters."""
+    name, sep, rest = spec.partition(":")
+    if not sep:
+        raise ParameterDomainError(f"family spec {spec!r} is missing ':params'")
+    try:
+        return name, tuple(int(p) for p in rest.split(","))
+    except ValueError:
+        raise ParameterDomainError(f"non-integer parameter in family spec {spec!r}") from None
+
+
 def _read_corpus(path: str | Path) -> list[bytes]:
+    from .graphs import iter_graph6_records
+
     return list(iter_graph6_records(Path(path).read_bytes().splitlines()))
 
 
@@ -170,6 +200,9 @@ def _input_graphs(args):
     """Resolve --family / --graph6 into labeled graphs, one at a time: a
     --graph6 record is decoded only when the verb reaches it, so the
     oracle's guard refuses an oversized record before the next is decoded."""
+    from . import graphs
+    from .oracle import _check_guard
+
     if args.family:
         # A family's order is the sum of its parameters, so an oversized one is
         # refused before it is built; a spec the builder rejects (unknown name,
@@ -180,7 +213,7 @@ def _input_graphs(args):
         yield args.family, graphs.build_family(name, *params)
     else:
         for i, rec in enumerate(_read_corpus(args.graph6)):
-            yield f"{args.graph6}#{i}", parse_graph6(rec)
+            yield f"{args.graph6}#{i}", graphs.parse_graph6(rec)
 
 
 def _cycle_order(args) -> int | None:
@@ -198,6 +231,8 @@ def _cycle_order(args) -> int | None:
 # ---------------------------------------------------------------------------
 
 def _guard(args) -> int:
+    from .oracle import DEFAULT_GUARD
+
     return DEFAULT_GUARD if args.guard_override is None else args.guard_override
 
 
@@ -229,6 +264,8 @@ def _run_poly(args):
         results = [{"source": args.family, "order": n_cycle,
                     "coefficients": poly.coefficient_strings()}]
     else:
+        from .oracle import domination_polynomial
+
         results = [{"source": label, "order": g.n,
                     "coefficients": domination_polynomial(g, guard=_guard(args)).coefficient_strings()}
                    for label, g in _input_graphs(args)]
@@ -251,6 +288,8 @@ def _run_eval(args):
         jet = cycles.cycle_jet(n_cycle, args.at, k)
         values = [(args.family, jet[k] if k < len(jet) else 0)]
     else:
+        from .oracle import domination_polynomial
+
         values = []
         for label, g in _input_graphs(args):
             poly = domination_polynomial(g, guard=_guard(args))
@@ -266,6 +305,8 @@ def _run_eval(args):
 
 
 def _run_gamma(args):
+    from .oracle import domination_number
+
     results = [
         {"source": label, "order": g.n, "gamma": domination_number(g, guard=_guard(args))}
         for label, g in _input_graphs(args)
@@ -279,6 +320,7 @@ def _run_verify(args):
     order its registry entry does not cover or its walk guard refuses, all
     before any corpus is read."""
     from . import verify
+    from .oracle import _check_guard
 
     check = verify.CHECKS.get(args.lemma)
     if check is None:

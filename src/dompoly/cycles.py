@@ -22,19 +22,23 @@ Nothing is memoized: `cycle_polynomials`, `cycle_jets` and `b_values`
 are generators holding three terms; the single-n functions take the n-th
 item of a fresh walk, so loops over n walk a generator instead. The
 walks are straight-line steps: `cycle_polynomials` adds three coefficient
-tuples of known lengths with C-level `map`, and `cycle_jets(t)` (k = 0,
-the values alone) holds three ints, while k >= 1 takes the Leibniz step
-on whole jets.
+tuples of known lengths with C-level `map`, `cycle_jets(t)` (k = 0, the
+values alone) holds three ints, `cycle_jets(t, 1)` six and `cycle_jets(t,
+2)` nine; only k >= 3 takes the Leibniz step on whole jets.
+`cycle_polynomials` alone imports `IntPolynomial`, so the scalar walks
+load no polynomial code.
 """
 
 from __future__ import annotations
 
 from itertools import count, islice
 from operator import add
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InternalInconsistencyError, ParameterDomainError
-from .polynomials import IntPolynomial
+
+if TYPE_CHECKING:
+    from .polynomials import IntPolynomial
 
 __all__ = [
     "cycle_polynomials",
@@ -87,6 +91,8 @@ def _nth(walk: Iterator, n: int):
 def cycle_polynomials() -> Iterator[IntPolynomial]:
     """Yield D(C_1, x), D(C_2, x), ..., holding the last three coefficient
     tuples: D_n's x^(i+1) coefficient sums the x^i ones of D_{n-1..n-3}."""
+    from .polynomials import IntPolynomial
+
     # The constants that `cycle_jets` is seeded with: D_{-2}, D_{-1}, D_0.
     older, old, last = (-1,), (-1,), (3,)
     while True:
@@ -113,13 +119,18 @@ def cycle_jets(t: int, k: int = 0) -> Iterator[tuple[int, ...]]:
         D_n^(j)(t) = t * S_n^(j)(t) + j * S_n^(j-1)(t),
 
     so each step needs only the last three jets: memory stays flat in n.
-    At k = 0 that is D_n(t) = t * S_n(t), walked on three ints.
+    At k = 0 that is D_n(t) = t * S_n(t), walked on three ints; k = 1 and
+    k = 2 write the step out on six and nine ints.
     """
     if k < 0:
         raise ParameterDomainError(f"derivative order must be >= 0, got {k}")
     # Run backwards, the recurrence forces the constants D_{-2} = D_{-1} = -1
-    # and D_0 = 3; both walks are seeded with them, so it holds from n = 1.
-    return _value_walk(t) if k == 0 else _jet_walk(t, k)
+    # and D_0 = 3; every walk is seeded with them, so it holds from n = 1.
+    if k == 0:
+        return _value_walk(t)
+    if k == 1:
+        return _one_jet_walk(t)
+    return _two_jet_walk(t) if k == 2 else _jet_walk(t, k)
 
 
 def _value_walk(t: int) -> Iterator[tuple[int]]:
@@ -130,8 +141,30 @@ def _value_walk(t: int) -> Iterator[tuple[int]]:
         yield (last,)
 
 
+def _one_jet_walk(t: int) -> Iterator[tuple[int, int]]:
+    """`cycle_jets(t, 1)`: (D, D')(C_n, t) on six ints, D_n' = t * S_n' + S_n."""
+    v3, d3, v2, d2, v1, d1 = -1, 0, -1, 0, 3, 0
+    while True:
+        s, ds = v3 + v2 + v1, d3 + d2 + d1
+        v3, d3, v2, d2 = v2, d2, v1, d1
+        v1, d1 = t * s, t * ds + s
+        yield v1, d1
+
+
+def _two_jet_walk(t: int) -> Iterator[tuple[int, int, int]]:
+    """`cycle_jets(t, 2)`: (D, D', D'')(C_n, t) on nine ints, the Leibniz
+    step written out: D_n' = t * S_n' + S_n and D_n'' = t * S_n'' + 2 * S_n'."""
+    # (v, d, e) is (D, D', D'') of D_{n-3}, D_{n-2}, D_{n-1} by suffix 3, 2, 1.
+    v3, d3, e3, v2, d2, e2, v1, d1, e1 = -1, 0, 0, -1, 0, 0, 3, 0, 0
+    while True:
+        s, ds, es = v3 + v2 + v1, d3 + d2 + d1, e3 + e2 + e1
+        v3, d3, e3, v2, d2, e2 = v2, d2, e2, v1, d1, e1
+        v1, d1, e1 = t * s, t * ds + s, t * es + 2 * ds
+        yield v1, d1, e1
+
+
 def _jet_walk(t: int, k: int) -> Iterator[tuple[int, ...]]:
-    """`cycle_jets(t, k)` for k >= 1, by the Leibniz step on whole jets."""
+    """`cycle_jets(t, k)` for k >= 3, by the Leibniz step on whole jets."""
     zeros = (0,) * k
     older, old, last = (-1, *zeros), (-1, *zeros), (3, *zeros)
     while True:

@@ -35,7 +35,6 @@ __all__ = [
     "wheel",
     "complete_cycle_join",
     "build_family",
-    "split_family_spec",
     "FAMILY_NAMES",
     "disjoint_union",
     "join",
@@ -243,18 +242,6 @@ def build_family(name: str, *params: int) -> Graph:
             f"family {name!r} takes {arity} parameter(s), got {len(params)}"
         )
     return builder(*params)
-
-
-def split_family_spec(spec: str) -> tuple[str, tuple[int, ...]]:
-    """Split "name:params" strings such as "cycle:7" or
-    "complete-cycle-join:2,5" into the name and the integer parameters."""
-    name, sep, rest = spec.partition(":")
-    if not sep:
-        raise ParameterDomainError(f"family spec {spec!r} is missing ':params'")
-    try:
-        return name, tuple(int(p) for p in rest.split(","))
-    except ValueError:
-        raise ParameterDomainError(f"non-integer parameter in family spec {spec!r}") from None
 
 
 # ---------------------------------------------------------------------------

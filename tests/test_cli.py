@@ -10,8 +10,18 @@ from pathlib import Path
 import pytest
 
 from dompoly import cli, cycles, errors, graphs, oracle, verify
-from dompoly.cli import main
-from dompoly.graphs import complete, cycle, encode_graph6, parse_graph6, path, wheel
+from dompoly.cli import main, split_family_spec
+from dompoly.errors import ParameterDomainError
+from dompoly.graphs import (
+    build_family,
+    complete,
+    complete_cycle_join,
+    cycle,
+    encode_graph6,
+    parse_graph6,
+    path,
+    wheel,
+)
 from dompoly.polynomials import IntPolynomial
 from dompoly.verify import CHECKS, classify_corpus, path_companion, run_all
 
@@ -136,6 +146,18 @@ def test_cycle_family_takes_the_recurrence_route(capsys, monkeypatch):
         assert (code, err) == (3, refusal)
         with pytest.raises(AssertionError, match="built a graph"):
             run(capsys, verb, "--family", "cycle:3,4", *extra)
+
+
+def test_parse_family_spec():
+    assert split_family_spec("cycle:6") == ("cycle", (6,))
+    assert split_family_spec("cycle:0") == ("cycle", (0,))
+    assert split_family_spec("complete-cycle-join:2,5") == ("complete-cycle-join", (2, 5))
+    name, params = split_family_spec("complete-cycle-join:2,5")
+    assert build_family(name, *params) == complete_cycle_join(2, 5)
+    with pytest.raises(ParameterDomainError):
+        split_family_spec("cycle")
+    with pytest.raises(ParameterDomainError):
+        split_family_spec("cycle:x")
 
 
 def test_cycle_polynomial_bound_refuses_before_the_walk(capsys, monkeypatch):
@@ -359,7 +381,7 @@ def test_graph6_records_are_decoded_as_they_are_walked(capsys, monkeypatch, tmp_
     f = tmp_path / "k62-first.g6"
     f.write_bytes(b"\n".join([encode_graph6(complete(62))] + [encode_graph6(cycle(5))] * 999) + b"\n")
     parsed = []
-    monkeypatch.setattr(cli, "parse_graph6", lambda rec: parsed.append(rec) or parse_graph6(rec))
+    monkeypatch.setattr(graphs, "parse_graph6", lambda rec: parsed.append(rec) or parse_graph6(rec))
     # Only corpus classification reads records through the oracle's byte lanes.
     layouts = cache(oracle._graph6_layout.__wrapped__)
     monkeypatch.setattr(oracle, "_graph6_layout", layouts)
@@ -389,10 +411,14 @@ def test_verify_choices_are_the_check_registry(capsys):
     assert re.findall(r"[\w-]+", listed) == ids
 
 
+GRAPH_CODE = {"dompoly.graphs", "dompoly.oracle", "dompoly.polynomials"}
+
+
 @pytest.mark.parametrize("argv,loaded", [
     (["eval", "--family", "cycle:6", "--at", "-1"], set()),
-    (["cycle", "6"], set()),
-    (["verify", "L5-alpha", "--max-n", "5"], {"dompoly.verify"}),
+    (["cycle", "6"], {"dompoly.polynomials"}),
+    (["verify", "L5-alpha", "--max-n", "5"], GRAPH_CODE | {"dompoly.verify"}),
+    (["poly", "--family", "wheel:6"], GRAPH_CODE),
 ])
 def test_a_cold_call_imports_only_what_its_verb_runs(argv, loaded):
     # From source, as with no .pyc; modules the bare interpreter already
@@ -405,7 +431,7 @@ def test_a_cold_call_imports_only_what_its_verb_runs(argv, loaded):
         return {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
                 if line.startswith("import time:")}
 
-    watched = {"dompoly.verify", "dataclasses", "inspect"}
+    watched = GRAPH_CODE | {"dompoly.verify", "dataclasses", "inspect"}
     names = imported("-m", "dompoly.cli", *argv) - imported("-c", "pass")
     assert {"dompoly", "dompoly.cycles"} <= names
     assert names & watched == loaded

@@ -173,13 +173,38 @@ def test_cycle_polynomials_match_the_general_step():
         assert len(p.coeffs) == n + 1 and p.coeffs[-1] == 1, n
 
 
+def _leibniz_jets(t, k):
+    """The general Leibniz step on whole jets, D_n^(j) = t * S_n^(j) + j *
+    S_n^(j-1): the reference the straight-line walks are checked against."""
+    zeros = (0,) * k
+    older, old, last = (-1, *zeros), (-1, *zeros), (3, *zeros)
+    while True:
+        s = [a + b + c for a, b, c in zip(older, old, last)]
+        jet = (t * s[0], *(t * s[j] + j * s[j - 1] for j in range(1, k + 1)))
+        yield jet
+        older, old, last = old, last, jet
+
+
 @pytest.mark.parametrize("t", (-3, -1, 0, 1, 2, 5))
 def test_value_walk_matches_the_leibniz_step(t):
-    """cycle_jets(t) holds three ints; component 0 of cycle_jets(t, 1) comes
-    from the general step on whole jets."""
-    walks = zip(range(1, 501), cycle_jets(t), cycle_jets(t, 1))
+    """cycle_jets(t) holds three ints; component 0 of the reference Leibniz
+    step on whole 1-jets gives the same values."""
+    walks = zip(range(1, 501), cycle_jets(t), _leibniz_jets(t, 1))
     for n, value, jet in walks:
         assert type(value) is tuple and value == (jet[0],), n
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("t", (-3, -1, 0, 1, 2, 5))
+def test_jet_walks_match_the_leibniz_step(t, k):
+    """cycle_jets(t, k) for k = 1, 2 writes the step out on six and nine
+    ints, and k = 3 takes the step on whole jets: each equals the reference
+    step to n = 300, and D(C_n) differentiated and evaluated to n = 40."""
+    walks = zip(range(1, 301), cycle_jets(t, k), _leibniz_jets(t, k))
+    for n, jet, reference in walks:
+        assert type(jet) is tuple and jet == reference, n
+        if n <= 40:
+            assert list(jet) == _direct_jet(cycle_polynomial(n), t)[:k + 1], n
 
 
 def test_b_mod_9_is_one_period_of_b():

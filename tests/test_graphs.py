@@ -13,7 +13,6 @@ from dompoly.graphs import (
     disjoint_union,
     join,
     path,
-    split_family_spec,
     wheel,
 )
 
@@ -91,18 +90,6 @@ def test_parameter_domain_errors():
         build_family("moebius", 5)
     with pytest.raises(ParameterDomainError):
         build_family("cycle", 3, 4)
-
-
-def test_parse_family_spec():
-    assert split_family_spec("cycle:6") == ("cycle", (6,))
-    assert split_family_spec("cycle:0") == ("cycle", (0,))
-    assert split_family_spec("complete-cycle-join:2,5") == ("complete-cycle-join", (2, 5))
-    name, params = split_family_spec("complete-cycle-join:2,5")
-    assert build_family(name, *params) == complete_cycle_join(2, 5)
-    with pytest.raises(ParameterDomainError):
-        split_family_spec("cycle")
-    with pytest.raises(ParameterDomainError):
-        split_family_spec("cycle:x")
 
 
 def test_graph_construction_validation():
