@@ -6,9 +6,12 @@ Exit codes: 0 all requested checks pass, 1 a verification failed, 2 usage
 error, 3 input error (an `errors.InputError`, or an OSError reading a file).
 
 A call loads only the modules its verb runs: `graphs` and `oracle` are
-imported where a graph is built, read or walked, and `verify` where a
-check runs, so a cycle-family `cycle`, `poly` or `eval` call loads
-`cycles` and no graph code.
+imported where a graph is built, read or walked, `checks` where a check
+is named or runs, and `verify` where a check walks graphs, a corpus is
+classified or `verify all` runs. So a cycle-family `cycle`, `poly` or
+`eval` call loads `cycles` and no graph code, and `verify T5-partitions`,
+`verify T5-ten-cases` and `search-partitions` load `checks` but neither
+`verify` nor graph code.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class _VerbParser(argparse.ArgumentParser):
     the parser is built, so a call builds the arguments of its own verb
     only. That also defers `verify`'s `lemma` argument: argparse reads an
     argument's choices as the argument is added, and those choices are the
-    ids of `verify.CHECKS`, a module most verbs never import."""
+    ids of `checks.CHECKS`, a module most verbs never import."""
 
     add_arguments = None
 
@@ -100,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
              help="domination number: lowest index of the oracle's profile")
 
     def verify_arguments(p):
-        from . import verify
+        from . import checks
 
         p.add_argument("--max-n", type=int, default=None, metavar="N")
         p.add_argument("--min-part", type=int, choices=(1, 3), default=None,
@@ -111,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="graph6 corpus for COR-wheel / P-path-class")
         p.add_argument("--corpus-dir", metavar="DIR",
                        help="directory of order<k>.g6 files; enables corpus checks under 'all'")
-        p.add_argument("lemma", choices=[*verify.CHECKS, "all"])
+        p.add_argument("lemma", choices=[*checks.CHECKS, "all"])
 
     add_verb("verify", _run_verify, verify_arguments, help="run a verification check (or 'all')")
 
@@ -171,7 +174,7 @@ def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:
     not ASCII digits, two files of one order (order6.g6 and order06.g6), or
     a directory that gives no corpus check an order to run on, is an input
     error, refused before any file is read."""
-    from . import verify
+    from . import checks
 
     if not Path(dir_str).is_dir():
         raise ParameterDomainError(f"--corpus-dir {dir_str} is not a directory")
@@ -188,7 +191,7 @@ def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:
                 f"corpus files {files[order]} and {f} are both of order {order}"
             )
         files[order] = f
-    if not any(c.covers(k) for c in verify.CHECKS.values() if c.default_n is None
+    if not any(c.covers(k) for c in checks.CHECKS.values() if c.default_n is None
                for k in files):
         raise ParameterDomainError(
             f"--corpus-dir {dir_str} holds no order<k>.g6 file of an order a corpus check covers"
@@ -318,11 +321,11 @@ def _run_verify(args):
     """One pass: the check's kind and options say which flags it takes, so
     a flag it would ignore is refused, then a missing one it needs, then an
     order its registry entry does not cover or its walk guard refuses, all
-    before any corpus is read."""
-    from . import verify
-    from .oracle import _check_guard
+    before any corpus is read. Only `all` and the corpus checks import
+    `verify` here; a range check's runner imports what it walks."""
+    from . import checks
 
-    check = verify.CHECKS.get(args.lemma)
+    check = checks.CHECKS.get(args.lemma)
     if check is None:
         # `all` hands the guard to the corpus classification and checks only.
         kind, options = "all", {"guard"} if args.corpus_dir else set()
@@ -343,6 +346,8 @@ def _run_verify(args):
             raise ParameterDomainError(f"verify {args.lemma} does not take {flag}")
 
     if kind == "all":
+        from . import verify
+
         corpora = _read_corpus_dir(args.corpus_dir) if args.corpus_dir else None
         reports = verify.run_all(corpora=corpora, guard=args.guard_override)
         ok = all(r.passed for r in reports)
@@ -351,10 +356,13 @@ def _run_verify(args):
     given = {"guard": args.guard_override, "min_part": args.min_part}
     kwargs = {k: v for k, v in given.items() if v is not None}
     if kind == "corpus":
+        from . import verify
+        from .oracle import _check_guard
+
         for flag, value in (("--corpus", args.corpus), ("--n", args.n)):
             if value is None:
                 raise ParameterDomainError(f"verify {args.lemma} requires {flag}")
-        verify._require_covered(args.lemma, args.n)
+        checks._require_covered(args.lemma, args.n)
         # The check walks W_n or P_n, of order n, under the walk guard.
         _check_guard(args.n, _guard(args))
         result = verify.classify_corpus(_read_corpus(args.corpus), corpus_guard=args.guard_override)
@@ -391,11 +399,11 @@ def _run_search_partitions(args):
         raise SizeGuardError(f"search-partitions {args.n} would list {count} partitions, "
                              f"above {MAX_SEARCH_ROWS}; verify T5-partitions --max-n {args.n} "
                              f"--min-part {args.min_part} decides uniqueness without listing them")
-    from . import verify
+    from . import checks
 
     rows = [
         {"parts": list(parts), "matches": bool(outcome)}
-        for parts, outcome in verify.match_partitions(args.n, args.min_part)
+        for parts, outcome in checks.match_partitions(args.n, args.min_part)
     ]
     payload = {
         "n": args.n,
@@ -423,12 +431,12 @@ def _render_table(payload: dict) -> str:
     list), a corpus classification, a partition search, or else the JSON."""
     lines = []
     if "reports" in payload or "lemma_id" in payload:
-        from . import verify
+        from . import checks
 
         lines.append(f"{'check':<14} {'range':<12} {'status':<12} {'cex':>4}  claim")
         for r in payload.get("reports", [payload]):
             rng = f"{r['range'][0]}..{r['range'][1]}"
-            claim = verify.CHECKS[r["lemma_id"]].claim
+            claim = checks.CHECKS[r["lemma_id"]].claim
             lines.append(
                 f"{r['lemma_id']:<14} {rng:<12} {r['status']:<12} "
                 f"{len(r['counterexamples']):>4}  {claim}"

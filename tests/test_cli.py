@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dompoly import cli, cycles, errors, graphs, oracle, verify
+from dompoly import checks, cli, cycles, errors, graphs, oracle, verify
 from dompoly.cli import main, split_family_spec
 from dompoly.errors import ParameterDomainError
 from dompoly.graphs import (
@@ -417,8 +418,12 @@ GRAPH_CODE = {"dompoly.graphs", "dompoly.oracle", "dompoly.polynomials"}
 @pytest.mark.parametrize("argv,loaded", [
     (["eval", "--family", "cycle:6", "--at", "-1"], set()),
     (["cycle", "6"], {"dompoly.polynomials"}),
-    (["verify", "L5-alpha", "--max-n", "5"], GRAPH_CODE | {"dompoly.verify"}),
+    (["verify", "L5-alpha", "--max-n", "5"], {"dompoly.checks", "dompoly.polynomials"}),
     (["poly", "--family", "wheel:6"], GRAPH_CODE),
+    (["verify", "T5-partitions", "--max-n", "42"], {"dompoly.checks"}),
+    (["verify", "T5-ten-cases", "--max-n", "66"], {"dompoly.checks"}),
+    (["search-partitions", "12"], {"dompoly.checks", "dompoly.polynomials"}),
+    (["verify", "L2-union", "--max-n", "2"], GRAPH_CODE | {"dompoly.checks", "dompoly.verify"}),
 ])
 def test_a_cold_call_imports_only_what_its_verb_runs(argv, loaded):
     # From source, as with no .pyc; modules the bare interpreter already
@@ -431,10 +436,39 @@ def test_a_cold_call_imports_only_what_its_verb_runs(argv, loaded):
         return {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
                 if line.startswith("import time:")}
 
-    watched = GRAPH_CODE | {"dompoly.verify", "dataclasses", "inspect"}
+    watched = GRAPH_CODE | {"dompoly.checks", "dompoly.verify", "dataclasses", "inspect"}
     names = imported("-m", "dompoly.cli", *argv) - imported("-c", "pass")
     assert {"dompoly", "dompoly.cycles"} <= names
     assert names & watched == loaded
+
+
+def test_the_tracer_reaches_every_check(tmp_path):
+    """perfbench/tracer.py wraps the names it finds in the loaded dompoly
+    modules: `verify`'s `verify_*`, `classify_corpus` and the partition
+    routes. A check whose runner no longer reaches its function through
+    one of those names would trace as 0 s, so every check's outermost
+    span must take time, and the work counts must stay as they were."""
+    root = CORPUS_DIR.parents[1]
+    script = root / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", script)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run([sys.executable, str(script), str(out), "verify", "all", "--corpus-dir", str(CORPUS_DIR)],
+                   env=env, cwd=root, capture_output=True, check=True)
+    metrics = tracer.summarize([json.loads(out.read_text())])
+    assert [lemma for lemma in CHECKS if not metrics[f"verify.check_s.{lemma}"] > 0] == []
+    assert len(CHECKS) == 12
+    assert metrics["verify.classify_corpus.self_s"] > 0
+    counts = {name: metrics[name] for name in (
+        "oracle.domination_profile.calls", "oracle.masks_walked",
+        "graphs.parse_graph6.calls", "cycles.scalar.calls",
+    )}
+    assert counts == {
+        "oracle.domination_profile.calls": 638, "oracle.masks_walked": 1_041_160,
+        "graphs.parse_graph6.calls": 90, "cycles.scalar.calls": 1000,
+    }
 
 
 def test_verify_default_range_matches_run_all(capsys):
@@ -730,9 +764,9 @@ def test_cycle_recurrence_check_refuses_past_the_guard_before_walking(capsys, mo
 
 
 def test_search_partitions_refuses_too_many_rows_before_listing(capsys, monkeypatch):
-    match = verify.match_partitions
+    match = checks.match_partitions
     calls = []
-    monkeypatch.setattr(verify, "match_partitions", lambda *a: calls.append(a) or match(*a))
+    monkeypatch.setattr(checks, "match_partitions", lambda *a: calls.append(a) or match(*a))
     for argv in (("70",), ("42", "--min-part", "1")):
         code, out, err = run(capsys, "search-partitions", *argv)
         assert (code, out, calls) == (3, "", []), argv

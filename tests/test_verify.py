@@ -14,12 +14,10 @@ from dompoly.errors import InputError, ParameterDomainError, SizeGuardError
 from dompoly.graphs import Graph, cycle, disjoint_union, encode_graph6, complete, parse_graph6, path, wheel
 from dompoly.oracle import domination_polynomial
 from dompoly.polynomials import IntPolynomial, ord_p
-from dompoly import cycles, oracle, verify
+from dompoly import checks, cycles, oracle, verify
+from dompoly.checks import FINGERPRINT_MODULUS, FINGERPRINT_POINT, TEN_CASES
 from dompoly.verify import (
     CHECKS,
-    FINGERPRINT_MODULUS,
-    FINGERPRINT_POINT,
-    TEN_CASES,
     classify_corpus,
     enumerate_partitions,
     match_partitions,
@@ -151,8 +149,8 @@ def test_match_partitions_compares_exactly_the_fingerprint_matches(monkeypatch, 
     not None, with its parts, and never for a partition the fingerprint
     rejected: the exact compare is that call against D(C_n)."""
     built = []
-    real = verify.partition_polynomial
-    monkeypatch.setattr(verify, "partition_polynomial", lambda parts: built.append(parts) or real(parts))
+    real = checks.partition_polynomial
+    monkeypatch.setattr(checks, "partition_polynomial", lambda parts: built.append(parts) or real(parts))
     for n in range(min_part, n_max + 1):
         built.clear()
         compared = [parts for parts, outcome in match_partitions(n, min_part) if outcome is not None]
@@ -170,7 +168,7 @@ def test_fingerprint_filter_only_rejects(monkeypatch):
     """Modulo 1 every fingerprint is 0, so nothing is filtered out; the
     answer stays the same, so a match is always decided by the full compare."""
     filtered = verify_cycle_uniqueness_range(3, 20)
-    monkeypatch.setattr(verify, "FINGERPRINT_MODULUS", 1)
+    monkeypatch.setattr(checks, "FINGERPRINT_MODULUS", 1)
     unfiltered = verify_cycle_uniqueness_range(3, 20)
     assert unfiltered.details["full_compares"] == unfiltered.details["partitions_checked"]
     assert filtered.details["full_compares"] < unfiltered.details["full_compares"]
@@ -238,8 +236,9 @@ def test_partition_lowest_index_is_the_sum_of_part_ceilings():
 
 def test_gamma_and_ten_cases_enumerate_no_partition(monkeypatch):
     calls = []
-    for name in ("enumerate_partitions", "match_partitions"):
-        monkeypatch.setattr(verify, name, lambda *args, name=name: calls.append(name))
+    for mod in (checks, verify):
+        for name in ("enumerate_partitions", "match_partitions"):
+            monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
     assert verify_gamma_additivity_and_ceiling(200).passed
     assert verify_ten_case_table(60).passed
     assert calls == []
@@ -263,7 +262,7 @@ def test_weighted_evaluation_matches_differentiation(j):
     """D^(j)(-1) as one weighted sum of the coefficients, against j
     derivatives then Horner's rule, on D(C_1..C_300) and on seeded random
     polynomials: the zero and constant ones, negative coefficients."""
-    weights = verify._derivative_weights(j, 301)
+    weights = checks._derivative_weights(j, 301)
     for n, p in zip(range(1, 301), cycle_polynomials()):
         assert sum(map(operator.mul, p.coeffs, weights)) == _differentiated_at_minus_one(p, j), n
     rng = random.Random(25)
@@ -271,7 +270,7 @@ def test_weighted_evaluation_matches_differentiation(j):
     polys += [IntPolynomial(rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 40)))
               for _ in range(300)]
     for p in polys:
-        weights = verify._derivative_weights(j, len(p.coeffs))
+        weights = checks._derivative_weights(j, len(p.coeffs))
         assert sum(map(operator.mul, p.coeffs, weights)) == _differentiated_at_minus_one(p, j), p
 
 
@@ -280,14 +279,14 @@ def test_scalar_reports_evaluate_every_coefficient_of_the_walk(monkeypatch, expo
     """A walk whose D(C_12) carries x^exponent more fails L5, REL2 and REL3
     at n = 12 alone, with the evaluation of the planted polynomial; at
     exponent 25, above n_max, the weights grow to reach the extra term."""
-    walk = verify.cycle_polynomials
+    walk = checks.cycle_polynomials
     extra = IntPolynomial((0,) * exponent + (1,))
 
     def planted():
         for n, p in enumerate(walk(), 1):
             yield p + extra if n == 12 else p
 
-    monkeypatch.setattr(verify, "cycle_polynomials", planted)
+    monkeypatch.setattr(checks, "cycle_polynomials", planted)
     wrong = cycle_polynomial(12) + extra
     for j, check in enumerate((verify_alpha, verify_beta, verify_theta)):
         rep = check(20)
@@ -327,13 +326,13 @@ def test_ord3_table_fails_without_raising_below_the_table(monkeypatch):
     """a_7 + 1 has ord_3 0, below ceil(7/3), so it has no b_7 to factor
     out: L6 reports the bound at n = 7 and skips the b compare there, and
     R1 fails at n = 7 as well."""
-    jets = verify.cycle_jets
+    jets = checks.cycle_jets
 
     def planted(t, k=0):
         for n, jet in enumerate(jets(t, k), start=1):
             yield (jet[0] + 1, *jet[1:]) if t == -3 and n == 7 else jet
 
-    monkeypatch.setattr(verify, "cycle_jets", planted)
+    monkeypatch.setattr(checks, "cycle_jets", planted)
     rep = verify_ord3_table(40)
     assert rep.status == "fail"
     assert [(ex["check"], ex["n"], ex["ord3"]) for ex in rep.counterexamples] == [("ord3-bound", 7, 0)]
@@ -350,7 +349,7 @@ def _plant_b_mod_9(monkeypatch, n, value):
 
 def test_remark_fails_on_a_raised_prediction(monkeypatch):
     """b_17 mod 9 is 4; planted as 3, it raises predicted_ord3(17) by one."""
-    predicted = verify.predicted_ord3(17)
+    predicted = checks.predicted_ord3(17)
     _plant_b_mod_9(monkeypatch, 17, 3)
     rep = verify_remark(40)
     assert [ex for ex in rep.counterexamples if ex["check"] == "exact-ord3"] == [
@@ -458,7 +457,7 @@ def test_elimination_default_range(monkeypatch, min_part):
     enumerated; cases 7 and 10 fall at theta, case 1 mod 4, the rest by sign."""
     calls = []
     for name in ("enumerate_partitions", "match_partitions", "partition_polynomial"):
-        monkeypatch.setattr(verify, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(checks, name, lambda *args, name=name: calls.append(name))
     rep = verify_cycle_uniqueness_by_elimination(min_part=min_part)
     assert calls == []
     assert rep.passed and rep.range_checked == (3, 1000)
@@ -498,13 +497,13 @@ def test_case_certificates_are_the_jet_differences(min_part):
         for m, p in walk
     }
     for pattern, case in TEN_CASES.items():
-        certificate = verify._case_certificate(pattern, min_part)
+        certificate = checks._case_certificate(pattern, min_part)
         least = [min_part + (r - min_part) % 4 for r in pattern[1]]
         component = ("beta", "theta").index(certificate["component"]) + 1
         for k in itertools.product(range(4), repeat=3):
             parts = [4 * k_i + m for k_i, m in zip(k, least)]
             f, g, h = (jets[m] for m in parts)
-            product = verify._jet_product(verify._jet_product(f, g), h)
+            product = checks._jet_product(checks._jet_product(f, g), h)
             difference = [p - q for p, q in zip(product, jets[sum(parts)])]
             assert difference[0] == 0, (case, k)
             assert _difference_at(certificate["difference"], k) == difference[component], (case, k)
@@ -525,7 +524,7 @@ def _plant_theta_off_by_one(monkeypatch, row=2):
 
 @pytest.mark.parametrize("row", range(4))
 def test_a_theta_row_off_by_one_fails_rel3_and_the_elimination(monkeypatch, row):
-    theta = [verify.closed_jet(n)[2] for n in range(41)]
+    theta = [checks.closed_jet(n)[2] for n in range(41)]
     _plant_theta_off_by_one(monkeypatch, row)
     rep = verify_theta(40)
     assert rep.status == "fail"
@@ -538,17 +537,17 @@ def test_a_theta_row_off_by_one_fails_rel3_and_the_elimination(monkeypatch, row)
 
 
 def _plant_dropped_case(monkeypatch):
-    monkeypatch.setattr(verify, "TEN_CASES", {p: c for p, c in TEN_CASES.items() if c != 4})
+    monkeypatch.setattr(checks, "TEN_CASES", {p: c for p, c in TEN_CASES.items() if c != 4})
 
 
 def _plant_tripled_minus_three_jet(monkeypatch):
-    jets = verify.cycle_jets
+    jets = checks.cycle_jets
 
     def planted(t, k=0):
         for jet in jets(t, k):
             yield (3 * jet[0], *jet[1:]) if t == -3 else jet
 
-    monkeypatch.setattr(verify, "cycle_jets", planted)
+    monkeypatch.setattr(checks, "cycle_jets", planted)
 
 
 @pytest.mark.parametrize("plant,check", (
@@ -599,7 +598,7 @@ def _part_triples(n_max):
 def test_triples_are_the_part_triples_up_to_n_max_in_order():
     """`_part_pairs` gives each pair (n1, n2) with its nonempty range of n3."""
     for n_max in (0, 8, 9, 10, 17, 30):
-        pairs = list(verify._part_pairs(n_max))
+        pairs = list(checks._part_pairs(n_max))
         assert all(n3s for _, _, n3s in pairs), n_max
         assert [(n1, n2, n3) for n1, n2, n3s in pairs for n3 in n3s] == _part_triples(n_max), n_max
 
@@ -613,7 +612,7 @@ def test_jet_product_is_the_jet_of_the_product():
         f = IntPolynomial(tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6))))
         g = IntPolynomial(tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6))))
         for t in (-1, 0, 2):
-            assert verify._jet_product(jet(f, t), jet(g, t)) == jet(f * g, t), (f, g, t)
+            assert checks._jet_product(jet(f, t), jet(g, t)) == jet(f * g, t), (f, g, t)
 
 
 def test_ten_case_table_reads_no_fingerprint_and_compares_nothing(monkeypatch):
@@ -621,11 +620,11 @@ def test_ten_case_table_reads_no_fingerprint_and_compares_nothing(monkeypatch):
     calls = []
 
     def spy(name):
-        real = getattr(verify, name)
+        real = getattr(checks, name)
         return lambda *args: calls.append(name) or real(*args)
 
     for name in ("match_partitions", "partition_polynomial", "cycle_jets"):
-        monkeypatch.setattr(verify, name, spy(name))
+        monkeypatch.setattr(checks, name, spy(name))
     rep = verify_ten_case_table(150)
     assert rep.passed and rep.range_checked == (9, 150)
     assert rep.details["full_compares"] == 0
@@ -638,7 +637,7 @@ def test_ten_case_jet_only_rejects(monkeypatch):
     no product equal to D(C_n), so the jet never decides a match."""
     compared = []
 
-    real = verify.partition_polynomial
+    real = checks.partition_polynomial
 
     def product(parts):
         compared.append(parts)
@@ -647,7 +646,7 @@ def test_ten_case_jet_only_rejects(monkeypatch):
     for row in range(4):
         _plant_jet_row(monkeypatch, row, 1, (0, 0, 0))
         _plant_jet_row(monkeypatch, row, 2, (0, 0, 0))
-    monkeypatch.setattr(verify, "partition_polynomial", product)
+    monkeypatch.setattr(checks, "partition_polynomial", product)
     rep = verify_ten_case_table(40)
     alpha_compatible = [
         (n1, n2, n3) for n1, n2, n3 in _part_triples(40)
@@ -684,11 +683,11 @@ def test_ten_cases_catch_a_planted_beta_past_the_certificates(monkeypatch):
     """beta(40) planted to -79, the beta of (21, 16, 3)'s product: the two
     case-1 triples whose product has that beta are reported. The case
     certificates read n <= 26 only, so they stay as they were."""
-    real = verify.closed_jet
+    real = checks.closed_jet
     planted = (real(40)[0], -79, real(40)[2])
-    monkeypatch.setattr(verify, "closed_jet", lambda n: planted if n == 40 else real(n))
+    monkeypatch.setattr(checks, "closed_jet", lambda n: planted if n == 40 else real(n))
     jets = {n: real(n) for n in (3, 16, 21)}
-    assert verify._jet_product(verify._jet_product(jets[21], jets[16]), jets[3])[1] == -79
+    assert checks._jet_product(checks._jet_product(jets[21], jets[16]), jets[3])[1] == -79
     rep = verify_ten_case_table(40)
     assert _not_eliminated(rep) == {(40, 1, (21, 16, 3)), (40, 1, (25, 11, 4))}
     assert {ex["component"] for ex in rep.counterexamples} == {"beta"}
@@ -720,22 +719,22 @@ def _ten_case_table_reference(n_max):
     bad = []
     case_counts = {k: 0 for k in range(1, 11)}
     total = full_compares = compatible = 0
-    jets = {n: verify.closed_jet(n) for n in range(3, n_max + 1)}
-    reads = {c: verify._case_certificate(p, 3)["component"] for p, c in verify.TEN_CASES.items()}
+    jets = {n: checks.closed_jet(n) for n in range(3, n_max + 1)}
+    reads = {c: checks._case_certificate(p, 3)["component"] for p, c in checks.TEN_CASES.items()}
     for n1, n2, n3 in _part_triples(n_max):
         total += 1
         n = n1 + n2 + n3
-        product = verify._jet_product(verify._jet_product(jets[n1], jets[n2]), jets[n3])
+        product = checks._jet_product(checks._jet_product(jets[n1], jets[n2]), jets[n3])
         want = jets[n]
         if product == want:
             full_compares += 1
-            if verify.partition_polynomial((n1, n2, n3)) == verify.cycle_polynomial(n):
+            if checks.partition_polynomial((n1, n2, n3)) == checks.cycle_polynomial(n):
                 bad.append({"check": "product-equals-cycle", "n": n, "partition": [n1, n2, n3]})
         if product[0] != want[0]:
             continue
         compatible += 1
         pattern = (n % 4, tuple(sorted((n1 % 4, n2 % 4, n3 % 4))))
-        case = verify.TEN_CASES.get(pattern)
+        case = checks.TEN_CASES.get(pattern)
         if case is None:
             bad.append({
                 "check": "pattern-outside-table", "n": n,
