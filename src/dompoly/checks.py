@@ -32,16 +32,18 @@ as one weighted sum (weights (-1)^(i-j) * i!/(i-j)!, built once per check).
 L6-ord3 (n <= 30) and R1-remark (every n) check `cycles.B_MOD_9`,
 read through `b_mod_9`, against `b_values`.
 
-Enumeration is the reference route (`verify_cycle_uniqueness_range`) and
-the route of `search-partitions`. Both take each partition from
-`match_partitions`, fingerprint first, full compare second: the
-product of the parts' values D(C_p, t) mod 2^61-1 at one fixed point t
-must equal D(C_n, t) mod 2^61-1 before the exact compare. Equal
-polynomials have equal values, so the fingerprint only ever rejects.
-Every exact compare, here and in T5-ten-cases, is
+Enumeration is the route of `search-partitions`, which takes each
+partition from `match_partitions`, fingerprint first, full compare
+second: the product of the parts' values D(C_p, t) mod 2^61-1 at one
+fixed point t must equal D(C_n, t) mod 2^61-1 before the exact compare.
+Equal polynomials have equal values, so the fingerprint only ever
+rejects. Every exact compare, here and in T5-ten-cases, is
 `partition_polynomial(parts) == cycle_polynomial(n)`, coefficient by
 coefficient. One `cycle_jets` walk to n gives a search's fingerprints,
-and nothing is cached between searches.
+and nothing is cached between searches. The slow reference route that
+enumerates every partition and lists those whose product equals D(C_n)
+is not part of the package: the tests hold it, in `tests/reference.py`,
+and check the elimination against it.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ __all__ = [
     "verify_theta",
     "verify_ord3_table",
     "verify_remark",
-    "verify_cycle_uniqueness_range",
     "verify_cycle_uniqueness_by_elimination",
     "verify_ten_case_table",
 ]
@@ -317,40 +318,6 @@ def verify_remark(n_max: int = 1000) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Uniqueness among unions of cycles
 # ---------------------------------------------------------------------------
-
-def verify_cycle_uniqueness_range(
-    n_min: int = 3, n_max: int = 40, min_part: int = 3
-) -> VerificationReport:
-    """For every n in n_min..n_max, only the trivial partition {n} reproduces
-    D(C_n,x): the reference route, which enumerates every partition."""
-    if n_min < 3:
-        raise ParameterDomainError(f"cycle uniqueness check needs n >= 3, got {n_min}")
-    t0 = time.perf_counter()
-    bad = []
-    total = full_compares = 0
-    for n in range(n_min, n_max + 1):
-        trivial_matched = False
-        for parts, outcome in match_partitions(n, min_part):
-            total += 1
-            full_compares += outcome is not None
-            if not outcome:
-                continue
-            if parts == (n,):
-                trivial_matched = True
-                continue
-            bad.append({
-                "n": n,
-                "partition": list(parts),
-                "partition_polynomial": partition_polynomial(parts).coefficient_strings(),
-                "cycle_polynomial": cycle_polynomial(n).coefficient_strings(),
-            })
-        if not trivial_matched:
-            bad.append({"n": n, "error": "trivial partition did not match itself"})
-    return _report(
-        "T5-partitions", n_min, n_max, bad, t0,
-        {"partitions_checked": total, "full_compares": full_compares, "min_part": min_part},
-    )
-
 
 # The ten admissible residue patterns for n = n1+n2+n3 (everything mod 4),
 # keyed by (n mod 4, sorted part residues). A triple is alpha-compatible

@@ -23,8 +23,9 @@ are generators holding three terms; the single-n functions take the n-th
 item of a fresh walk, so loops over n walk a generator instead. The
 walks are straight-line steps: `cycle_polynomials` adds three coefficient
 tuples of known lengths with C-level `map`, `cycle_jets(t)` (k = 0, the
-values alone) holds three ints, `cycle_jets(t, 1)` six and `cycle_jets(t,
-2)` nine; only k >= 3 takes the Leibniz step on whole jets.
+values alone) holds three ints and `cycle_jets(t, 2)` nine, which
+`cycle_jets(t, 1)` also walks; only k >= 3 takes the Leibniz step on
+whole jets.
 `cycle_polynomials` alone imports `IntPolynomial`, so the scalar walks
 load no polynomial code.
 """
@@ -119,8 +120,8 @@ def cycle_jets(t: int, k: int = 0) -> Iterator[tuple[int, ...]]:
         D_n^(j)(t) = t * S_n^(j)(t) + j * S_n^(j-1)(t),
 
     so each step needs only the last three jets: memory stays flat in n.
-    At k = 0 that is D_n(t) = t * S_n(t), walked on three ints; k = 1 and
-    k = 2 write the step out on six and nine ints.
+    At k = 0 that is D_n(t) = t * S_n(t), walked on three ints; k = 2
+    writes the step out on nine ints, and k = 1 reads (D, D') off that walk.
     """
     if k < 0:
         raise ParameterDomainError(f"derivative order must be >= 0, got {k}")
@@ -129,7 +130,7 @@ def cycle_jets(t: int, k: int = 0) -> Iterator[tuple[int, ...]]:
     if k == 0:
         return _value_walk(t)
     if k == 1:
-        return _one_jet_walk(t)
+        return ((v, d) for v, d, _ in _two_jet_walk(t))
     return _two_jet_walk(t) if k == 2 else _jet_walk(t, k)
 
 
@@ -139,16 +140,6 @@ def _value_walk(t: int) -> Iterator[tuple[int]]:
     while True:
         older, old, last = old, last, t * (older + old + last)
         yield (last,)
-
-
-def _one_jet_walk(t: int) -> Iterator[tuple[int, int]]:
-    """`cycle_jets(t, 1)`: (D, D')(C_n, t) on six ints, D_n' = t * S_n' + S_n."""
-    v3, d3, v2, d2, v1, d1 = -1, 0, -1, 0, 3, 0
-    while True:
-        s, ds = v3 + v2 + v1, d3 + d2 + d1
-        v3, d3, v2, d2 = v2, d2, v1, d1
-        v1, d1 = t * s, t * ds + s
-        yield v1, d1
 
 
 def _two_jet_walk(t: int) -> Iterator[tuple[int, int, int]]:

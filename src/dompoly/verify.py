@@ -22,24 +22,9 @@ from operator import itemgetter
 from random import Random
 from typing import Iterable
 
-from .checks import (
-    CHECKS,
-    Check,
-    VerificationReport,
-    _report,
-    _require_covered,
-    enumerate_partitions,
-    match_partitions,
-    partition_polynomial,
-    verify_alpha,
-    verify_beta,
-    verify_cycle_uniqueness_by_elimination,
-    verify_cycle_uniqueness_range,
-    verify_ord3_table,
-    verify_remark,
-    verify_ten_case_table,
-    verify_theta,
-)
+from . import checks
+from .checks import *
+from .checks import _report, _require_covered
 from .cycles import cycle_polynomials
 from .errors import Graph6FormatError, Graph6ParseError, ParameterDomainError, SizeGuardError
 from .graphs import Graph, cycle, disjoint_union, parse_graph6, path, wheel
@@ -56,25 +41,12 @@ from .oracle import (
 from .polynomials import IntPolynomial
 
 __all__ = [
-    "Check",
-    "CHECKS",
-    "VerificationReport",
+    *checks.__all__,
     "EquivalenceClassReport",
     "CorpusClassification",
-    "enumerate_partitions",
-    "partition_polynomial",
-    "match_partitions",
     "verify_union_product",
     "verify_cycle_recurrence",
     "verify_gamma_additivity_and_ceiling",
-    "verify_alpha",
-    "verify_beta",
-    "verify_theta",
-    "verify_ord3_table",
-    "verify_remark",
-    "verify_cycle_uniqueness_range",
-    "verify_cycle_uniqueness_by_elimination",
-    "verify_ten_case_table",
     "UNLABELED_GRAPH_COUNTS",
     "classify_corpus",
     "verify_wheel_uniqueness",

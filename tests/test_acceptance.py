@@ -23,11 +23,13 @@ from dompoly.graphs import cycle, parse_graph6, wheel
 from dompoly.oracle import domination_number, domination_polynomial
 from dompoly.polynomials import ord_p
 from dompoly.verify import (
-    verify_cycle_uniqueness_range,
+    verify_cycle_uniqueness_by_elimination,
     verify_path_class,
     verify_ten_case_table,
     verify_union_product,
 )
+
+import reference
 
 B_MOD9_FIRST_30 = (1, 1, 3, 3, 7, 6, 2, 7, 3, 7, 7, 3, 3, 4, 6,
                    5, 4, 3, 4, 4, 3, 3, 1, 6, 8, 1, 3, 1, 1, 3)
@@ -95,9 +97,10 @@ def test_criterion_05_ord3_golden_vector_period_and_table():
 
 def test_criterion_06_cycle_uniqueness_over_partitions():
     t0 = time.perf_counter()
-    report = verify_cycle_uniqueness_range(3, 40)
+    report = verify_cycle_uniqueness_by_elimination(40)
+    rivals = [parts for n in range(3, 41) for parts in reference.cycle_partition_rivals(n)]
     _criterion(6, "only the trivial cycle partition matches D(C_n), 3 <= n <= 40",
-               report.passed, time.perf_counter() - t0, 120)
+               report.passed and rivals == [], time.perf_counter() - t0, 120)
 
 
 def test_criterion_07_cycle_class_singleton_over_corpora(corpus, classified):

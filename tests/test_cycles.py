@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import islice, product, zip_longest
+from itertools import islice, product
 
 import pytest
 
@@ -24,6 +24,8 @@ from dompoly.errors import InternalInconsistencyError, ParameterDomainError
 from dompoly.graphs import cycle
 from dompoly.oracle import domination_polynomial
 from dompoly.polynomials import IntPolynomial, ord_p
+
+import reference
 
 # first 30 values of b_n mod 9
 B_MOD9 = (1, 1, 3, 3, 7, 6, 2, 7, 3, 7, 7, 3, 3, 4, 6,
@@ -157,39 +159,17 @@ def test_closed_jet_matches_its_list_form():
         assert closed_jet(n) == _list_closed_jet(n), n
 
 
-def _zip_longest_polynomials():
-    """`cycle_polynomials` as it was written before its fixed-length step:
-    each coefficient sums the three tuples, padded by `zip_longest`."""
-    older, old, last = (-1,), (-1,), (3,)
-    while True:
-        coeffs = (0, *map(sum, zip_longest(older, old, last, fillvalue=0)))
-        yield IntPolynomial(coeffs)
-        older, old, last = old, last, coeffs
-
-
 def test_cycle_polynomials_match_the_general_step():
-    for n, p, q in zip(range(1, 301), cycle_polynomials(), _zip_longest_polynomials()):
-        assert p.coeffs == q.coeffs, n
+    for n, p, q in zip(range(1, 301), cycle_polynomials(), reference.cycle_coefficients()):
+        assert p.coeffs == q, n
         assert len(p.coeffs) == n + 1 and p.coeffs[-1] == 1, n
-
-
-def _leibniz_jets(t, k):
-    """The general Leibniz step on whole jets, D_n^(j) = t * S_n^(j) + j *
-    S_n^(j-1): the reference the straight-line walks are checked against."""
-    zeros = (0,) * k
-    older, old, last = (-1, *zeros), (-1, *zeros), (3, *zeros)
-    while True:
-        s = [a + b + c for a, b, c in zip(older, old, last)]
-        jet = (t * s[0], *(t * s[j] + j * s[j - 1] for j in range(1, k + 1)))
-        yield jet
-        older, old, last = old, last, jet
 
 
 @pytest.mark.parametrize("t", (-3, -1, 0, 1, 2, 5))
 def test_value_walk_matches_the_leibniz_step(t):
     """cycle_jets(t) holds three ints; component 0 of the reference Leibniz
     step on whole 1-jets gives the same values."""
-    walks = zip(range(1, 501), cycle_jets(t), _leibniz_jets(t, 1))
+    walks = zip(range(1, 501), cycle_jets(t), reference.leibniz_jets(t, 1))
     for n, value, jet in walks:
         assert type(value) is tuple and value == (jet[0],), n
 
@@ -197,14 +177,15 @@ def test_value_walk_matches_the_leibniz_step(t):
 @pytest.mark.parametrize("k", (1, 2, 3))
 @pytest.mark.parametrize("t", (-3, -1, 0, 1, 2, 5))
 def test_jet_walks_match_the_leibniz_step(t, k):
-    """cycle_jets(t, k) for k = 1, 2 writes the step out on six and nine
-    ints, and k = 3 takes the step on whole jets: each equals the reference
-    step to n = 300, and D(C_n) differentiated and evaluated to n = 40."""
-    walks = zip(range(1, 301), cycle_jets(t, k), _leibniz_jets(t, k))
-    for n, jet, reference in walks:
-        assert type(jet) is tuple and jet == reference, n
+    """cycle_jets(t, 2) writes the step out on nine ints, cycle_jets(t, 1)
+    reads (D, D') off that walk, and k = 3 takes the step on whole jets:
+    each equals the reference step to n = 300, and D(C_n) differentiated
+    and evaluated to n = 40."""
+    walks = zip(range(1, 301), cycle_jets(t, k), reference.leibniz_jets(t, k))
+    for n, jet, expected in walks:
+        assert type(jet) is tuple and jet == expected, n
         if n <= 40:
-            assert list(jet) == _direct_jet(cycle_polynomial(n), t)[:k + 1], n
+            assert jet == reference.direct_jet(cycle_polynomial(n).coeffs, t, k), n
 
 
 def test_b_mod_9_is_one_period_of_b():
@@ -230,24 +211,15 @@ def test_reference_routes_do_not_read_the_tables(monkeypatch):
     assert answers() == expected
 
 
-def _direct_jet(p, t):
-    """p and its first three derivatives at t, from the polynomial."""
-    out = []
-    for _ in range(4):
-        out.append(p.eval_at(t))
-        p = p.derivative()
-    return out
-
-
 @pytest.mark.parametrize("t", (-3, -1, 0, 1, 2))
 def test_jet_matches_differentiated_polynomial(t):
     for n, p, jet in zip(range(1, 201), cycle_polynomials(), cycle_jets(t, 3)):
-        assert list(jet) == _direct_jet(p, t), n
+        assert jet == reference.direct_jet(p.coeffs, t, 3), n
     # cycle_jet leaves out the derivatives above the degree n
     for n in range(1, 6):
         jet = cycle_jet(n, t, 3)
         assert len(jet) == min(3, n) + 1, n
-        assert list(jet) + [0] * (4 - len(jet)) == _direct_jet(cycle_polynomial(n), t), n
+        assert jet + (0,) * (4 - len(jet)) == reference.direct_jet(cycle_polynomial(n).coeffs, t, 3), n
 
 
 def test_jet_clamps_the_derivative_order_to_n():

@@ -15,6 +15,7 @@ from dompoly.oracle import domination_number, domination_polynomial, domination_
 from dompoly.polynomials import IntPolynomial
 
 from conftest import load_corpus
+import reference
 
 
 def test_profile_examples():
@@ -121,21 +122,6 @@ def test_each_walk_checks_the_guard_once(monkeypatch):
     assert checked == [0]
 
 
-def _reference_profile(g):
-    """The literal definition: OR the closed neighborhoods of each of the
-    2^n subsets and count, by size, the subsets that reach every vertex."""
-    full = (1 << g.n) - 1
-    counts = [0] * (g.n + 1)
-    for mask in range(1, 1 << g.n):
-        cover = 0
-        for v in range(g.n):
-            if mask >> v & 1:
-                cover |= g.closed[v]
-        if cover == full:
-            counts[mask.bit_count()] += 1
-    return tuple(counts[1:])
-
-
 def _lowest_nonzero(counts):
     return next((k for k, c in enumerate(counts, start=1) if c), None)
 
@@ -144,9 +130,9 @@ def _lowest_nonzero(counts):
 def test_profile_matches_the_reference_on_the_corpus(order):
     for record in load_corpus(order):
         g = parse_graph6(record)
-        reference = _reference_profile(g)
-        assert domination_profile(g) == reference, record
-        assert domination_number(g) == _lowest_nonzero(reference), record
+        expected = reference.domination_profile(g.closed)
+        assert domination_profile(g) == expected, record
+        assert domination_number(g) == _lowest_nonzero(expected), record
 
 
 @pytest.mark.parametrize("density", [0, 0.1, 0.3, 0.5, 1])
@@ -157,9 +143,9 @@ def test_profile_matches_the_reference_on_random_graphs(density):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
         g = Graph.from_edges(n, edges)
         mixed += bool(edges) and any(c == 1 << v for v, c in enumerate(g.closed))
-        reference = _reference_profile(g)
-        assert domination_profile(g) == reference, (n, edges)
-        assert domination_number(g) == _lowest_nonzero(reference), (n, edges)
+        expected = reference.domination_profile(g.closed)
+        assert domination_profile(g) == expected, (n, edges)
+        assert domination_number(g) == _lowest_nonzero(expected), (n, edges)
     assert density in (0, 1) or mixed
 
 
@@ -168,7 +154,7 @@ def test_profile_matches_the_reference_when_half_covers_are_distinct():
     # matching across the halves also keeps every pair of half-covers
     # in the sum, the most it can hold.
     for g in (Graph.from_edges(16, []), Graph.from_edges(16, [(v, v + 8) for v in range(8)])):
-        assert domination_profile(g) == _reference_profile(g)
+        assert domination_profile(g) == reference.domination_profile(g.closed)
 
 
 def test_profile_of_the_largest_complete_graph():
@@ -203,10 +189,10 @@ def _matching_across_halves(n):
 @pytest.mark.parametrize("n", [oracle.TRUTH_TABLE_MAX_ORDER, oracle.TRUTH_TABLE_MAX_ORDER + 1])
 def test_both_routes_match_the_reference_at_the_cutoff(n):
     for g in (cycle(n), wheel(n), complete(n), Graph.from_edges(n, []), _matching_across_halves(n)):
-        reference = _reference_profile(g)
-        assert oracle._truth_table_profile(g.closed) == reference, g
-        assert oracle._pair_sum_profile(g.closed) == reference, g
-        assert domination_profile(g) == reference, g
+        expected = reference.domination_profile(g.closed)
+        assert oracle._truth_table_profile(g.closed) == expected, g
+        assert oracle._pair_sum_profile(g.closed) == expected, g
+        assert domination_profile(g) == expected, g
 
 
 def test_the_order_alone_picks_the_route(monkeypatch):

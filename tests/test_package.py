@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -50,3 +51,19 @@ def test_importing_the_package_loads_none_of_its_modules():
         env=env, capture_output=True, text=True, check=True,
     )
     assert child.stdout == "['dompoly']\n"
+
+
+def test_the_reference_module_imports_the_standard_library_only():
+    """tests/reference.py checks the package's fast routes, so it must share
+    no code with the package: every import it makes is of the standard
+    library, and none is relative or of dompoly."""
+    source = Path(__file__).with_name("reference.py").read_text()
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    tops = {name.split(".")[0] for name in imported}
+    assert imported and "dompoly" not in tops
+    assert sorted(tops - sys.stdlib_module_names) == []

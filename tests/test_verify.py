@@ -5,7 +5,7 @@ import json
 import math
 import operator
 import random
-from functools import cache, lru_cache
+from functools import cache
 
 import pytest
 
@@ -28,7 +28,6 @@ from dompoly.verify import (
     verify_beta,
     verify_cycle_recurrence,
     verify_cycle_uniqueness_by_elimination,
-    verify_cycle_uniqueness_range,
     verify_gamma_additivity_and_ceiling,
     verify_ord3_table,
     verify_path_class,
@@ -38,6 +37,8 @@ from dompoly.verify import (
     verify_union_product,
     verify_wheel_uniqueness,
 )
+
+import reference
 
 
 # ---------------------------------------------------------------------------
@@ -60,38 +61,17 @@ def test_partition_canonical_form():
     assert len(seen) == len(set(seen))
 
 
-@lru_cache(maxsize=None)
-def _count_partitions(n: int, max_part: int, min_part: int) -> int:
-    """Independent count via the standard two-variable recurrence."""
-    if n == 0:
-        return 1
-    total = 0
-    for first in range(min_part, min(n, max_part) + 1):
-        total += _count_partitions(n - first, first, min_part)
-    return total
-
-
 @pytest.mark.parametrize("min_part,n_max", ((1, 35), (3, 60)))
 def test_partition_count_matches_recurrence(min_part, n_max):
     for n in range(1, n_max + 1):
-        expected = _count_partitions(n, n, min_part)
+        expected = len(reference.partitions(n, min_part))
         assert sum(1 for _ in enumerate_partitions(n, min_part)) == expected
-
-
-def _naive_partitions(n: int, largest: int, min_part: int):
-    if n == 0:
-        return [()]
-    return [
-        (first, *rest)
-        for first in range(min(n, largest), min_part - 1, -1)
-        for rest in _naive_partitions(n - first, first, min_part)
-    ]
 
 
 @pytest.mark.parametrize("min_part", (1, 3))
 def test_enumerate_partitions_matches_naive_recursion(min_part):
     for n in range(1, 31):
-        assert list(enumerate_partitions(n, min_part)) == _naive_partitions(n, n, min_part), n
+        assert list(enumerate_partitions(n, min_part)) == reference.partitions(n, min_part), n
 
 
 def test_enumerate_partitions_validation():
@@ -157,22 +137,29 @@ def test_match_partitions_compares_exactly_the_fingerprint_matches(monkeypatch, 
         assert built == compared, n
 
 
-def _without_work_counters(report):
-    out = report.to_json_dict()
-    out.pop("timing_ms")
-    out["details"] = {k: v for k, v in out["details"].items() if k != "full_compares"}
-    return out
+def _search(n_min, n_max, min_part=3):
+    """`checks.match_partitions` over n = n_min..n_max: the partitions it
+    yields, the full compares it runs (outcomes not None), and, by n, the
+    partitions it finds equal to D(C_n)."""
+    searched = compared = 0
+    matches = {}
+    for n in range(n_min, n_max + 1):
+        matches[n] = []
+        for parts, outcome in checks.match_partitions(n, min_part):
+            searched += 1
+            compared += outcome is not None
+            if outcome:
+                matches[n].append(parts)
+    return searched, compared, matches
 
 
 def test_fingerprint_filter_only_rejects(monkeypatch):
     """Modulo 1 every fingerprint is 0, so nothing is filtered out; the
     answer stays the same, so a match is always decided by the full compare."""
-    filtered = verify_cycle_uniqueness_range(3, 20)
+    searched, filtered, matches = _search(3, 20)
     monkeypatch.setattr(checks, "FINGERPRINT_MODULUS", 1)
-    unfiltered = verify_cycle_uniqueness_range(3, 20)
-    assert unfiltered.details["full_compares"] == unfiltered.details["partitions_checked"]
-    assert filtered.details["full_compares"] < unfiltered.details["full_compares"]
-    assert _without_work_counters(filtered) == _without_work_counters(unfiltered)
+    assert _search(3, 20) == (searched, searched, matches)
+    assert filtered < searched
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +237,6 @@ def test_scalar_reports():
     assert verify_theta(120).passed
 
 
-def _differentiated_at_minus_one(p, j):
-    """D^(j)(-1) by j derivatives, then Horner's rule."""
-    for _ in range(j):
-        p = p.derivative()
-    return p.eval_at(-1)
-
-
 @pytest.mark.parametrize("j", (0, 1, 2))
 def test_weighted_evaluation_matches_differentiation(j):
     """D^(j)(-1) as one weighted sum of the coefficients, against j
@@ -264,14 +244,14 @@ def test_weighted_evaluation_matches_differentiation(j):
     polynomials: the zero and constant ones, negative coefficients."""
     weights = checks._derivative_weights(j, 301)
     for n, p in zip(range(1, 301), cycle_polynomials()):
-        assert sum(map(operator.mul, p.coeffs, weights)) == _differentiated_at_minus_one(p, j), n
+        assert sum(map(operator.mul, p.coeffs, weights)) == reference.direct_jet(p.coeffs, -1, j)[j], n
     rng = random.Random(25)
     polys = [IntPolynomial(), IntPolynomial((7,)), IntPolynomial((-4,)), IntPolynomial((0, -1))]
     polys += [IntPolynomial(rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 40)))
               for _ in range(300)]
     for p in polys:
         weights = checks._derivative_weights(j, len(p.coeffs))
-        assert sum(map(operator.mul, p.coeffs, weights)) == _differentiated_at_minus_one(p, j), p
+        assert sum(map(operator.mul, p.coeffs, weights)) == reference.direct_jet(p.coeffs, -1, j)[j], p
 
 
 @pytest.mark.parametrize("exponent", (3, 17, 25))
@@ -292,7 +272,7 @@ def test_scalar_reports_evaluate_every_coefficient_of_the_walk(monkeypatch, expo
         rep = check(20)
         assert rep.status == "fail"
         assert [(ex["n"], ex["evaluation"]) for ex in rep.counterexamples] == [
-            (12, str(_differentiated_at_minus_one(wrong, j)))
+            (12, str(reference.direct_jet(wrong.coeffs, -1, j)[j]))
         ]
 
 
@@ -407,47 +387,42 @@ def test_report_json_shape():
 # ---------------------------------------------------------------------------
 
 def test_cycle_uniqueness_single():
-    rep = verify_cycle_uniqueness_range(6, 6)
-    assert rep.passed
-    assert rep.details["partitions_checked"] == 2
+    searched, _, matches = _search(6, 6)
+    assert matches == {6: [(6,)]}
+    assert searched == 2
     # the lone rival {3,3} differs at x^3: 14 vs 18
     assert cycle_polynomial(6).coefficient(3) == 14
     assert partition_polynomial((3, 3)).coefficient(3) == 18
 
 
 def test_cycle_uniqueness_12():
-    rep = verify_cycle_uniqueness_range(12, 12)
-    assert rep.passed
-    assert rep.details["partitions_checked"] == 9
+    searched, compared, matches = _search(12, 12)
+    assert matches == {12: [(12,)]}
+    assert searched == 9
     # only the trivial partition survives the fingerprint
-    assert rep.details["full_compares"] == 1
+    assert compared == 1
 
 
 def test_cycle_uniqueness_range():
-    rep = verify_cycle_uniqueness_range(3, 25)
-    assert rep.passed
-    assert rep.range_checked == (3, 25)
+    _, _, matches = _search(3, 25)
+    assert matches == {n: [(n,)] for n in range(3, 26)}
 
 
 def test_cycle_uniqueness_min_part_one():
-    rep = verify_cycle_uniqueness_range(8, 8, min_part=1)
-    assert rep.passed
-    assert rep.details["min_part"] == 1
-
-
-def _answer(report):
-    return report.status, report.counterexamples
+    _, _, matches = _search(8, 8, min_part=1)
+    assert matches == {8: [(8,)]}
 
 
 @pytest.mark.parametrize("min_part,n_max", ((3, 40), (1, 25)))
 def test_elimination_agrees_with_enumeration(min_part, n_max):
+    """At every n the elimination passes exactly where the reference
+    enumeration finds no rival partition, and both pass over the range."""
     for n in range(3, n_max + 1):
         eliminated = verify_cycle_uniqueness_by_elimination(n, min_part)
-        assert _answer(eliminated) == _answer(verify_cycle_uniqueness_range(n, n, min_part)), n
+        assert eliminated.passed == (reference.cycle_partition_rivals(n, min_part) == []), n
         assert eliminated.range_checked == (3, n)
     eliminated = verify_cycle_uniqueness_by_elimination(n_max, min_part)
-    assert _answer(eliminated) == _answer(verify_cycle_uniqueness_range(3, n_max, min_part))
-    assert _answer(eliminated) == ("pass", [])
+    assert (eliminated.status, eliminated.counterexamples) == ("pass", [])
     assert eliminated.range_checked == (3, n_max)
 
 
@@ -491,11 +466,7 @@ def test_case_certificates_are_the_jet_differences(min_part):
     """Each case's polynomial equals the difference of the recurrence's jets
     at -1, product of the parts' minus n's, at every k in {0..3}^3; where it
     is theta's, beta's difference is 0 there."""
-    walk = zip(range(1, 61), cycle_polynomials())
-    jets = {
-        m: (p.eval_at(-1), p.derivative().eval_at(-1), p.derivative().derivative().eval_at(-1))
-        for m, p in walk
-    }
+    jets = {m: reference.direct_jet(p.coeffs, -1, 2) for m, p in zip(range(1, 61), cycle_polynomials())}
     for pattern, case in TEN_CASES.items():
         certificate = checks._case_certificate(pattern, min_part)
         least = [min_part + (r - min_part) % 4 for r in pattern[1]]
@@ -585,27 +556,17 @@ def test_ten_cases_table_is_exactly_the_alpha_compatible_patterns():
     assert len(case_ids) == 10
 
 
-def _part_triples(n_max):
-    """The part triples n1 >= n2 >= n3 >= 3 with n1 + n2 + n3 <= n_max, in
-    order, by filtering every triple of parts up to n_max."""
-    return [
-        (n1, n2, n3)
-        for n1 in range(3, n_max + 1) for n2 in range(3, n1 + 1) for n3 in range(3, n2 + 1)
-        if n1 + n2 + n3 <= n_max
-    ]
-
-
 def test_triples_are_the_part_triples_up_to_n_max_in_order():
     """`_part_pairs` gives each pair (n1, n2) with its nonempty range of n3."""
     for n_max in (0, 8, 9, 10, 17, 30):
         pairs = list(checks._part_pairs(n_max))
         assert all(n3s for _, _, n3s in pairs), n_max
-        assert [(n1, n2, n3) for n1, n2, n3s in pairs for n3 in n3s] == _part_triples(n_max), n_max
+        assert [(n1, n2, n3) for n1, n2, n3s in pairs for n3 in n3s] == reference.part_triples(n_max), n_max
 
 
 def test_jet_product_is_the_jet_of_the_product():
     def jet(p, t):
-        return (p.eval_at(t), p.derivative().eval_at(t), p.derivative().derivative().eval_at(t))
+        return reference.direct_jet(p.coeffs, t, 2)
 
     rng = random.Random(8)
     for _ in range(50):
@@ -649,7 +610,7 @@ def test_ten_case_jet_only_rejects(monkeypatch):
     monkeypatch.setattr(checks, "partition_polynomial", product)
     rep = verify_ten_case_table(40)
     alpha_compatible = [
-        (n1, n2, n3) for n1, n2, n3 in _part_triples(40)
+        (n1, n2, n3) for n1, n2, n3 in reference.part_triples(40)
         if alpha(n1 + n2 + n3) == alpha(n1) * alpha(n2) * alpha(n3)
     ]
     assert compared == alpha_compatible
@@ -669,7 +630,7 @@ def test_ten_cases_catch_cases_7_and_10_with_theta_planted_to_0(monkeypatch):
         _plant_jet_row(monkeypatch, row, 2, (0, 0, 0))
     rep = verify_ten_case_table(40)
     expected = set()
-    for parts in _part_triples(40):
+    for parts in reference.part_triples(40):
         n = sum(parts)
         case = TEN_CASES.get((n % 4, tuple(sorted(p % 4 for p in parts))))
         if case in (7, 10):
@@ -721,7 +682,7 @@ def _ten_case_table_reference(n_max):
     total = full_compares = compatible = 0
     jets = {n: checks.closed_jet(n) for n in range(3, n_max + 1)}
     reads = {c: checks._case_certificate(p, 3)["component"] for p, c in checks.TEN_CASES.items()}
-    for n1, n2, n3 in _part_triples(n_max):
+    for n1, n2, n3 in reference.part_triples(n_max):
         total += 1
         n = n1 + n2 + n3
         product = checks._jet_product(checks._jet_product(jets[n1], jets[n2]), jets[n3])
