@@ -18,6 +18,7 @@ every check.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from operator import itemgetter
 from random import Random
 from typing import Iterable
@@ -187,13 +188,47 @@ class EquivalenceClassReport:
 
 
 class CorpusClassification:
-    def __init__(self, classes: list[EquivalenceClassReport], parse_errors: list[dict]):
-        self.classes = classes
+    """A classified corpus: each domination profile with the raw graph6
+    records (bytes) that have it, and the records that did not parse.
+
+    Memory holds the records, grouped, and no report: an
+    `EquivalenceClassReport`, with its key polynomial and its decoded,
+    sorted member list, is built only when it is read. `classes` builds
+    every class on its first read and keeps the list; `class_of` builds
+    the one class it looks up, each call; `completeness_problems` and
+    `member_count` read the groups and build none. So a corpus check,
+    which reads one class and the counts, builds one report however many
+    classes the corpus has.
+
+    The null graph's empty profile is the polynomial 1, as in
+    `domination_polynomial`; every other profile (d(G, 1), ..., d(G, n))
+    is the polynomial's coefficients after d(G, 0) = 0, ending in
+    d(G, n) = 1. So a profile's length is its polynomial's degree.
+    """
+
+    def __init__(self, groups: dict[tuple[int, ...], list[bytes]], parse_errors: list[dict]):
+        self._groups = groups
         self.parse_errors = parse_errors
-        self._by_key = {c.key_polynomial.coeffs: c for c in classes}
+
+    @cached_property
+    def classes(self) -> list[EquivalenceClassReport]:
+        """Every class, sorted by descending size, then by key polynomial
+        (degree, then coefficients); built on first read."""
+        # Profiles of one length sort as their polynomials' coefficients do.
+        ordered = sorted(self._groups.items(),
+                         key=lambda item: (-len(item[1]), len(item[0]), item[0]))
+        return [_class_report(key, members) for key, members in ordered]
+
+    @property
+    def member_count(self) -> int:
+        """The records classified: every record but the parse errors."""
+        return sum(map(len, self._groups.values()))
 
     def class_of(self, poly: IntPolynomial) -> EquivalenceClassReport | None:
-        return self._by_key.get(poly.coeffs)
+        c = poly.coeffs
+        key = () if c == (1,) else c[1:] if c[:1] == (0,) else None
+        members = self._groups.get(key)
+        return None if members is None else _class_report(key, members)
 
     def completeness_problems(self, n: int) -> list[str]:
         """Why the classified records cannot be the complete order-n corpus.
@@ -211,19 +246,16 @@ class CorpusClassification:
         problems = []
         if self.parse_errors:
             problems.append(f"unparseable records: {len(self.parse_errors)}")
-        members, wrong_order = [], 0
-        for c in self.classes:
-            members += c.members
-            if c.key_polynomial.degree != n:
-                wrong_order += len(c.members)
+        wrong_order = sum(len(members) for key, members in self._groups.items() if len(key) != n)
         if wrong_order:
             problems.append(f"records not of order {n}: {wrong_order}")
         # Byte-identical records share their polynomial, so their class:
-        # repeats counted over all members are the per-class repeats.
-        repeated = len(members) - len(set(members))
+        # the repeats over all members are the sum of each class's, and no
+        # set larger than a class is built.
+        repeated = sum(len(group) - len(set(group)) for group in self._groups.values())
         if repeated:
             problems.append(f"repeated records: {repeated}")
-        records = len(self.parse_errors) + len(members)
+        records = len(self.parse_errors) + self.member_count
         expected = UNLABELED_GRAPH_COUNTS[n] if n < len(UNLABELED_GRAPH_COUNTS) else "unknown"
         if records != expected:
             problems.append(f"records: {records}, graphs of order {n}: {expected}")
@@ -234,6 +266,14 @@ class CorpusClassification:
             "classes": [c.to_json_dict() for c in self.classes],
             "parse_errors": self.parse_errors,
         }
+
+
+def _class_report(key: tuple[int, ...], members: list[bytes]) -> EquivalenceClassReport:
+    # Every member parsed, so it is ASCII with no newline.
+    return EquivalenceClassReport(
+        IntPolynomial._of((0, *key) if key else (1,)),
+        b"\n".join(sorted(members)).decode("ascii").split("\n"),
+    )
 
 
 def classify_corpus(
@@ -259,11 +299,12 @@ def classify_corpus(
 
     A record the lanes cannot read is walked before the next is drawn, and
     at most LANES records per order wait unwalked, so memory holds the
-    classes and those batches, not every parsed graph.
-
-    Classes come back sorted by descending size, then by key polynomial
-    (degree, then coefficients); members are sorted strings, so output is
-    deterministic regardless of input order.
+    records grouped by profile and those batches, not every parsed graph.
+    No class report is built here: the result builds each when it is read
+    (see `CorpusClassification`). Its `classes` are sorted by descending
+    size, then by key polynomial (degree, then coefficients), and members
+    are sorted strings, so output is deterministic regardless of input
+    order.
     """
     if corpus_guard is None:
         corpus_guard = DEFAULT_CORPUS_GUARD
@@ -313,20 +354,7 @@ def classify_corpus(
     # A batch that fell back was parsed after the records drawn behind it.
     errors.sort(key=itemgetter("index"))
 
-    # The null graph's empty profile is the polynomial 1, as in
-    # `domination_polynomial`; every other profile ends in d(G, n) = 1. So
-    # a profile's length is its polynomial's degree, and profiles of one
-    # length sort as their polynomials' coefficients do. Every member
-    # parsed, so it is ASCII with no newline.
-    ordered = sorted(groups.items(), key=lambda item: (-len(item[1]), len(item[0]), item[0]))
-    classes = [
-        EquivalenceClassReport(
-            IntPolynomial._of((0, *key) if key else (1,)),
-            b"\n".join(sorted(members)).decode("ascii").split("\n"),
-        )
-        for key, members in ordered
-    ]
-    return CorpusClassification(classes, errors)
+    return CorpusClassification(groups, errors)
 
 
 def _certified(
@@ -363,7 +391,7 @@ def verify_wheel_uniqueness(
             "n": n, "class_size": cls.class_size, "members": cls.members,
             "wheel_polynomial": target.coefficient_strings(),
         })
-    details = {"corpus_size": sum(c.class_size for c in result.classes),
+    details = {"corpus_size": result.member_count,
                "parse_errors": len(result.parse_errors)}
     return _certified(_report("COR-wheel", n, n, bad, t0, details), result, n)
 

@@ -1,3 +1,5 @@
+import ast
+import gc
 import importlib.util
 import json
 import os
@@ -509,6 +511,50 @@ def test_exit_code_2_on_usage_errors(capsys):
     assert main(["verify", "L99-nope"]) == 2
     assert main(["poly"]) == 2  # neither --family nor --graph6
     assert main(["poly", "--family", "cycle:3", "--graph6", "x.g6"]) == 2
+
+
+def test_the_process_exit_path(tmp_path):
+    """`python -m dompoly.cli` exits through `main_and_exit`: the answer,
+    the message and the exit code are `main()`'s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def child(*argv):
+        done = subprocess.run([sys.executable, "-m", "dompoly.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    assert child("cycle", "6") == (0, (GOLDEN_DIR / "cycle6.json").read_text(), "")
+    code, out, err = child("frobnicate")
+    assert (code, out) == (2, "") and "invalid choice: 'frobnicate'" in err
+    missing = tmp_path / "missing.g6"
+    assert child("wheel", "6", str(missing)) == (
+        3, "", f"dompoly: [Errno 2] No such file or directory: '{missing}'\n")
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch):
+    """Only the exit path freezes: `main()` runs in-process many times."""
+    state = gc.get_freeze_count(), gc.isenabled()
+    for argv in (["cycle", "6"], ["frobnicate"], ["classify", "missing.g6"]):
+        main(argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == state, argv
+    monkeypatch.setattr(sys, "argv", ["dompoly", "cycle", "1"])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main_and_exit()
+        assert exc.value.code == 0 and gc.get_freeze_count() > state[0]
+    finally:
+        gc.unfreeze()
+
+
+def test_the_script_and_the_module_exit_through_one_function():
+    root = CORPUS_DIR.parents[1]
+    scripts = re.findall(r'^dompoly = "dompoly\.cli:(\w+)"$',
+                         (root / "pyproject.toml").read_text(), re.MULTILINE)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for node in block.body] == [f"{scripts[0]}()"]
+    assert scripts == ["main_and_exit"]
 
 
 def test_exit_code_3_on_input_errors(capsys, tmp_path):

@@ -1038,6 +1038,50 @@ def test_cycle_class_is_singleton_small_orders(classified):
         assert cls is not None and cls.class_size == 1
 
 
+def test_corpus_checks_build_only_the_class_they_read(corpus, monkeypatch):
+    """`run_all` over the committed corpora builds at most one class report
+    per corpus check run (COR-wheel at orders 4..8, P-path-class at 6), not
+    one per class: reading `classes` builds the 2,444 of orders 4..8."""
+    built = []
+
+    class Counted(verify.EquivalenceClassReport):
+        def __init__(self, key_polynomial, members):
+            built.append(key_polynomial)
+            super().__init__(key_polynomial, members)
+
+    monkeypatch.setattr(verify, "EquivalenceClassReport", Counted)
+    corpora = {n: corpus(n) for n in range(4, 9)}
+    runs = [r for r in run_all(corpora=corpora) if CHECKS[r.lemma_id].default_n is None]
+    assert [r.lemma_id for r in runs] == ["COR-wheel"] * 5 + ["P-path-class"]
+    assert all(r.passed for r in runs)
+    assert 1 <= len(built) <= len(runs)
+    built.clear()
+    assert sum(len(classify_corpus(records).classes) for records in corpora.values()) == 2444
+    assert len(built) == 2444
+
+
+def test_class_of_builds_the_class_that_classes_lists(classified):
+    for n in range(4, 9):
+        result = classified(n)
+        assert result.classes is result.classes
+        for c in result.classes:
+            got = result.class_of(c.key_polynomial)
+            assert (got.key_polynomial, got.class_size, got.members) == (
+                c.key_polynomial, c.class_size, c.members)
+
+
+def test_class_of_looks_up_only_the_polynomials_of_graphs():
+    """A profile keys x times its polynomial's coefficients, and the empty
+    profile keys 1: the zero polynomial and a polynomial with a nonzero
+    constant other than 1 key no class."""
+    null, k1 = classify_corpus([b"?"]), classify_corpus([b"@"])
+    assert null.class_of(IntPolynomial.one()).members == ["?"]
+    assert k1.class_of(IntPolynomial.x()).members == ["@"]
+    assert null.class_of(IntPolynomial.zero()) is None
+    assert k1.class_of(IntPolynomial((1, 1))) is None
+    assert k1.class_of(IntPolynomial.one()) is None
+
+
 # ---------------------------------------------------------------------------
 # Wheel and path class checks
 # ---------------------------------------------------------------------------
