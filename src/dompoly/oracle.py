@@ -3,8 +3,9 @@
 This is the reference everything else is checked against, so it counts
 every vertex subset and uses no structure of the graph beyond its closed
 neighborhoods. A subset S dominates exactly when it meets every closed
-neighborhood N[v]. `domination_profile` picks one of two routes by the
-order n alone.
+neighborhood N[v]. `domination_profile` picks one of three routes by the
+order n alone: truth tables up to order 10, the split up to order 24, the
+pair sum above it.
 
 Orders up to TRUTH_TABLE_MAX_ORDER (10) count by truth tables: a 2^n-bit
 int with one bit per subset S (Knuth, TAOCP 4A, 7.1.3). Once per order
@@ -37,7 +38,29 @@ its size: in-process on a 2-CPU machine, 0.2 ms for one order-8 record,
 0.035 s one record at a time through a per-order byte table. A full
 order-10 batch peaks at 1.6 MB.
 
-Orders above the cutoff sum over pairs of half-covers. The vertices are
+Orders 11 to SPLIT_MAX_ORDER (24) count by the split. Its low side is the
+first TRUTH_TABLE_MAX_ORDER vertices, read through the order-10 truth
+tables: the low subsets that dominate v are meets[N[v] & low], so no other
+table is built. Its high side is the other n - 10 <= 14 vertices, whose
+subsets are grouped by cover as in the pair sum below. The low subsets
+that complete a high subset are those that dominate every vertex its
+cover misses: the AND of those vertices' low tables, read from three
+tables of ANDs, one per third of the vertex mask. High covers whose ANDs
+are equal add their size polynomials in one dict, `completing`, and each
+distinct AND is counted by size with one popcount against each sizes[k].
+A walk costs one step per high cover, at most 2^14, and eleven popcounts
+of 1024-bit ints per distinct AND. In-process on a 2-CPU machine
+(CPython 3.11.7), the four seed-1 `oracle-walk` graphs of perfbench
+(random, orders 21-23) took 3.6 ms against the pair sum's 21 ms, and a
+perfect matching across the halves at order 24 took 6 ms against 0.51 s.
+A graph with few distinct half-covers pays more than by the pair sum,
+which builds two cover tables of 2^12: C_24 took 0.8 ms against 0.45 ms
+and the edgeless graph of order 24 5.9 ms against 2.4 ms. The worst case
+found has every one of the 2^14 high covers give a distinct AND (a K_10
+low side, each high vertex joined to 3 of it): 53 ms against 28 ms, with
+`completing` holding 4.1 MB.
+
+Orders above SPLIT_MAX_ORDER sum over pairs of half-covers. The vertices are
 split into a low and a high half. For each half, the subsets are grouped
 by their cover (the union of their closed neighborhoods), and each group
 keeps the size polynomial of its subsets. A subset of the whole graph is
@@ -51,7 +74,8 @@ in-process on a 2-CPU machine, K_40 took under 0.01 s and W_40 about
 the profile's lowest nonzero index, so `gamma` costs what `poly` costs:
 C_40 takes about 0.05 s, but a universal vertex plus a perfect matching
 across the halves, order 25 (gamma 1), takes 0.5-0.7 s, where stopping at
-the first dominating set took under 0.1 ms.
+the first dominating set took under 0.1 ms; the split counts the same
+construction at order 24 in about 7 ms.
 
 Orders above a guard (default 24) are refused unless the caller raises
 the guard explicitly, and orders above MAX_ORDER are refused whatever the
@@ -86,9 +110,14 @@ DEFAULT_GUARD = 24
 # distinct and none can be skipped, so order 40 would again take days.
 MAX_ORDER = 40
 
-# Orders up to this one count by truth tables, orders above it by the pair
-# sum: the crossover measured on random graphs (see the module docstring).
+# Orders up to this one count by truth tables, orders above it by the split
+# or the pair sum: the crossover measured on random graphs (see the module
+# docstring).
 TRUTH_TABLE_MAX_ORDER = 10
+
+# Orders above TRUTH_TABLE_MAX_ORDER and up to this one, the default guard,
+# count by the split: its cover table holds at most 2^14 high covers.
+SPLIT_MAX_ORDER = 24
 
 
 def _check_guard(n: int, guard: int):
@@ -253,15 +282,59 @@ def _pair_sum_profile(closed: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(total >> (width * k) & coeff for k in range(1, n + 1))
 
 
+def _and_table(tables: list[int], ones: int) -> list[int]:
+    """The AND of each subset of `tables` (`ones` for the empty subset),
+    indexed by the subset's mask."""
+    ands = [ones]
+    for table in tables:
+        ands += [a & table for a in ands]
+    return ands
+
+
+def _split_profile(closed: tuple[int, ...]) -> tuple[int, ...]:
+    """d(G,1), ..., d(G,n) for n >= TRUTH_TABLE_MAX_ORDER: truth tables on
+    the low vertices, a cover table on the high ones, which holds up to
+    2^(n - 10) covers."""
+    n, low = len(closed), TRUTH_TABLE_MAX_ORDER
+    meets, sizes = _truth_tables(low)
+    # As in the pair sum, n + 1 bits per coefficient leave no carry.
+    width = n + 1
+    # The low subsets that dominate v, one bit per subset of the low
+    # vertices, and the AND of those tables over each set of vertices in
+    # each third of a vertex mask.
+    ones = (1 << (1 << low)) - 1
+    dominators = [meets[nb & (1 << low) - 1] for nb in closed]
+    step = -(-n // 3)
+    ands0, ands1, ands2 = (_and_table(dominators[b:b + step], ones) for b in (0, step, 2 * step))
+    part, full = (1 << step) - 1, (1 << n) - 1
+    # The low subsets that complete a high subset are those that dominate
+    # every vertex its cover misses. High covers with the same completing
+    # table add their size polynomials, and each table is counted once.
+    completing: dict[int, int] = {}
+    for cover, high_sizes in _cover_table(closed[low:], width).items():
+        missed = full ^ cover
+        table = ands0[missed & part] & ands1[missed >> step & part] & ands2[missed >> 2 * step]
+        if table:
+            completing[table] = completing.get(table, 0) + high_sizes
+    total = 0
+    for table, high_sizes in completing.items():
+        total += high_sizes * sum([(table & size).bit_count() << (width * k) for k, size in enumerate(sizes)])
+    coeff = (1 << width) - 1
+    return tuple(total >> (width * k) & coeff for k in range(1, n + 1))
+
+
 def domination_profile(g: Graph, *, guard: int = DEFAULT_GUARD) -> tuple[int, ...]:
     """Exact counts (d(G,1), ..., d(G,n)) by exhaustive enumeration: by
-    truth tables up to TRUTH_TABLE_MAX_ORDER, by the pair sum above it.
+    truth tables up to TRUTH_TABLE_MAX_ORDER, by the split up to
+    SPLIT_MAX_ORDER, by the pair sum above it.
 
     The null graph yields ().
     """
     _check_guard(g.n, guard)
     if g.n <= TRUTH_TABLE_MAX_ORDER:
         return _truth_table_profile(g.closed)
+    if g.n <= SPLIT_MAX_ORDER:
+        return _split_profile(g.closed)
     return _pair_sum_profile(g.closed)
 
 
@@ -279,6 +352,10 @@ def domination_polynomial(g: Graph, *, guard: int = DEFAULT_GUARD) -> IntPolynom
 
 def domination_number(g: Graph, *, guard: int = DEFAULT_GUARD) -> int | None:
     """Least size of a dominating set, or None for the null graph: the
-    profile's lowest nonzero index, at the profile's cost."""
+    profile's lowest nonzero index, at the profile's cost. That cost can far
+    exceed a search that stops at the first dominating set: a universal
+    vertex plus a perfect matching across the halves (gamma 1) takes about
+    7 ms at order 24 by the split, but 0.5-0.7 s at order 25 by the pair
+    sum."""
     counts = domination_profile(g, guard=guard)
     return next((k for k, c in enumerate(counts, start=1) if c), None)

@@ -99,7 +99,7 @@ def verify_union_product(max_order: int = 8, guard: int = DEFAULT_GUARD) -> Veri
 
     The oracle picks its route by order: factors of order up to
     `TRUTH_TABLE_MAX_ORDER` (10) count by truth tables, and unions above it
-    by the pair sum. At the default max_order of 8, unions reach order 16,
+    by the split. At the default max_order of 8, unions reach order 16,
     so the check also cross-checks the two routes against each other.
     """
     _refuse_past_reach("L2-union walks unions of order up to 2 * --max-n", max_order, 2, guard)

@@ -2,15 +2,17 @@ import os
 import random
 import subprocess
 import sys
-from functools import cache
+from functools import cache, reduce
+from itertools import islice
 from math import comb
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 from dompoly import oracle
 from dompoly.errors import SizeGuardError
-from dompoly.graphs import Graph, complete, cycle, disjoint_union, encode_graph6, parse_graph6, path, wheel
+from dompoly.graphs import Graph, complete, cycle, disjoint_union, encode_graph6, join, parse_graph6, path, wheel
 from dompoly.oracle import domination_number, domination_polynomial, domination_profile
 from dompoly.polynomials import IntPolynomial
 
@@ -186,24 +188,111 @@ def _matching_across_halves(n):
     return Graph.from_edges(n, [(v, v + h) for v in range(n - h)])
 
 
-@pytest.mark.parametrize("n", [oracle.TRUTH_TABLE_MAX_ORDER, oracle.TRUTH_TABLE_MAX_ORDER + 1])
+def _hub_and_matching(n):
+    # Gamma 1, but the matching keeps its half-covers distinct, so the pair
+    # sum still keeps about every pair of them.
+    return join(complete(1), _matching_across_halves(n - 1))
+
+
+_FAMILIES = {
+    "cycle": cycle,
+    "wheel": wheel,
+    "complete": complete,
+    "edgeless": lambda n: Graph.from_edges(n, []),
+    "matching": _matching_across_halves,
+    "hub": _hub_and_matching,
+}
+
+
+def _closed_form(family, n):
+    """D(G, x) of `_FAMILIES[family](n)`, from no subset walk: C_n by the
+    reference recurrence, W_n = x(1+x)^(n-1) + D(C_(n-1)) (a set holding
+    the hub dominates, one without it must dominate the rim), K_n by
+    (1+x)^n - 1, a matching of k edges and i isolated vertices by
+    (x^2+2x)^k x^i, and the hub the same way as the wheel's."""
+    x, one_plus_x = IntPolynomial((0, 1)), IntPolynomial((1, 1))
+
+    def power(p, k):
+        return reduce(mul, [p] * k, IntPolynomial.one())
+
+    def cycle_poly(m):
+        return IntPolynomial(next(islice(reference.cycle_coefficients(), m - 1, None)))
+
+    def matching(m):
+        return power(IntPolynomial((0, 2, 1)), m // 2) * power(x, m % 2)
+
+    return {
+        "cycle": lambda: cycle_poly(n),
+        "wheel": lambda: x * power(one_plus_x, n - 1) + cycle_poly(n - 1),
+        "complete": lambda: power(one_plus_x, n) + IntPolynomial((-1,)),
+        "edgeless": lambda: power(x, n),
+        "matching": lambda: matching(n),
+        "hub": lambda: x * power(one_plus_x, n - 1) + matching(n - 1),
+    }[family]()
+
+
+def _profile(p):
+    return tuple(p)[1:]
+
+
+def test_the_closed_forms_are_the_definition():
+    for n in range(4, 12):
+        for family, build in _FAMILIES.items():
+            assert _profile(_closed_form(family, n)) == reference.domination_profile(build(n).closed), (family, n)
+
+
+@pytest.mark.parametrize("n", [oracle.TRUTH_TABLE_MAX_ORDER, oracle.TRUTH_TABLE_MAX_ORDER + 1,
+                               oracle.SPLIT_MAX_ORDER, oracle.SPLIT_MAX_ORDER + 1])
 def test_both_routes_match_the_reference_at_the_cutoff(n):
-    for g in (cycle(n), wheel(n), complete(n), Graph.from_edges(n, []), _matching_across_halves(n)):
-        expected = reference.domination_profile(g.closed)
-        assert oracle._truth_table_profile(g.closed) == expected, g
-        assert oracle._pair_sum_profile(g.closed) == expected, g
-        assert domination_profile(g) == expected, g
+    # The routes that meet at a cutoff, each on both sides of it (the split
+    # runs at any order from 10, its low side). Above SPLIT_MAX_ORDER the
+    # pair sum is what `domination_profile` runs, so it is not run twice.
+    routes = [oracle._split_profile]
+    if n <= oracle.TRUTH_TABLE_MAX_ORDER + 1:
+        routes.append(oracle._truth_table_profile)
+    if n <= oracle.SPLIT_MAX_ORDER:
+        routes.append(oracle._pair_sum_profile)
+    for family, build in _FAMILIES.items():
+        g = build(n)
+        expected = _profile(_closed_form(family, n))
+        for route in routes:
+            assert route(g.closed) == expected, (route.__name__, family)
+        assert domination_profile(g, guard=n) == expected, family
+
+
+def test_split_matches_the_reference_on_random_graphs():
+    rng = random.Random("split")
+    for n in range(oracle.TRUTH_TABLE_MAX_ORDER + 1, 17):
+        for density in (0.1, 0.3, 0.6):
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+            assert oracle._split_profile(g.closed) == reference.domination_profile(g.closed), (n, g.edges())
+
+
+def test_split_matches_the_pair_sum_at_every_order():
+    rng = random.Random("split-pair-sum")
+    for n in range(oracle.TRUTH_TABLE_MAX_ORDER + 1, oracle.SPLIT_MAX_ORDER + 1):
+        for density in (0.15, 0.4):
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+            assert oracle._split_profile(g.closed) == oracle._pair_sum_profile(g.closed), (n, g.edges())
+
+
+@pytest.mark.parametrize("n", [11, 17, 24])
+def test_split_matches_the_closed_forms_of_the_families(n):
+    assert oracle.TRUTH_TABLE_MAX_ORDER < n <= oracle.SPLIT_MAX_ORDER
+    for family, build in _FAMILIES.items():
+        assert oracle._split_profile(build(n).closed) == _profile(_closed_form(family, n)), family
 
 
 def test_the_order_alone_picks_the_route(monkeypatch):
     taken = []
-    for name in ("_truth_table_profile", "_pair_sum_profile"):
+    names = ("_truth_table_profile", "_split_profile", "_pair_sum_profile")
+    for name in names:
         route = getattr(oracle, name)
         monkeypatch.setattr(oracle, name, lambda closed, name=name, route=route: taken.append(name) or route(closed))
-    cutoff = oracle.TRUTH_TABLE_MAX_ORDER
-    for n in range(cutoff + 3):
-        domination_profile(Graph.from_edges(n, []))
-    assert taken == ["_truth_table_profile"] * (cutoff + 1) + ["_pair_sum_profile"] * 2
+    cutoff, split = oracle.TRUTH_TABLE_MAX_ORDER, oracle.SPLIT_MAX_ORDER
+    for n in range(split + 3):
+        domination_profile(Graph.from_edges(n, []), guard=split + 2)
+    assert taken == [names[0]] * (cutoff + 1) + [names[1]] * (split - cutoff) + [names[2]] * 2
 
 
 _TABLES_BUILT = """
@@ -211,7 +300,7 @@ from dompoly import oracle
 from dompoly.graphs import cycle
 built = oracle._truth_tables.cache_info().currsize
 print(built)
-for n in (5, 5, 11):
+for n in (5, 5, 11, 24):
     oracle.domination_profile(cycle(n))
     print(oracle._truth_tables.cache_info().currsize - built)
 """
@@ -221,8 +310,9 @@ def test_truth_tables_are_built_once_per_order_on_first_use():
     env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
     child = subprocess.run([sys.executable, "-c", _TABLES_BUILT], env=env,
                            capture_output=True, text=True, check=True)
-    # None at import; order 5's once; none for the pair sum's order 11.
-    assert child.stdout.split() == ["0", "1", "1", "1"]
+    # None at import; order 5's once; the split's order-10 table at order
+    # 11, and no other at 24.
+    assert child.stdout.split() == ["0", "1", "1", "2", "2"]
 
 
 def _lane_profiles(records):
