@@ -7,8 +7,8 @@ claim over the cycle family against exact computation, and returns a
 independently. The checks that build, read or walk graphs (L2-union,
 L3-cycle, L4-gamma and the corpus checks) live in `dompoly.verify`, which
 re-exports everything here; this module imports only `errors` and
-`cycles`, and `IntPolynomial` and `ord_p` load only where an exact
-compare runs or a check fails.
+`cycles`. `IntPolynomial` loads only where an exact compare runs, and
+`ord_p` only where the walk at -3 finds a_n off its product identity.
 
 The headline check is cycle uniqueness: among disjoint unions of cycles
 (the 2-regular graphs), only the one-part partition {n} reproduces
@@ -30,7 +30,8 @@ too, each by three routes: `closed_jet`, the jet walk at -1, and
 D^(j)(C_n, -1) read from the coefficients of a `cycle_polynomials` walk
 as one weighted sum (weights (-1)^(i-j) * i!/(i-j)!, built once per check).
 L6-ord3 (n <= 30) and R1-remark (every n) check `cycles.B_MOD_9`,
-read through `b_mod_9`, against `b_values`.
+read through `b_mod_9`, against `b_values`; they and T5-partitions read
+ord_3 of a_n = D(C_n, -3) off one exact walk, `_minus_three_walk`.
 
 Enumeration is the route of `search-partitions`, which takes each
 partition from `match_partitions`, fingerprint first, full compare
@@ -56,7 +57,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .cycles import (
     b_mod_9,
-    b_value_by_factoring,
     b_values,
     closed_jet,
     cycle_jets,
@@ -259,36 +259,43 @@ def verify_theta(n_max: int = 200) -> VerificationReport:
     return _scalar_identity_report("REL3-theta", n_max, 2)
 
 
-def _ord3_within(a: int, low: int, high: int) -> bool:
-    """Whether 3^low divides a and 3^(high+1) does not: low <= ord_3(a) <= high."""
-    quotient, rest = divmod(a, 3**low)
-    return not rest and quotient % 3 ** (high - low + 1) != 0
+def _minus_three_walk(n_max: int) -> Iterator[tuple[int, int, int, bool, int]]:
+    """Yield (n, a_n, b_n, holds, ord_3(a_n)) for n = 1..n_max, a_n from the
+    jet at -3 and b_n from `b_values`: holds is a_n = (-1)^n * 3^ceil(n/3) *
+    b_n, one product per n. Where it holds and 9 does not divide b_n,
+    ord_3(a_n) is ceil(n/3) + [3 divides b_n]; elsewhere, `ord_p(a_n, 3)`.
+    So ord_3 is exact, and a wrong b_n moves only `holds`."""
+    power = 1
+    for n, (a_n,), b_n in zip(range(1, n_max + 1), cycle_jets(-3), b_values()):
+        if n % 3 == 1:
+            power *= 3
+        holds = a_n == (-power * b_n if n % 2 else power * b_n)
+        if holds and b_n % 9:
+            ord3 = (n + 2) // 3 + (b_n % 3 == 0)
+        else:
+            from .polynomials import ord_p
 
-
-def _ord3(a: int) -> int:
-    """ord_3(a), for a failure's payload."""
-    from .polynomials import ord_p
-
-    return ord_p(a, 3)
+            ord3 = ord_p(a_n, 3)
+        yield n, a_n, b_n, holds, ord3
 
 
 def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
     """ord_3(a_n) stays within the three-branch table; b_n basics.
 
     Checks, for every n in range: ord_3(a_n) is within `ord3_bounds(n)`,
-    and where it is, b_n from the recurrence equals b_n from factoring
-    a_n; 9 does not divide b_n; and the first 30 values of b_n mod 9
+    and where it is, a_n = (-1)^n * 3^ceil(n/3) * b_n with b_n from the
+    recurrence; 9 does not divide b_n; and the first 30 values of b_n mod 9
     equal the golden vector, `b_mod_9`.
     """
     t0 = time.perf_counter()
     bad = []
-    for n, (a_n,), b_rec in zip(range(1, n_max + 1), cycle_jets(-3), b_values()):
+    for n, a_n, b_rec, holds, ord3 in _minus_three_walk(n_max):
         lo, hi = ord3_bounds(n)
-        if not _ord3_within(a_n, lo, hi):
+        if not lo <= ord3 <= hi:
             # Outside the table, 3^ceil(n/3) may not divide a_n: no b_n to compare.
-            bad.append({"check": "ord3-bound", "n": n, "ord3": _ord3(a_n),
-                        "allowed": [*range(lo, hi + 1)]})
-        elif b_rec != (b_fac := b_value_by_factoring(n, a_n)):
+            bad.append({"check": "ord3-bound", "n": n, "ord3": ord3, "allowed": [*range(lo, hi + 1)]})
+        elif not holds:
+            b_fac = (a_n if n % 2 == 0 else -a_n) // 3 ** ((n + 2) // 3)
             bad.append({"check": "b-routes", "n": n, "recurrence": str(b_rec), "factoring": str(b_fac)})
         if b_rec % 9 == 0:
             bad.append({"check": "nine-divides-b", "n": n, "b": str(b_rec)})
@@ -306,12 +313,11 @@ def verify_remark(n_max: int = 1000) -> VerificationReport:
     """
     t0 = time.perf_counter()
     bad = []
-    for n, (a_n,), b_n in zip(range(1, n_max + 1), cycle_jets(-3), b_values()):
+    for n, _, b_n, _, ord3 in _minus_three_walk(n_max):
         if b_n % 9 != b_mod_9(n):
             bad.append({"check": "period-27", "n": n, "b_mod_9": b_n % 9, "expected": b_mod_9(n)})
-        predicted = predicted_ord3(n)
-        if not _ord3_within(a_n, predicted, predicted):
-            bad.append({"check": "exact-ord3", "n": n, "ord3": _ord3(a_n), "predicted": predicted})
+        if ord3 != (predicted := predicted_ord3(n)):
+            bad.append({"check": "exact-ord3", "n": n, "ord3": ord3, "predicted": predicted})
     return _report("R1-remark", 1, n_max, bad, t0)
 
 
@@ -473,24 +479,26 @@ def verify_cycle_uniqueness_by_elimination(n_max: int = 1000, min_part: int = 3)
     D(C_n,x), by the paper's elimination; no partition is enumerated.
 
     A walk to n_max checks the premises: the 2-jet at -1 is `closed_jet(n)`
-    and ord_3(D(C_n, -3)) is within `ord3_bounds(n)`. The reduction above
-    leaves three parts, with residues mod 4 in an alpha-compatible pattern;
-    recomputed from `closed_jet`, those patterns must be the `TEN_CASES`. On
-    each class mod 4, alpha, beta and theta have degree 0, 1 and 2 in n, so
-    with part i = 4*k_i + r_i, r_i the least part >= min_part of its class,
-    each case's jet difference is a polynomial of degree <= 2 in (k1, k2,
-    k3): `_case_certificate` reads it from ten `_jet_product` evaluations.
+    and ord_3(a_n), a_n = D(C_n, -3), is within `ord3_bounds(n)`; a wrong
+    `b_values` leaves this premise, which concerns a_n alone, as it is. The
+    reduction above leaves three parts, with residues mod 4 in an
+    alpha-compatible pattern; recomputed from `closed_jet`, those patterns
+    must be the `TEN_CASES`. On each class mod 4, alpha, beta and theta have
+    degree 0, 1 and 2 in n, so with part i = 4*k_i + r_i, r_i the least part
+    >= min_part of its class, each case's jet difference is a polynomial of
+    degree <= 2 in (k1, k2, k3): `_case_certificate` reads it from ten
+    `_jet_product` evaluations.
     """
     if min_part not in (1, 3):
         raise ParameterDomainError(f"min_part must be 1 or 3, got {min_part}")
     t0 = time.perf_counter()
     bad = []
-    for n, jet, (a_n,) in zip(range(1, n_max + 1), cycle_jets(-1, 2), cycle_jets(-3)):
+    for (n, _, _, _, ord3), jet in zip(_minus_three_walk(n_max), cycle_jets(-1, 2)):
         if jet != closed_jet(n):
             bad.append({"check": "closed-form-jet", "n": n, "jet": list(map(str, jet)),
                         "closed_form": list(map(str, closed_jet(n)))})
         low, high = ord3_bounds(n)
-        if not _ord3_within(a_n, low, high):
+        if not low <= ord3 <= high:
             bad.append({"check": "ord3-table", "n": n, "allowed": [low, high]})
     compatible = {(sum(rs) % 4, rs) for rs in combinations_with_replacement(range(4), 3)
                   if closed_jet(4 + sum(rs) % 4)[0] == math.prod(closed_jet(4 + r)[0] for r in rs)}

@@ -15,8 +15,8 @@ shadow of that recurrence:
 Each periodic fact is one table: `JET_TABLE`, (alpha, beta, theta) by n
 mod 4, read by `closed_jet`; and `B_MOD_9`, one period of b_n mod 9, read
 by `b_mod_9` and so by `predicted_ord3`. The routes that check them read
-neither: `cycle_polynomials`, `cycle_jets` and its seeds, `b_values`,
-`b_value_by_factoring` and `ord3_bounds` (the three-branch ord_3 table).
+neither: `cycle_polynomials`, `cycle_jets` and its seeds, `b_values` and
+`ord3_bounds` (the three-branch ord_3 table).
 
 Nothing is memoized: `cycle_polynomials`, `cycle_jets` and `b_values`
 are generators holding three terms; the single-n functions take the n-th
@@ -52,7 +52,6 @@ __all__ = [
     "beta",
     "theta",
     "b_values",
-    "b_value_by_factoring",
     "ord3_bounds",
     "B_MOD_9",
     "b_mod_9",
@@ -205,8 +204,8 @@ def b_values() -> Iterator[int]:
     """Yield b_1, b_2, ... with a_n = (-1)^n * 3^ceil(n/3) * b_n, by the
     3-branch recurrence, holding the last three.
 
-    The recurrence is the fast route; `b_value_by_factoring` recomputes the
-    same numbers from a_n and is used as a cross-check.
+    The recurrence reads no a_n; the checks test the identity against
+    `cycle_jets(-3)`, one product per n, and divide a_n only where it fails.
     """
     # b_{-2}, b_{-1}, b_0: the jet's constants D_{-2}, D_{-1}, D_0 at -3,
     # factored the same way.
@@ -220,15 +219,6 @@ def b_values() -> Iterator[int]:
             b = 3 * last - old + older
         yield b
         older, old, last = old, last, b
-
-
-def b_value_by_factoring(n: int, a_n: int) -> int:
-    """b_n obtained by dividing a_n = D(C_n, -3) by its forced sign and 3-power."""
-    _require_positive(n)
-    q, r = divmod(a_n if n % 2 == 0 else -a_n, 3 ** _ceil3(n))
-    if r != 0:
-        raise InternalInconsistencyError(f"3^ceil({n}/3) does not divide a_{n} = {a_n}")
-    return q
 
 
 def ord3_bounds(n: int) -> tuple[int, int]:

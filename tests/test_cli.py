@@ -469,7 +469,8 @@ def test_the_tracer_reaches_every_check(tmp_path):
     )}
     assert counts == {
         "oracle.domination_profile.calls": 638, "oracle.masks_walked": 1_041_160,
-        "graphs.parse_graph6.calls": 90, "cycles.scalar.calls": 1000,
+        # 0: `dompoly.cycles` has none of the scalar routes the tracer hooks.
+        "graphs.parse_graph6.calls": 90, "cycles.scalar.calls": 0,
     }
 
 

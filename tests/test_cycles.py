@@ -3,12 +3,11 @@ from itertools import islice, product
 
 import pytest
 
-from dompoly import cycles
+from dompoly import checks, cycles
 from dompoly.cycles import (
     B_MOD_9,
     JET_TABLE,
     alpha,
-    b_value_by_factoring,
     b_values,
     beta,
     closed_jet,
@@ -198,14 +197,15 @@ def test_reference_routes_do_not_read_the_tables(monkeypatch):
     """The routes the tables are checked against give the same answers with
     both tables gone."""
     def answers():
+        a, b = _a_values(30), list(islice(b_values(), 30))
         return (
-            list(islice(cycle_polynomials(), 30)), list(islice(cycle_jets(-1, 2), 30)),
-            list(islice(cycle_jets(-3), 30)), list(islice(b_values(), 30)),
-            [b_value_by_factoring(n, a) for n, (a,) in zip(range(1, 31), cycle_jets(-3))],
+            list(islice(cycle_polynomials(), 30)), list(islice(cycle_jets(-1, 2), 30)), a, b,
+            [a_n == (-1) ** n * 3 ** ((n + 2) // 3) * b_n for n, a_n, b_n in zip(range(1, 31), a, b)],
             [ord3_bounds(n) for n in range(1, 31)],
         )
 
     expected = answers()
+    assert all(expected[4])
     monkeypatch.setattr(cycles, "JET_TABLE", None)
     monkeypatch.setattr(cycles, "B_MOD_9", None)
     assert answers() == expected
@@ -245,7 +245,7 @@ def test_b_values():
     assert [b_n % 9 for b_n in b[24:30]] == [8, 1, 3, 1, 1, 3]
     assert [b_n % 9 for b_n in b[:30]] == list(B_MOD9)
     for n, (b_n, a_n) in enumerate(zip(b, _a_values(200)), start=1):
-        assert b_n == b_value_by_factoring(n, a_n)
+        assert a_n == (-1) ** n * 3 ** ((n + 2) // 3) * b_n
         assert b_n % 9 != 0
         assert b_n > 0
 
@@ -269,6 +269,17 @@ def test_ord3_classification():
     assert predicted_ord3(7) == 3  # 7 mod 27 is no exception: ceil only
     for n, a_n in enumerate(_a_values(300), start=1):
         assert predicted_ord3(n) == ord_p(a_n, 3)
+
+
+def test_the_checks_walk_at_minus_three_is_exact():
+    """The walk L6-ord3, R1-remark and T5-partitions read: a_n and b_n as
+    their own walks give them, the identity holding, and ord_3(a_n) equal
+    to the valuation by division, for n <= 2000."""
+    walk = checks._minus_three_walk(2000)
+    expected = zip(range(1, 2001), cycle_jets(-3), b_values())
+    for (n, a_n, b_n, holds, ord3), (m, (a_m,), b_m) in zip(walk, expected, strict=True):
+        assert (n, a_n, b_n, holds) == (m, a_m, b_m, True), m
+        assert ord3 == ord_p(a_n, 3) == predicted_ord3(n), n
 
 
 def test_ord3_bounds_is_the_three_branch_table():

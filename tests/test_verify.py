@@ -320,6 +320,78 @@ def test_ord3_table_fails_without_raising_below_the_table(monkeypatch):
     assert [(ex["check"], ex["n"]) for ex in rep.counterexamples] == [("exact-ord3", 7)]
 
 
+def _plant_b_step(monkeypatch):
+    """b_values with its n = 3k+1 step one too high at n = 19; the values
+    after it follow the recurrence from the wrong one."""
+    def planted():
+        older, old, last = -1, 1, 3
+        for n in itertools.count(1):
+            if n % 3 == 0:
+                b = 3 * last - 3 * old + older
+            elif n % 3 == 1:
+                b = last - old + older + (n == 19)
+            else:
+                b = 3 * last - old + older
+            yield b
+            older, old, last = old, last, b
+
+    monkeypatch.setattr(checks, "b_values", planted)
+
+
+def test_a_wrong_b_step_fails_l6_and_r1_but_not_the_elimination(monkeypatch):
+    """A wrong b_n breaks a_n = (-1)^n * 3^ceil(n/3) * b_n from n = 19 on:
+    L6 reports it with b_n factored out of the true a_n, and R1 and L6's
+    mod-9 checks see the wrong residues. ord_3(a_n) is still exact there,
+    so R1's and L6's ord_3 checks and T5-partitions' premise, which read
+    a_n alone, pass."""
+    true_b = list(itertools.islice(cycles.b_values(), 200))
+    _plant_b_step(monkeypatch)
+    wrong_b = list(itertools.islice(checks.b_values(), 200))
+    assert wrong_b[:18] == true_b[:18] and wrong_b[18] == true_b[18] + 1
+    ord3 = verify_ord3_table(200)
+    assert ord3.status == "fail"
+    assert {ex["check"] for ex in ord3.counterexamples} == {"b-routes", "golden-vector", "nine-divides-b"}
+    routes = [ex for ex in ord3.counterexamples if ex["check"] == "b-routes"]
+    assert [ex["n"] for ex in routes] == [n for n in range(19, 201) if wrong_b[n - 1] != true_b[n - 1]]
+    assert all(ex["factoring"] == str(true_b[ex["n"] - 1]) for ex in routes)
+    assert all(ex["recurrence"] == str(wrong_b[ex["n"] - 1]) for ex in routes)
+    assert [ex["n"] for ex in ord3.counterexamples if ex["check"] == "nine-divides-b"] == [
+        n for n in range(1, 201) if wrong_b[n - 1] % 9 == 0
+    ]
+    remark = verify_remark(200)
+    assert remark.status == "fail"
+    assert [ex["n"] for ex in remark.counterexamples if ex["check"] == "period-27"] == [
+        n for n in range(1, 201) if wrong_b[n - 1] % 9 != true_b[n - 1] % 9
+    ]
+    assert {ex["check"] for ex in remark.counterexamples} == {"period-27"}
+    assert verify_cycle_uniqueness_by_elimination(200).passed
+
+
+def test_a_planted_nine_in_both_a_and_b_is_valued_exactly(monkeypatch):
+    """a_20 and b_20 both times 9: the identity still holds at n = 20, but 9
+    divides b_20, so ord_3(a_20) is taken by division, two above the table.
+    Each check reports that exact value; L6 and R1 see 9 | b_20 as well."""
+    jets, b_walk = checks.cycle_jets, checks.b_values
+
+    def planted_jets(t, k=0):
+        for n, jet in enumerate(jets(t, k), start=1):
+            yield (9 * jet[0], *jet[1:]) if t == -3 and n == 20 else jet
+
+    monkeypatch.setattr(checks, "cycle_jets", planted_jets)
+    monkeypatch.setattr(checks, "b_values", lambda: (9 * b if n == 20 else b for n, b in enumerate(b_walk(), 1)))
+    a_20 = 9 * _minus_three_values(20)[-1]
+    assert (ord3 := ord_p(a_20, 3)) == checks.predicted_ord3(20) + 2
+    assert [(ex["check"], ex["n"]) for ex in verify_ord3_table(40).counterexamples] == [
+        ("ord3-bound", 20), ("nine-divides-b", 20), ("golden-vector", 20),
+    ]
+    assert verify_ord3_table(40).counterexamples[0]["ord3"] == ord3
+    assert [ex for ex in verify_remark(40).counterexamples if ex["check"] == "exact-ord3"] == [
+        {"check": "exact-ord3", "n": 20, "ord3": ord3, "predicted": checks.predicted_ord3(20)},
+    ]
+    rep = verify_cycle_uniqueness_by_elimination(40)
+    assert [(ex["check"], ex["n"]) for ex in rep.counterexamples] == [("ord3-table", 20)]
+
+
 def _plant_b_mod_9(monkeypatch, n, value):
     """B_MOD_9 with the entry for n (mod 27) replaced by value."""
     table = list(cycles.B_MOD_9)
