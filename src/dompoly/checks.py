@@ -8,7 +8,8 @@ independently. The checks that build, read or walk graphs (L2-union,
 L3-cycle, L4-gamma and the corpus checks) live in `dompoly.verify`, which
 re-exports everything here; this module imports only `errors` and
 `cycles`. `IntPolynomial` loads only where an exact compare runs, and
-`ord_p` only where the walk at -3 finds a_n off its product identity.
+`ord_p` only where the walk at -3 finds a_n off its product identity or
+9 dividing b_n.
 
 The headline check is cycle uniqueness: among disjoint unions of cycles
 (the 2-regular graphs), only the one-part partition {n} reproduces
