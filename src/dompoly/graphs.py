@@ -18,6 +18,7 @@ shifts two valid graphs' masks apart.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -267,11 +268,26 @@ def join(g: Graph, h: Graph) -> Graph:
 # graph6 codec (format of the nauty tool suite), short form only: one
 # order byte, n <= 62. The long-form headers serve orders no 2^n walk can
 # reach, so they are refused; so are sparse6 and digraph6 records, so a
-# wrong corpus file fails loudly.
+# wrong corpus file fails loudly. `_g6_layout` states where each edge's
+# bit sits; the decoder, the encoder and the oracle's byte lanes read it.
 # ---------------------------------------------------------------------------
 
 _G6_MAX_N = 62
 _G6_HEADER = b">>graph6<<"
+
+
+@cache
+def _g6_layout(n: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """Order n's short-form graph6 layout: the record length, and each edge
+    (u, v), u < v, as (u, v, body byte, bit of that byte less 63).
+
+    The edges run column by column, (0,1), (0,2), (1,2), (0,3), ..., six
+    bits a body byte, high bit first; the bits after the last edge are
+    padding, and must be clear.
+    """
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    edges = tuple((u, v, 1 + k // 6, 5 - k % 6) for k, (u, v) in enumerate(pairs))
+    return 1 + (len(pairs) + 5) // 6, edges
 
 
 def parse_graph6(record: bytes | str) -> Graph:
@@ -304,39 +320,26 @@ def parse_graph6(record: bytes | str) -> Graph:
     if not 63 <= data[0] <= 125:
         raise Graph6ParseError(f"invalid order byte {data[0]}", 0)
     n = data[0] - 63
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    if len(data) - 1 < nbytes:
+    length, edges = _g6_layout(n)
+    if len(data) < length:
         raise Graph6ParseError(
-            f"truncated bit vector: need {nbytes} bytes for n={n}", len(data)
+            f"truncated bit vector: need {length - 1} bytes for n={n}", len(data)
         )
-    if len(data) - 1 > nbytes:
-        raise Graph6ParseError("trailing bytes after bit vector", 1 + nbytes)
+    if len(data) > length:
+        raise Graph6ParseError("trailing bytes after bit vector", length)
 
-    # Each body byte, less 63, gives six bits, high bit first; shifted into
-    # one int, the first upper-triangle bit is the highest.
-    bits = 0
-    for i in range(1, 1 + nbytes):
+    for i in range(1, length):
         if not 63 <= data[i] <= 126:
             raise Graph6ParseError(f"byte {data[i]} outside graph6 range", i)
-        bits = bits << 6 | data[i] - 63
-    pad = 6 * nbytes - nbits
-    if bits & ((1 << pad) - 1):
-        raise Graph6ParseError("nonzero padding bit", nbytes)
+    # The padding is the low bits of the last body byte.
+    if data[-1] - 63 & (1 << 6 * (length - 1) - len(edges)) - 1:
+        raise Graph6ParseError("nonzero padding bit", length - 1)
 
-    # Upper-triangle bits, column by column: (0,1), (0,2), (1,2), (0,3), ...
-    # Column v is the v bits above the columns after it, (0,v) highest.
     closed = [1 << v for v in range(n)]
-    shift = 6 * nbytes
-    for v in range(1, n):
-        shift -= v
-        column = bits >> shift & ((1 << v) - 1)
-        while column:
-            low = column & -column
-            u = v - low.bit_length()
+    for u, v, i, b in edges:
+        if data[i] - 63 >> b & 1:
             closed[u] |= 1 << v
             closed[v] |= 1 << u
-            column ^= low
     return Graph._valid(n, tuple(closed))
 
 
@@ -345,17 +348,11 @@ def encode_graph6(g: Graph) -> bytes:
     n = g.n
     if n > _G6_MAX_N:
         raise Graph6RangeError(f"graph6 orders above {_G6_MAX_N} are not supported")
-    # The upper triangle, column by column, into one int, (0,1) highest, as
-    # `parse_graph6` reads it; zero-padded to whole six-bit groups.
-    bits = 0
-    for v in range(1, n):
-        col = g.closed[v]
-        for u in range(v):
-            bits = bits << 1 | col >> u & 1
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    bits <<= 6 * nbytes - nbits
-    return bytes([n + 63] + [(bits >> 6 * i & 63) + 63 for i in reversed(range(nbytes))])
+    length, edges = _g6_layout(n)
+    record = bytearray([n + 63] + [63] * (length - 1))
+    for u, v, i, b in edges:
+        record[i] += (g.closed[v] >> u & 1) << b
+    return bytes(record)
 
 
 def iter_graph6_records(lines: Iterable[bytes]) -> Iterator[bytes]:

@@ -29,14 +29,14 @@ tables up to order 10 hold about 0.26 MB.
 once, for `classify_corpus`, straight from their bytes: record j is byte
 j of every int (broadword, as above, but one byte lane per graph). Each
 edge is an int read from a column of record bytes by `bytes.translate`,
-with the edge's position and bit taken from `parse_graph6`'s decodes of
-one-bit records, so graph6's layout keeps one owner. A batch pays 2^n
-pairs of half subsets, each 2n operations on LANES-byte ints, whatever
-its size: in-process on a 2-CPU machine, 0.2 ms for one order-8 record,
-1.1 ms for a full batch of them and 0.8 ms for one order-10 record. The
-13,591 corpus records of orders 4..8 took 0.008 s that way, against
-0.035 s one record at a time through a per-order byte table. A full
-order-10 batch peaks at 1.6 MB.
+with the edge's position and bit read from `graphs._g6_layout`, the table
+graph6's decoder and encoder read too, so the layout is stated once. A
+batch pays 2^n pairs of half subsets, each 2n operations on LANES-byte
+ints, whatever its size: in-process on a 2-CPU machine, 0.2 ms for one
+order-8 record, 1.1 ms for a full batch of them and 0.8 ms for one
+order-10 record. The 13,591 corpus records of orders 4..8 took 0.008 s
+that way, against 0.035 s one record at a time through a per-order byte
+table. A full order-10 batch peaks at 1.6 MB.
 
 Orders 11 to SPLIT_MAX_ORDER (24) count by the split. Its low side is the
 first TRUTH_TABLE_MAX_ORDER vertices, read through the order-10 truth
@@ -88,8 +88,8 @@ from functools import cache, reduce
 from operator import and_, or_
 from typing import Iterable
 
-from .errors import Graph6ParseError, SizeGuardError
-from .graphs import Graph, encode_graph6, parse_graph6
+from .errors import SizeGuardError
+from .graphs import Graph, _g6_layout
 from .polynomials import IntPolynomial
 
 __all__ = [
@@ -181,41 +181,28 @@ def _truth_table_profile(closed: tuple[int, ...]) -> tuple[int, ...]:
 LANES = 2048
 
 
-@cache
-def _edgeless_graph6(n: int) -> bytes:
-    return encode_graph6(Graph(n, [1 << v for v in range(n)]))
-
-
 def graph6_lane_lengths(guard: int) -> dict[bytes, int]:
     """The records `graph6_profiles` reads: each order byte up to
     TRUTH_TABLE_MAX_ORDER and `guard`, mapped to its record length."""
     top = min(TRUTH_TABLE_MAX_ORDER, guard)
-    return {bytes([63 + n]): len(_edgeless_graph6(n)) for n in range(top + 1)}
+    return {bytes([63 + n]): _g6_layout(n)[0] for n in range(top + 1)}
 
 
 @cache
 def _graph6_layout(n: int) -> tuple[int, tuple[bytes, ...], tuple[tuple[int, bytes, int, int], ...]]:
-    """Order n's graph6 layout: the record length; for each body position,
-    the bytes allowed there (63..126, padding bits clear); and each edge
-    (u, v) as (position, a translate table giving that edge's bit, u, v)."""
-    edgeless = _edgeless_graph6(n)
+    """Order n's graph6 layout, from `graphs._g6_layout`: the record length;
+    for each body position, the bytes allowed there (63..126, padding bits
+    clear); and each edge (u, v) as (position, a translate table giving
+    that edge's bit, u, v)."""
+    length, edges = _g6_layout(n)
     # bits[b] maps each byte c in 63..126 to bit b of c - 63.
     bits = [bytes(63) + bytes(c >> b & 1 for c in range(64)) + bytes(129) for b in range(6)]
-    allowed, edges = [], []
-    for i in range(1, len(edgeless)):
-        # Each bit b of the byte from a one-bit record: a padding bit, which
-        # `parse_graph6` refuses, or the one edge it decodes to.
-        padding = 0
-        for b in range(6):
-            try:
-                g = parse_graph6(edgeless[:i] + bytes([edgeless[i] + (1 << b)]) + edgeless[i + 1:])
-            except Graph6ParseError:
-                padding |= 1 << b
-            else:
-                ((u, v),) = g.edges()
-                edges.append((i, bits[b], u, v))
-        allowed.append(bytes(c for c in range(63, 127) if not c - 63 & padding))
-    return len(edgeless), tuple(allowed), tuple(edges)
+    # The bits of each position that hold an edge; the others are padding.
+    used = [0] * length
+    for _, _, i, b in edges:
+        used[i] |= 1 << b
+    allowed = tuple(bytes(c for c in range(63, 127) if not c - 63 & ~used[i]) for i in range(1, length))
+    return length, allowed, tuple((i, bits[b], u, v) for u, v, i, b in edges)
 
 
 def _lane_covers(rows: list[list[int]], n: int) -> list[tuple[int, list[int]]]:
@@ -231,7 +218,9 @@ def graph6_profiles(batch: list[bytes]) -> Iterable[tuple[int, ...]] | None:
     """`domination_profile(parse_graph6(r))` for each of up to LANES records
     of one order n <= TRUTH_TABLE_MAX_ORDER, each of the length that
     `graph6_lane_lengths` gives; None when some body byte is outside 63..126
-    or sets a padding bit, which `parse_graph6` refuses.
+    or sets a padding bit, which `parse_graph6` refuses, and None when the
+    records' order bytes differ, as orders of one record length can (0 and
+    1, 2 and 3), since the walk reads every record at the first one's order.
 
     The records are walked at once, record j in byte j of every int. Edge
     (u, v)'s int holds 1 in the lanes of the records with that edge, read
@@ -241,14 +230,16 @@ def graph6_profiles(batch: list[bytes]) -> Iterable[tuple[int, ...]] | None:
     and d(G, |S|) gains the AND of the pair's ORs, lane by lane.
     """
     n, m = batch[0][0] - 63, len(batch)
-    if not n:
-        return [()] * m
     length, allowed, edges = _graph6_layout(n)
     records = b"".join(batch)
     columns = [records[i::length] for i in range(length)]
+    if columns[0].count(batch[0][0]) < m:
+        return None
     for column, ok in zip(columns[1:], allowed):
         if column.translate(None, ok):
             return None
+    if not n:
+        return [()] * m
     ones = int.from_bytes(b"\1" * m, "little")
     rows = [[ones if u == v else 0 for v in range(n)] for u in range(n)]
     for i, bit, u, v in edges:

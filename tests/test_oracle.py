@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from dompoly import oracle
-from dompoly.errors import SizeGuardError
-from dompoly.graphs import Graph, complete, cycle, disjoint_union, encode_graph6, join, parse_graph6, path, wheel
+from dompoly.errors import Graph6ParseError, SizeGuardError
+from dompoly.graphs import Graph, _g6_layout, complete, cycle, disjoint_union, encode_graph6, join, parse_graph6, path, wheel
 from dompoly.oracle import domination_number, domination_polynomial, domination_profile
 from dompoly.polynomials import IntPolynomial
 
@@ -369,6 +369,46 @@ def test_complete_10_fills_its_lane_without_a_carry():
     profiles = list(oracle.graph6_profiles([k10, empty, k10, k10, empty]))
     assert profiles == [full, alone, full, full, alone]
     assert full[4] == 252 == max(full)
+
+
+def test_graph6_profiles_refuse_a_batch_of_two_orders_of_one_length():
+    """Orders 0 and 1 share record length 1, and orders 2 and 3 length 2;
+    read at the first record's order, the second would get a wrong profile."""
+    assert domination_profile(parse_graph6(b"B_")) == (0, 2, 1)
+    assert domination_profile(parse_graph6(b"@")) == (1,)
+    assert oracle.graph6_profiles([b"A_", b"B_"]) is None
+    assert oracle.graph6_profiles([b"?", b"@"]) is None
+    assert list(oracle.graph6_profiles([b"B_", b"B_"])) == [(0, 2, 1)] * 2
+
+
+def test_stated_graph6_layout_is_the_codec_bit_by_bit():
+    """Each bit of each body byte, set alone in the edgeless record of each
+    lane order: the codec decodes it to the one edge `_g6_layout` names
+    there and encodes that graph back to the record, or refuses it as
+    padding at the last byte. The byte lanes' layout puts each edge at the
+    same position and allows exactly the bytes with no padding bit set."""
+    for n in range(2, oracle.TRUTH_TABLE_MAX_ORDER + 1):
+        length, edges = _g6_layout(n)
+        named = {(i, b): (u, v) for u, v, i, b in edges}
+        lane_length, allowed, lane_edges = oracle._graph6_layout(n)
+        lanes = {(u, v): (i, bit) for i, bit, u, v in lane_edges}
+        assert (lane_length, len(allowed), len(lanes)) == (length, length - 1, n * (n - 1) // 2)
+        edgeless = bytes([63 + n]) + b"?" * (length - 1)
+        for i in range(1, length):
+            padding = 0
+            for b in range(6):
+                record = edgeless[:i] + bytes([63 + (1 << b)]) + edgeless[i + 1:]
+                if (i, b) in named:
+                    g = parse_graph6(record)
+                    assert g.edges() == [named[i, b]] and encode_graph6(g) == record
+                    position, bit = lanes[named[i, b]]
+                    assert (position, bit[record[i]], bit[63]) == (i, 1, 0)
+                else:
+                    with pytest.raises(Graph6ParseError, match="nonzero padding bit") as refused:
+                        parse_graph6(record)
+                    assert refused.value.offset == i == length - 1
+                    padding |= 1 << b
+            assert allowed[i - 1] == bytes(c for c in range(63, 127) if not c - 63 & padding), (n, i)
 
 
 @pytest.mark.parametrize("order", [4, 5, 6, 7, 8])
