@@ -34,6 +34,14 @@ L6-ord3 (n <= 30) and R1-remark (every n) check `cycles.B_MOD_9`,
 read through `b_mod_9`, against `b_values`; they and T5-partitions read
 ord_3 of a_n = D(C_n, -3) off one exact walk, `_minus_three_walk`.
 
+Within one `dompoly.verify.run_all` call, the range checks share three
+walks through `_shared`: the coefficients of D(C_1..C_n) that L5, REL2
+and REL3 read, `_minus_three_walk`'s rows that L6, R1 and T5-partitions
+read, and the ten `_case_certificate`s that both T5 checks read. Each is
+walked once per range and kept only while `run_all` runs the range
+checks. A check run alone finds nothing kept and walks fresh, so a
+fault planted in a walk reaches it as before.
+
 Enumeration is the route of `search-partitions`, which takes each
 partition from `match_partitions`, fingerprint first, full compare
 second: the product of the parts' values D(C_p, t) mod 2^61-1 at one
@@ -127,6 +135,28 @@ def _report(lemma_id, lo, hi, counterexamples, t0, details=None) -> Verification
         timing_ms=int((time.perf_counter() - t0) * 1000),
         details=details or {},
     )
+
+
+# ---------------------------------------------------------------------------
+# Walks shared by the checks of one `run_all` call
+# ---------------------------------------------------------------------------
+
+# The rows of each shared walk, keyed by its producer and arguments, while
+# `dompoly.verify.run_all` runs the range checks; None at any other time.
+# It is not passed to the runners because the CLI reads each runner's
+# options from its signature.
+_run_walks: dict[tuple, list] | None = None
+
+
+def _shared(producer: Callable[..., Iterable], *args) -> Iterable:
+    """The rows of `producer(*args)`: inside `run_all`, walked once and read
+    by every check there; outside it, walked fresh at each call."""
+    if _run_walks is None:
+        return producer(*args)
+    key = (producer, *args)
+    if key not in _run_walks:
+        _run_walks[key] = list(producer(*args))
+    return _run_walks[key]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +257,12 @@ def _derivative_weights(j: int, size: int) -> list[int]:
     return [-math.perm(i, j) if (i - j) % 2 else math.perm(i, j) for i in range(size)]
 
 
+def _cycle_rows(n_max: int) -> Iterator[tuple[int, ...]]:
+    """The coefficients of D(C_1), ..., D(C_n_max), one `cycle_polynomials`
+    walk."""
+    return (p.coeffs for p in islice(cycle_polynomials(), n_max))
+
+
 def _scalar_identity_report(lemma_id, n_max, j):
     """Component j of `closed_jet` vs. the cycle jet at -1 vs. D^(j)(C_n, -1)
     evaluated from the polynomial's coefficients, as one weighted sum with
@@ -234,12 +270,12 @@ def _scalar_identity_report(lemma_id, n_max, j):
     t0 = time.perf_counter()
     bad = []
     weights = _derivative_weights(j, n_max + 1)
-    walk = zip(range(1, n_max + 1), cycle_jets(-1, j), cycle_polynomials())
-    for n, jet, p in walk:
-        if len(p.coeffs) > len(weights):
+    walk = zip(range(1, n_max + 1), cycle_jets(-1, j), _shared(_cycle_rows, n_max))
+    for n, jet, coeffs in walk:
+        if len(coeffs) > len(weights):
             # Only a walk off degree n gets here; the sum must read every coefficient.
-            weights = _derivative_weights(j, len(p.coeffs))
-        cf, rec, evaluated = closed_jet(n)[j], jet[j], sum(map(mul, p.coeffs, weights))
+            weights = _derivative_weights(j, len(coeffs))
+        cf, rec, evaluated = closed_jet(n)[j], jet[j], sum(map(mul, coeffs, weights))
         if not (cf == rec == evaluated):
             bad.append({
                 "n": n, "closed_form": str(cf), "recurrence": str(rec),
@@ -290,7 +326,7 @@ def verify_ord3_table(n_max: int = 1000) -> VerificationReport:
     """
     t0 = time.perf_counter()
     bad = []
-    for n, a_n, b_rec, holds, ord3 in _minus_three_walk(n_max):
+    for n, a_n, b_rec, holds, ord3 in _shared(_minus_three_walk, n_max):
         lo, hi = ord3_bounds(n)
         if not lo <= ord3 <= hi:
             # Outside the table, 3^ceil(n/3) may not divide a_n: no b_n to compare.
@@ -314,7 +350,7 @@ def verify_remark(n_max: int = 1000) -> VerificationReport:
     """
     t0 = time.perf_counter()
     bad = []
-    for n, _, b_n, _, ord3 in _minus_three_walk(n_max):
+    for n, _, b_n, _, ord3 in _shared(_minus_three_walk, n_max):
         if b_n % 9 != b_mod_9(n):
             bad.append({"check": "period-27", "n": n, "b_mod_9": b_n % 9, "expected": b_mod_9(n)})
         if ord3 != (predicted := predicted_ord3(n)):
@@ -375,7 +411,7 @@ def verify_ten_case_table(n_max: int = 60) -> VerificationReport:
     case_counts = {k: 0 for k in range(1, 11)}
     total = full_compares = compatible = 0
     jets = {n: closed_jet(n) for n in range(3, n_max + 1)}
-    reads = {c: _case_certificate(p, 3)["component"] for p, c in TEN_CASES.items()}
+    reads = {case: certificate["component"] for case, certificate in _shared(_case_certificates, 3)}
     # The parts' residues mod 4, in order, mapped to their pattern and its
     # case (None outside the table).
     residues = [(r1, r2, r3) for r1 in range(4) for r2 in range(4) for r3 in range(4)]
@@ -475,6 +511,12 @@ def _case_certificate(pattern, min_part: int) -> dict:
     }
 
 
+def _case_certificates(min_part: int) -> Iterator[tuple[int, dict]]:
+    """(case, `_case_certificate`) for each of the ten cases, in `TEN_CASES`
+    order."""
+    return ((case, _case_certificate(pattern, min_part)) for pattern, case in TEN_CASES.items())
+
+
 def verify_cycle_uniqueness_by_elimination(n_max: int = 1000, min_part: int = 3) -> VerificationReport:
     """For every n in 3..n_max, only the trivial partition {n} reproduces
     D(C_n,x), by the paper's elimination; no partition is enumerated.
@@ -494,7 +536,7 @@ def verify_cycle_uniqueness_by_elimination(n_max: int = 1000, min_part: int = 3)
         raise ParameterDomainError(f"min_part must be 1 or 3, got {min_part}")
     t0 = time.perf_counter()
     bad = []
-    for (n, _, _, _, ord3), jet in zip(_minus_three_walk(n_max), cycle_jets(-1, 2)):
+    for (n, _, _, _, ord3), jet in zip(_shared(_minus_three_walk, n_max), cycle_jets(-1, 2)):
         if jet != closed_jet(n):
             bad.append({"check": "closed-form-jet", "n": n, "jet": list(map(str, jet)),
                         "closed_form": list(map(str, closed_jet(n)))})
@@ -505,7 +547,7 @@ def verify_cycle_uniqueness_by_elimination(n_max: int = 1000, min_part: int = 3)
                   if closed_jet(4 + sum(rs) % 4)[0] == math.prod(closed_jet(4 + r)[0] for r in rs)}
     if compatible != set(TEN_CASES):
         bad.append({"check": "ten-cases-table", "alpha_compatible": sorted(compatible)})
-    cases = {str(case): _case_certificate(pattern, min_part) for pattern, case in TEN_CASES.items()}
+    cases = {str(case): certificate for case, certificate in _shared(_case_certificates, min_part)}
     bad += [{"check": "case-witness", "case": int(case), **certificate}
             for case, certificate in cases.items() if certificate["witness"] is None]
     details = {"route": "elimination", "cases": cases, "min_part": min_part}

@@ -269,7 +269,7 @@ def join(g: Graph, h: Graph) -> Graph:
 # order byte, n <= 62. The long-form headers serve orders no 2^n walk can
 # reach, so they are refused; so are sparse6 and digraph6 records, so a
 # wrong corpus file fails loudly. `_g6_layout` states where each edge's
-# bit sits; the decoder, the encoder and the oracle's byte lanes read it.
+# bit sits; the decoder, the encoder and the oracle's bit lanes read it.
 # ---------------------------------------------------------------------------
 
 _G6_MAX_N = 62

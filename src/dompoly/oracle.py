@@ -26,17 +26,21 @@ graphs of order 10, whose savings (1.1 ms) repay that order's build, and
 tables up to order 10 hold about 0.26 MB.
 
 `graph6_profiles` walks up to LANES graph6 records of one such order at
-once, for `classify_corpus`, straight from their bytes: record j is byte
-j of every int (broadword, as above, but one byte lane per graph). Each
-edge is an int read from a column of record bytes by `bytes.translate`,
-with the edge's position and bit read from `graphs._g6_layout`, the table
-graph6's decoder and encoder read too, so the layout is stated once. A
-batch pays 2^n pairs of half subsets, each 2n operations on LANES-byte
-ints, whatever its size: in-process on a 2-CPU machine, 0.2 ms for one
-order-8 record, 1.1 ms for a full batch of them and 0.8 ms for one
-order-10 record. The 13,591 corpus records of orders 4..8 took 0.008 s
-that way, against 0.035 s one record at a time through a per-order byte
-table. A full order-10 batch peaks at 1.6 MB.
+once, for `classify_corpus`, straight from their bytes: each record is
+one bit of every int, eight records to a byte (broadword, as above, but
+one bit lane per graph). Each edge is an int read from a column of record
+bytes by `bytes.translate`, with the edge's position and bit read from
+`graphs._g6_layout`, the table graph6's decoder and encoder read too, so
+the layout is stated once. Each d(G, k) is a bit-sliced counter, a few
+ints of bit planes, unpacked into one byte per record once the walk ends.
+A batch pays 2^n pairs of half subsets, each 2n operations on LANES/8-byte
+ints and a carry that is mostly short, whatever its size: in-process on a
+2-CPU machine (CPython 3.11.7, one CPU, fastest of five runs), 0.3 ms for
+one order-8 record, 4.2 ms for a full batch of them and 1.0 ms for one
+order-10 record. The 13,591 corpus records of orders 4..8 took 4.3 ms
+that way, against 7.8 ms at 2048 records a byte lane each and 0.035 s one
+record at a time through a per-order byte table. A full order-10 batch's
+walk peaks at 1.9 MB (tracemalloc).
 
 Orders 11 to SPLIT_MAX_ORDER (24) count by the split. Its low side is the
 first TRUTH_TABLE_MAX_ORDER vertices, read through the order-10 truth
@@ -84,6 +88,7 @@ guard.
 
 from __future__ import annotations
 
+import math
 from functools import cache, reduce
 from operator import and_, or_
 from typing import Iterable
@@ -175,10 +180,12 @@ def _truth_table_profile(closed: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((dominating & size).bit_count() for size in sizes[1:])
 
 
-# Records of one order walked at once by `graph6_profiles`, one byte lane
-# each: a lane counts d(G, k) <= C(n, k) <= C(10, 5) = 252 for every order n
-# up to TRUTH_TABLE_MAX_ORDER, so no count carries into the next lane.
-LANES = 2048
+# Records of one order walked at once by `graph6_profiles`, one bit lane
+# each, eight to a byte, so a full batch's ints hold 2048 bytes. The counts
+# are unpacked into one byte lane per record, and d(G, k) <= C(n, k) <=
+# C(10, 5) = 252 for every order n up to TRUTH_TABLE_MAX_ORDER, so no count
+# carries into the next lane.
+LANES = 16384
 
 
 def graph6_lane_lengths(guard: int) -> dict[bytes, int]:
@@ -222,12 +229,18 @@ def graph6_profiles(batch: list[bytes]) -> Iterable[tuple[int, ...]] | None:
     records' order bytes differ, as orders of one record length can (0 and
     1, 2 and 3), since the walk reads every record at the first one's order.
 
-    The records are walked at once, record j in byte j of every int. Edge
-    (u, v)'s int holds 1 in the lanes of the records with that edge, read
-    from a column of record bytes. A subset S dominates a lane when each
-    N[v] meets S, that is when the OR of the rows of S has 1 in that lane at
-    every v; the vertices split into halves, S is a pair of half subsets,
-    and d(G, |S|) gains the AND of the pair's ORs, lane by lane.
+    The records are walked at once, one bit lane each: with w = ceil(m/8)
+    bytes per int, record t*w + j is bit t of byte j. Edge (u, v)'s int
+    holds 1 in the lanes of the records with that edge, read from a column
+    of record bytes, w records at a time. A subset S dominates a lane when
+    each N[v] meets S, that is when the OR of the rows of S has 1 in that
+    lane at every v; the vertices split into halves, S is a pair of half
+    subsets, and d(G, |S|) gains the AND of the pair's ORs, lane by lane.
+    Each d(G, k) is kept in C(n, k).bit_length() bit planes, plane i
+    holding bit i of every lane's count, and gains an AND by a ripple
+    carry that stops when nothing carries. Once the walk ends, bit t of
+    every byte of the planes is gathered into byte lanes, record t*w + j
+    in byte j.
     """
     n, m = batch[0][0] - 63, len(batch)
     length, allowed, edges = _graph6_layout(n)
@@ -240,16 +253,31 @@ def graph6_profiles(batch: list[bytes]) -> Iterable[tuple[int, ...]] | None:
             return None
     if not n:
         return [()] * m
-    ones = int.from_bytes(b"\1" * m, "little")
+    w = -(-m // 8)
+    # The lanes past record m - 1 read as edgeless graphs and are dropped.
+    ones = (1 << 8 * w) - 1
     rows = [[ones if u == v else 0 for v in range(n)] for u in range(n)]
     for i, bit, u, v in edges:
-        rows[u][v] = rows[v][u] = int.from_bytes(columns[i].translate(bit), "little")
-    counts = [0] * (n + 1)
+        column = columns[i].translate(bit)
+        rows[u][v] = rows[v][u] = reduce(
+            or_, [int.from_bytes(column[t * w:t * w + w], "little") << t for t in range(8)])
+    planes = [[0] * math.comb(n, k).bit_length() for k in range(n + 1)]
     highs = _lane_covers(rows[n // 2:], n)
     for a, low in _lane_covers(rows[:n // 2], n):
         for b, high in highs:
-            counts[a + b] += reduce(and_, map(or_, low, high))
-    return zip(*[c.to_bytes(m, "little") for c in counts[1:]])
+            carry, counter = reduce(and_, map(or_, low, high)), planes[a + b]
+            i = 0
+            while carry:
+                plane = counter[i]
+                counter[i], carry = plane ^ carry, plane & carry
+                i += 1
+    lane = ones // 255
+    counts = [
+        b"".join(reduce(or_, [(plane >> t & lane) << i for i, plane in enumerate(counter)])
+                 .to_bytes(w, "little") for t in range(8))[:m]
+        for counter in planes[1:]
+    ]
+    return zip(*counts)
 
 
 def _pair_sum_profile(closed: tuple[int, ...]) -> tuple[int, ...]:

@@ -284,7 +284,7 @@ def classify_corpus(
 
     Records are grouped by their domination profile, which determines the
     polynomial; each class builds its key polynomial once. A record the
-    oracle's byte lanes read (an order up to TRUTH_TABLE_MAX_ORDER and
+    oracle's bit lanes read (an order up to TRUTH_TABLE_MAX_ORDER and
     `corpus_guard`, of its order's length) waits with the others of its
     order until LANES of them are drawn or the input ends, and they are
     walked at once by `graph6_profiles`, with no Graph built. A batch with a
@@ -469,8 +469,18 @@ def run_all(
     corpus check with no such order is omitted. A `guard` replaces the
     corpus guard of the classification and the enumeration guard of the
     corpus checks' walks; the range checks keep their own.
+
+    While the range checks run, the walks they share (`checks._shared`:
+    D(C_1..C_200)'s coefficients, the walk at -3 to 1000 and the ten case
+    certificates) are made once each, and they are dropped before the
+    corpora are classified, also when a check raises. A check run alone
+    walks fresh.
     """
-    reports = [c.run(c.default_n) for c in CHECKS.values() if c.default_n is not None]
+    checks._run_walks = {}
+    try:
+        reports = [c.run(c.default_n) for c in CHECKS.values() if c.default_n is not None]
+    finally:
+        checks._run_walks = None
     corpus_checks = [c for c in CHECKS.values() if c.default_n is None]
     classified = {
         n: classify_corpus(records, corpus_guard=guard)

@@ -385,7 +385,7 @@ def test_graph6_records_are_decoded_as_they_are_walked(capsys, monkeypatch, tmp_
     f.write_bytes(b"\n".join([encode_graph6(complete(62))] + [encode_graph6(cycle(5))] * 999) + b"\n")
     parsed = []
     monkeypatch.setattr(graphs, "parse_graph6", lambda rec: parsed.append(rec) or parse_graph6(rec))
-    # Only corpus classification reads records through the oracle's byte lanes.
+    # Only corpus classification reads records through the oracle's bit lanes.
     layouts = cache(oracle._graph6_layout.__wrapped__)
     monkeypatch.setattr(oracle, "_graph6_layout", layouts)
     refusal = "dompoly: order 62 exceeds 40, the largest order any guard lets a 2^n enumeration reach\n"
@@ -469,7 +469,7 @@ def test_the_tracer_reaches_every_check(tmp_path):
     )}
     assert counts == {
         "oracle.domination_profile.calls": 638, "oracle.masks_walked": 1_041_160,
-        # 0 parses: every corpus record is read by the oracle's byte lanes,
+        # 0 parses: every corpus record is read by the oracle's bit lanes,
         # whose layout comes from `graphs._g6_layout`, not from decoding.
         # 0: `dompoly.cycles` has none of the scalar routes the tracer hooks.
         "graphs.parse_graph6.calls": 0, "cycles.scalar.calls": 0,

@@ -316,7 +316,7 @@ def test_truth_tables_are_built_once_per_order_on_first_use():
 
 
 def _lane_profiles(records):
-    """The byte lanes' profiles, LANES records at a time."""
+    """The bit lanes' profiles, LANES records at a time."""
     lanes = oracle.LANES
     return [p for i in range(0, len(records), lanes) for p in oracle.graph6_profiles(records[i:i + lanes])]
 
@@ -339,6 +339,22 @@ def test_graph6_profile_matches_the_parsed_walk_on_random_graphs():
         assert _lane_profiles(records) == [domination_profile(parse_graph6(r)) for r in records], n
 
 
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 8 * 5 - 1, 8 * 5 + 1, 8 * 16 - 1, 8 * 16, 8 * 16 + 1])
+def test_bit_lanes_of_every_batch_size_match_the_parsed_walk(size):
+    """Record t*w + j is bit t of byte j, w = ceil(size / 8): batches that
+    leave the last bits of the last byte empty, or fill them, give every
+    record its own profile at each order the lanes read."""
+    rng = random.Random(size)
+    for n in range(oracle.TRUTH_TABLE_MAX_ORDER + 1):
+        density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        records = [
+            encode_graph6(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                               if rng.random() < density]))
+            for _ in range(size)
+        ]
+        assert list(oracle.graph6_profiles(records)) == [domination_profile(parse_graph6(r)) for r in records], n
+
+
 def test_graph6_tables_serve_only_orders_up_to_the_cutoff_and_the_guard(monkeypatch):
     layouts = cache(oracle._graph6_layout.__wrapped__)
     monkeypatch.setattr(oracle, "_graph6_layout", layouts)
@@ -355,8 +371,9 @@ def test_graph6_tables_serve_only_orders_up_to_the_cutoff_and_the_guard(monkeypa
 
 
 def test_byte_lanes_hold_every_count_up_to_the_cutoff():
-    """A lane is one byte, and d(G, k) <= C(n, k): below 256 for every order
-    the lanes read (C(10, 5) = 252), but not at 11 (C(11, 5) = 462)."""
+    """Each count is unpacked into one byte, and d(G, k) <= C(n, k): below
+    256 for every order the lanes read (C(10, 5) = 252), but not at 11
+    (C(11, 5) = 462)."""
     for n in range(oracle.TRUTH_TABLE_MAX_ORDER + 1):
         assert max(comb(n, k) for k in range(n + 1)) < 256, n
 
@@ -385,7 +402,7 @@ def test_stated_graph6_layout_is_the_codec_bit_by_bit():
     """Each bit of each body byte, set alone in the edgeless record of each
     lane order: the codec decodes it to the one edge `_g6_layout` names
     there and encodes that graph back to the record, or refuses it as
-    padding at the last byte. The byte lanes' layout puts each edge at the
+    padding at the last byte. The bit lanes' layout puts each edge at the
     same position and allows exactly the bytes with no padding bit set."""
     for n in range(2, oracle.TRUTH_TABLE_MAX_ORDER + 1):
         length, edges = _g6_layout(n)

@@ -893,7 +893,7 @@ def test_streamed_classification_with_a_bad_and_an_over_guard_record():
 
 
 def test_classification_holds_at_most_lanes_records_of_an_order_unwalked(monkeypatch, corpus, classified):
-    """By the byte lanes, no more than LANES records of one order are drawn
+    """By the bit lanes, no more than LANES records of one order are drawn
     and not yet walked; by `parse_graph6` then `domination_profile` (order
     11, above TRUTH_TABLE_MAX_ORDER), each record is walked before the next
     is drawn."""
@@ -920,11 +920,12 @@ def test_classification_holds_at_most_lanes_records_of_an_order_unwalked(monkeyp
             yield rec
             most_pending[n] = max(most_pending[n], drawn[n] - walked[n])
 
-    mixed = [r for row in itertools.zip_longest(*map(corpus, orders)) for r in row if r is not None]
+    # Order 8's 12,346 records, listed twice, fill a batch, whose last
+    # record is walked before the next is drawn; a repeat joins its class.
+    twice = [*orders[:-1], 8, 8]
+    mixed = [r for row in itertools.zip_longest(*map(corpus, twice)) for r in row if r is not None]
     assert len(classify_corpus(records(mixed)).classes) == union
     assert walked == drawn and max(most_pending.values()) <= verify.LANES
-    # Order 8's 12,346 records fill a batch, whose last record is walked
-    # before the next is drawn.
     assert most_pending[8] == verify.LANES - 1
 
     drawn.clear(), walked.clear(), most_pending.clear()
@@ -958,13 +959,13 @@ def _mutations(record):
 
 
 def _parse_route_only(monkeypatch):
-    """Turn the byte lanes off: every record takes `parse_graph6`."""
+    """Turn the bit lanes off: every record takes `parse_graph6`."""
     monkeypatch.setattr(verify, "graph6_lane_lengths", lambda guard: {})
 
 
 def test_classification_by_byte_tables_matches_the_parse_route(monkeypatch):
     """Classes, parse errors (index, record, message) and refusals are the
-    same with the oracle's byte lanes turned off, on seeded graphs of
+    same with the oracle's bit lanes turned off, on seeded graphs of
     orders 0..10 and their mutations, under corpus guards that refuse
     some orders and admit others."""
     rng = random.Random(22)
@@ -1009,9 +1010,10 @@ def test_interleaved_orders_classify_as_their_union_with_one_table_each(monkeypa
 @pytest.mark.parametrize("size, batches", [
     (oracle.LANES - 1, [oracle.LANES - 1]), (oracle.LANES, [oracle.LANES]),
     (oracle.LANES + 1, [oracle.LANES, 1]),
-])
+], ids=["LANES-1", "LANES", "LANES+1"])
 def test_batches_around_lanes_records_match_the_parse_route(monkeypatch, corpus, size, batches):
-    records = corpus(8)[:size]
+    # The order-8 corpus, repeated as often as LANES + 1 records need.
+    records = (corpus(8) * -(-(oracle.LANES + 1) // len(corpus(8))))[:size]
     walked = []
     monkeypatch.setattr(verify, "graph6_profiles",
                         lambda batch, walk=verify.graph6_profiles: walked.append(len(batch)) or walk(batch))
@@ -1026,7 +1028,8 @@ def test_malformed_record_in_a_full_batch_takes_the_parse_route(monkeypatch, cor
     and length sends its whole batch through `parse_graph6`; the parse
     errors still come back in index order, among those of records that
     were parsed as they were drawn."""
-    records = corpus(8)[:verify.LANES + 3]
+    # The order-8 corpus, repeated as often as a full batch needs.
+    records = (corpus(8) * -(-(verify.LANES + 3) // len(corpus(8))))[:verify.LANES + 3]
     good = records[1000]
     records[5] = records[1800] = b"not graph6"
     records[1000] = good[:-1] + bytes([63 + (good[-1] - 63 | 1)])  # a padding bit: 28 bits in 5 bytes
@@ -1044,7 +1047,7 @@ def test_malformed_record_in_a_full_batch_takes_the_parse_route(monkeypatch, cor
     # The full batch fell back; the one record drawn after it took the lanes.
     assert walked == [(verify.LANES, True), (1, False)]
     errors = by_lanes["parse_errors"]
-    assert [e["index"] for e in errors] == [5, 1000, 1500, 1800, 2051]
+    assert [e["index"] for e in errors] == [5, 1000, 1500, 1800, verify.LANES + 3]
     assert [errors[1]["error"], errors[2]["error"]] == [
         "nonzero padding bit (byte offset 5)", "byte 127 outside graph6 range (byte offset 2)"]
     _parse_route_only(monkeypatch)
@@ -1332,3 +1335,92 @@ def test_run_all_with_corpora(corpus):
     assert ids.count("COR-wheel") == 1
     assert ids.count("P-path-class") == 1
     assert all(r.passed for r in reports)
+
+
+def _spy_on_shared_walks(monkeypatch):
+    """Count the calls of each producer of a shared walk, by name and arguments."""
+    calls = collections.Counter()
+
+    def spy(name):
+        real = getattr(checks, name)
+        return lambda *args: calls.update([(name, *args)]) or real(*args)
+
+    for name in ("_cycle_rows", "_minus_three_walk", "_case_certificates"):
+        monkeypatch.setattr(checks, name, spy(name))
+    return calls
+
+
+def test_run_all_walks_each_shared_walk_once(monkeypatch):
+    """One `run_all` walks D(C_1..C_200), the walk at -3 to 1000 and the
+    ten case certificates once each, for the three, three and two checks
+    that read them; it leaves no walk behind, and a check run alone walks
+    fresh at each call."""
+    calls = _spy_on_shared_walks(monkeypatch)
+    assert all(r.passed for r in run_all())
+    assert calls == {("_cycle_rows", 200): 1, ("_minus_three_walk", 1000): 1, ("_case_certificates", 3): 1}
+    assert checks._run_walks is None
+    calls.clear()
+    assert verify_alpha().passed and verify_alpha().passed
+    assert calls == {("_cycle_rows", 200): 2}
+
+
+def test_run_all_leaves_no_shared_walk_when_a_check_raises(monkeypatch):
+    calls = _spy_on_shared_walks(monkeypatch)
+
+    def planted(n_max):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(checks, "verify_remark", planted)
+    with pytest.raises(RuntimeError, match="planted"):
+        run_all()
+    assert checks._run_walks is None and calls[("_minus_three_walk", 1000)] == 1
+    calls.clear()
+    assert verify_alpha(50).passed and verify_alpha(50).passed
+    assert calls == {("_cycle_rows", 50): 2}
+
+
+def _without_timing(report):
+    return {k: v for k, v in report.to_json_dict().items() if k != "timing_ms"}
+
+
+def _plant_cycle_coefficient(monkeypatch):
+    """D(C_12) from the walk with x^3 added."""
+    walk = checks.cycle_polynomials
+
+    def planted():
+        for n, p in enumerate(walk(), 1):
+            yield p + IntPolynomial((0, 0, 0, 1)) if n == 12 else p
+
+    monkeypatch.setattr(checks, "cycle_polynomials", planted)
+
+
+def _plant_beta_of_7(monkeypatch):
+    """closed_jet(7) with beta one too high: parts of 7 enter the
+    certificates of cases 1, 3, 5, 6, 9 and 10, and four of them lose
+    their witness."""
+    real = checks.closed_jet
+    monkeypatch.setattr(checks, "closed_jet", lambda n: (real(7)[0], real(7)[1] + 1, real(7)[2]) if n == 7 else real(n))
+
+
+@pytest.mark.parametrize("plant, alone, failing", [
+    (_plant_b_step, {"L6-ord3": lambda: verify_ord3_table(1000), "R1-remark": lambda: verify_remark(1000),
+                     "T5-partitions": lambda: verify_cycle_uniqueness_by_elimination(1000)},
+     {"L6-ord3", "R1-remark"}),
+    (_plant_cycle_coefficient, {"L5-alpha": lambda: verify_alpha(200), "REL2-beta": lambda: verify_beta(200),
+                                "REL3-theta": lambda: verify_theta(200)},
+     {"L5-alpha", "REL2-beta", "REL3-theta"}),
+    (_plant_beta_of_7, {"T5-ten-cases": lambda: verify_ten_case_table(60),
+                        "T5-partitions": lambda: verify_cycle_uniqueness_by_elimination(1000)},
+     {"REL2-beta", "T5-ten-cases", "T5-partitions"}),
+], ids=["b-step", "cycle-coefficient", "closed-jet"])
+def test_a_planted_fault_reaches_every_reader_of_a_shared_walk(monkeypatch, plant, alone, failing):
+    """Inside `run_all`, each check that reads a planted walk reports what
+    it reports when it runs alone: a wrong b_n step fails L6 and R1 but not
+    T5-partitions, a planted coefficient fails L5, REL2 and REL3, and a
+    planted closed-form beta fails both T5 checks (and REL2, which checks
+    the closed forms)."""
+    plant(monkeypatch)
+    reports = {r.lemma_id: r for r in run_all()}
+    for lemma, check in alone.items():
+        assert _without_timing(reports[lemma]) == _without_timing(check()), lemma
+    assert {lemma for lemma, r in reports.items() if not r.passed} == failing
