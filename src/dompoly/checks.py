@@ -7,9 +7,9 @@ claim over the cycle family against exact computation, and returns a
 independently. The checks that build, read or walk graphs (L2-union,
 L3-cycle, L4-gamma and the corpus checks) live in `dompoly.verify`, which
 re-exports everything here; this module imports only `errors` and
-`cycles`. `IntPolynomial` loads only where an exact compare runs, and
-`ord_p` only where the walk at -3 finds a_n off its product identity or
-9 dividing b_n.
+`cycles`, and `CHECKS` loads `dompoly.verify` only to run a check there.
+`IntPolynomial` loads only where an exact compare runs, and `ord_p` only
+where the walk at -3 finds a_n off its product identity or 9 dividing b_n.
 
 The headline check is cycle uniqueness: among disjoint unions of cycles
 (the 2-regular graphs), only the one-part partition {n} reproduces
@@ -143,8 +143,8 @@ def _report(lemma_id, lo, hi, counterexamples, t0, details=None) -> Verification
 
 # The rows of each shared walk, keyed by its producer and arguments, while
 # `dompoly.verify.run_all` runs the range checks; None at any other time.
-# It is not passed to the runners because the CLI reads each runner's
-# options from its signature.
+# A module global, not a runner parameter, so a check run alone (by the
+# CLI, say) finds it None and walks fresh.
 _run_walks: dict[tuple, list] | None = None
 
 
@@ -566,22 +566,31 @@ class Check:
     of min_n, min_n + step, ... and runs as `run(n, classify_corpus(records))`
     over the complete corpus of that order. `covers` is the only rule for
     those orders: the corpus checks, `run_all` and the CLI (which refuses an
-    uncovered order before reading a corpus) all read it. Either way, the
-    keyword parameters its runner declares (`guard`, `min_part`) are the
-    only options it reads, and their defaults live there; a `guard` left
-    None takes the walk's default, `oracle.DEFAULT_GUARD`. Each runner
-    looks its `verify_*` function up when called, by module-global name or
-    as an attribute of `dompoly.verify`, so a wrapper bound to that name (a
-    profiler, say) sees the call.
+    uncovered order before reading a corpus) all read it. `runner` names
+    the check's `verify_*` function and `options` the keyword parameters
+    it reads (`guard`, `min_part`), whose defaults live in the runner.
+    `run` looks the runner up at each call, in this module or else in
+    `dompoly.verify`, so a wrapper bound to that name (a profiler, say)
+    sees the call; an option passed as None is dropped, and a `guard`
+    left None takes the walk's default, `oracle.DEFAULT_GUARD`.
     """
 
-    def __init__(self, claim: str, run: Callable[..., VerificationReport], min_n: int,
-                 default_n: int | None = None, step: int = 1):
+    def __init__(self, claim: str, runner: str, min_n: int, default_n: int | None = None,
+                 step: int = 1, options: tuple[str, ...] = ()):
         self.claim = claim
-        self.run = run
+        self.runner = runner
         self.min_n = min_n
         self.default_n = default_n
         self.step = step
+        self.options = options
+
+    def run(self, *args, **options) -> VerificationReport:
+        runner = globals().get(self.runner)
+        if runner is None:
+            from . import verify
+
+            runner = getattr(verify, self.runner)
+        return runner(*args, **{k: v for k, v in options.items() if v is not None})
 
     def covers(self, n: int) -> bool:
         return n >= self.min_n and (n - self.min_n) % self.step == 0
@@ -596,66 +605,45 @@ def _require_covered(lemma_id: str, n: int) -> None:
         raise ParameterDomainError(f"{lemma_id} covers n = {orders}, ...; got {n}")
 
 
-def _walking_graphs(name: str, *args, guard: int | None = None) -> VerificationReport:
-    """Run `dompoly.verify`'s check `name`, imported at the first call with
-    the graph and oracle code it walks; a `guard` left None is not passed."""
-    from . import verify
-
-    return getattr(verify, name)(*args, **({} if guard is None else {"guard": guard}))
-
-
 # In `run_all` order: range checks first, then the corpus checks.
 CHECKS: dict[str, Check] = {
     "L2-union": Check(
         "domination polynomial of a disjoint union equals the product over components",
-        lambda n, guard=None: _walking_graphs("verify_union_product", n, guard=guard),
-        1, 8,
+        "verify_union_product", 1, 8, options=("guard",),
     ),
     "L3-cycle": Check(
         "three-term cycle recurrence reproduces the brute-force cycle polynomial",
-        lambda n, guard=None: _walking_graphs("verify_cycle_recurrence", n, guard=guard),
-        1, 15,
+        "verify_cycle_recurrence", 1, 15, options=("guard",),
     ),
     "L4-gamma": Check(
         "gamma(C_n) = ceil(n/3), and gamma adds over cycle partitions",
-        lambda n: _walking_graphs("verify_gamma_additivity_and_ceiling", n), 1, 15,
+        "verify_gamma_additivity_and_ceiling", 1, 15,
     ),
-    "L5-alpha": Check(
-        "D(C_n,-1) closed form (3 when 4|n, else -1)",
-        lambda n: verify_alpha(n), 1, 200,
-    ),
-    "REL2-beta": Check(
-        "D'(C_n,-1) closed form (-n, n, 0, 0 by n mod 4)",
-        lambda n: verify_beta(n), 1, 200,
-    ),
-    "REL3-theta": Check(
-        "D''(C_n,-1) closed form by n mod 4",
-        lambda n: verify_theta(n), 1, 200,
-    ),
+    "L5-alpha": Check("D(C_n,-1) closed form (3 when 4|n, else -1)", "verify_alpha", 1, 200),
+    "REL2-beta": Check("D'(C_n,-1) closed form (-n, n, 0, 0 by n mod 4)", "verify_beta", 1, 200),
+    "REL3-theta": Check("D''(C_n,-1) closed form by n mod 4", "verify_theta", 1, 200),
     "L6-ord3": Check(
         "ord_3 of D(C_n,-3) follows the ceil(n/3) table; 9 never divides b_n",
-        lambda n: verify_ord3_table(n), 1, 1000,
+        "verify_ord3_table", 1, 1000,
     ),
     "R1-remark": Check(
         "mod-27 residues {4,13,22} pin down the ambiguous ord_3 branch; b mod 9 has period 27",
-        lambda n: verify_remark(n), 1, 1000,
+        "verify_remark", 1, 1000,
     ),
     "T5-partitions": Check(
         "only the trivial cycle partition reproduces D(C_n,x)",
-        lambda n, min_part=3: verify_cycle_uniqueness_by_elimination(n, min_part), 3, 1000,
+        "verify_cycle_uniqueness_by_elimination", 3, 1000, options=("min_part",),
     ),
     "T5-ten-cases": Check(
         "every alpha-compatible part triple falls in the 10-case table and is eliminated",
-        lambda n: verify_ten_case_table(n), 9, 60,
+        "verify_ten_case_table", 9, 60,
     ),
     "COR-wheel": Check(
         "the wheel's polynomial-equivalence class over a complete corpus is a singleton",
-        lambda n, result, guard=None: _walking_graphs("verify_wheel_uniqueness", n, result, guard=guard),
-        4,
+        "verify_wheel_uniqueness", 4, options=("guard",),
     ),
     "P-path-class": Check(
         "the path's class has exactly two members; the companion construction realizes it",
-        lambda n, result, guard=None: _walking_graphs("verify_path_class", n, result, guard=guard),
-        6, step=3,
+        "verify_path_class", 6, step=3, options=("guard",),
     ),
 }

@@ -341,12 +341,10 @@ def _run_verify(args):
     check = checks.CHECKS.get(args.lemma)
     if check is None:
         # `all` hands the guard to the corpus classification and checks only.
-        kind, options = "all", {"guard"} if args.corpus_dir else set()
+        kind, options = "all", ("guard",) if args.corpus_dir else ()
     else:
         kind = "range" if check.default_n is not None else "corpus"
-        # The options a check reads are its runner's parameters.
-        code = check.run.__code__
-        options = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+        options = check.options
     for flag, value, taken in (
         ("--guard-override", args.guard_override, "guard" in options),
         ("--max-n", args.max_n, kind == "range"),
@@ -366,8 +364,6 @@ def _run_verify(args):
         ok = all(r.passed for r in reports)
         return {"reports": [r.to_json_dict() for r in reports]}, ok
 
-    given = {"guard": args.guard_override, "min_part": args.min_part}
-    kwargs = {k: v for k, v in given.items() if v is not None}
     if kind == "corpus":
         from . import verify
         from .oracle import _check_guard
@@ -379,7 +375,7 @@ def _run_verify(args):
         # The check walks W_n or P_n, of order n, under the walk guard.
         _check_guard(args.n, _guard(args))
         result = verify.classify_corpus(_read_corpus(args.corpus), corpus_guard=args.guard_override)
-        rep = check.run(args.n, result, **kwargs)
+        rep = check.run(args.n, result, guard=args.guard_override)
     else:
         max_n = check.default_n if args.max_n is None else args.max_n
         if max_n < check.min_n:
@@ -387,7 +383,7 @@ def _run_verify(args):
                 f"verify {args.lemma} covers n >= {check.min_n}; --max-n {max_n} "
                 f"leaves nothing to check"
             )
-        rep = check.run(max_n, **kwargs)
+        rep = check.run(max_n, guard=args.guard_override, min_part=args.min_part)
     return rep.to_json_dict(), rep.passed
 
 
@@ -396,19 +392,29 @@ def _run_verify(args):
 MAX_SEARCH_ROWS = 50_000
 
 
-def _partition_count(n: int, min_part: int) -> int:
-    """Partitions of n >= 0 into parts >= min_part, one part size at a time."""
-    ways = [1] + [0] * n
-    for part in range(min_part, n + 1):
-        for m in range(part, n + 1):
-            ways[m] += ways[m - part]
-    return ways[n]
+def _partition_counts(min_part: int) -> list[int]:
+    """The numbers of partitions of 0, 1, 2, ... into parts >= min_part, up
+    to the first above MAX_SEARCH_ROWS (at 63 for parts >= 3, 42 for parts
+    >= 1). From n = 8 on the count grows with n: adding 1 to the largest
+    part maps the partitions of n into those of n + 1 without collisions,
+    and misses those whose two largest parts are equal. So that first count
+    is below every larger n's, and the table is built only up to it."""
+    size = 1
+    while True:
+        ways = [1] + [0] * size
+        for part in range(min_part, size + 1):
+            for m in range(part, size + 1):
+                ways[m] += ways[m - part]
+        if ways[size] > MAX_SEARCH_ROWS:
+            return ways[:next(m for m, c in enumerate(ways) if c > MAX_SEARCH_ROWS) + 1]
+        size *= 2
 
 
 def _run_search_partitions(args):
     _reject_guard(args)
-    # n < 1 is left to the enumeration, which refuses it with its own message.
-    if args.n >= 1 and (count := _partition_count(args.n, args.min_part)) > MAX_SEARCH_ROWS:
+    counts = _partition_counts(args.min_part)
+    if args.n >= len(counts) - 1:
+        count = counts[-1] if args.n == len(counts) - 1 else f"more than {counts[-1]}"
         raise SizeGuardError(f"search-partitions {args.n} would list {count} partitions, "
                              f"above {MAX_SEARCH_ROWS}; verify T5-partitions --max-n {args.n} "
                              f"--min-part {args.min_part} decides uniqueness without listing them")

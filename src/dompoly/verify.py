@@ -12,7 +12,7 @@ the registry.
 The checks that walk no graph, the cycle-partition routes and the
 registry, `CHECKS`, live in `dompoly.checks`, which imports only `errors`
 and `cycles`; this module re-exports them, so `dompoly.verify` names
-every check.
+every check, and `__all__` lists every runner a `CHECKS` entry names.
 """
 
 from __future__ import annotations
@@ -489,6 +489,6 @@ def run_all(
     }
     for check in corpus_checks:
         reports += [
-            check.run(n, result, guard) for n, result in classified.items() if check.covers(n)
+            check.run(n, result, guard=guard) for n, result in classified.items() if check.covers(n)
         ]
     return reports

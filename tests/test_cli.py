@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from functools import cache
 from pathlib import Path
 
@@ -816,10 +817,16 @@ def test_search_partitions_refuses_too_many_rows_before_listing(capsys, monkeypa
     match = checks.match_partitions
     calls = []
     monkeypatch.setattr(checks, "match_partitions", lambda *a: calls.append(a) or match(*a))
-    for argv in (("70",), ("42", "--min-part", "1")):
+    # Past the first n above the limit, the count is not computed: any
+    # larger n is refused at once, as having more partitions than that n.
+    for argv, count in ((("70",), "more than 50305"), (("42", "--min-part", "1"), "53174"),
+                        (("20000",), "more than 50305")):
+        t0 = time.perf_counter()
         code, out, err = run(capsys, "search-partitions", *argv)
+        assert time.perf_counter() - t0 < 1, argv
         assert (code, out, calls) == (3, "", []), argv
-        assert f"above {cli.MAX_SEARCH_ROWS}; verify T5-partitions --max-n {argv[0]}" in err
+        assert (f"would list {count} partitions, above {cli.MAX_SEARCH_ROWS}; "
+                f"verify T5-partitions --max-n {argv[0]}") in err
     for argv, rows in ((("62",), 44004), (("41", "--min-part", "1"), 44583)):
         code, out, _ = run(capsys, "search-partitions", *argv)
         assert code == 0 and len(json.loads(out)["partitions"]) == rows, argv

@@ -1315,6 +1315,24 @@ def test_corpus_checks_refuse_by_the_registry_rule(lemma, check):
                 check(n, empty)
 
 
+@pytest.mark.parametrize("lemma", CHECKS)
+def test_the_registry_matches_its_runners(lemma):
+    """A `CHECKS` entry names its runner, which `dompoly.verify` exports
+    (where a profiler finds what to wrap), and states the runner's keyword
+    parameters as its options and the runner's default range as its own."""
+    check = CHECKS[lemma]
+    assert check.runner in verify.__all__
+    runner = getattr(verify, check.runner)
+    code = runner.__code__
+    params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    defaults = dict(zip(reversed(params), reversed(runner.__defaults__ or ())))
+    # A range check's runner takes its range's end, a corpus check's the
+    # order and the classification; every later parameter is an option.
+    given = 1 if check.default_n is not None else 2
+    assert params[given:] == check.options
+    assert defaults.get(params[0]) == check.default_n
+
+
 # ---------------------------------------------------------------------------
 # Full suite
 # ---------------------------------------------------------------------------
