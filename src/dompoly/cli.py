@@ -177,9 +177,12 @@ def split_family_spec(spec: str) -> tuple[str, tuple[int, ...]]:
 
 
 def _read_corpus(path: str | Path) -> list[bytes]:
-    from .graphs import iter_graph6_records
+    from .graphs import _G6_HEADER, iter_graph6_records
 
-    return list(iter_graph6_records(Path(path).read_bytes().splitlines()))
+    data = Path(path).read_bytes()
+    # `splitlines` drops every line end, so with no header a record is a nonempty line.
+    lines = data.splitlines()
+    return list(iter_graph6_records(lines) if _G6_HEADER in data else filter(None, lines))
 
 
 def _read_corpus_dir(dir_str: str) -> dict[int, list[bytes]]:

@@ -13,7 +13,8 @@ usual graph generators.
 re-check because their masks are valid as built: `parse_graph6` and
 `from_edges` start each mask at its own vertex and set each in-range edge
 between two distinct vertices in both masks at once, and `disjoint_union`
-shifts two valid graphs' masks apart.
+shifts two valid graphs' masks apart. `verify`'s seeded random graphs
+build their masks as `from_edges` does.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class Graph:
     masks valid as built and go through `_valid`, which skips the checks:
     `parse_graph6` and `from_edges` start each mask at its own vertex and set
     every in-range edge between distinct vertices in both endpoints' masks,
-    and `disjoint_union` shifts the masks of two valid graphs apart.
+    and `disjoint_union` shifts the masks of two valid graphs apart;
+    `verify`'s seeded random graphs build as `from_edges` does.
     `complete`, `join`, `induced_subgraph` and user code build through the
     checks.
     """

@@ -222,14 +222,15 @@ def test_poly_on_graph6_file(capsys, tmp_path):
     f = tmp_path / "k3.g6"
     outs = []
     # A header line; then CRLF line ends, a blank line and a header glued
-    # to the record, which must read the same.
-    for content in (b">>graph6<<\nBw\n", b"\r\n>>graph6<<Bw\r\n\r\n"):
+    # to the record, which must read the same, as must the file with no
+    # header at all, with those line ends or none.
+    for content in (b">>graph6<<\nBw\n", b"\r\n>>graph6<<Bw\r\n\r\n", b"\r\nBw\r\n\r\n", b"Bw"):
         f.write_bytes(content)
         code, out, _ = run(capsys, "poly", "--graph6", str(f))
         assert code == 0
         outs.append(out)
     assert json.loads(outs[0])["results"][0]["coefficients"] == ["0", "3", "3", "1"]
-    assert outs[1] == outs[0]
+    assert outs[1:] == outs[:1] * 3
 
 
 def test_verify_verbs(capsys):

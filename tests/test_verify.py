@@ -173,6 +173,19 @@ def test_union_product_report():
     assert rep.counterexamples == []
 
 
+def test_seeded_union_graphs_match_the_edge_list_build():
+    """`_random_graph` sets its masks from the same draws, in the same
+    order, as an edge list read by `Graph.from_edges`: L2-union's 400
+    graphs are the ones its seed always gave."""
+    ours, theirs = random.Random(verify.UNION_SEED), random.Random(verify.UNION_SEED)
+    for _ in range(2 * verify.UNION_PAIRS):
+        n = theirs.randint(1, 8)
+        p = theirs.choice((0.15, 0.3, 0.5, 0.7, 0.85))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if theirs.random() < p]
+        assert verify._random_graph(ours, 8) == Graph.from_edges(n, edges)
+    assert ours.random() == theirs.random()
+
+
 def test_cycle_recurrence_report():
     assert verify_cycle_recurrence(12).passed
 
@@ -1052,6 +1065,72 @@ def test_malformed_record_in_a_full_batch_takes_the_parse_route(monkeypatch, cor
         "nonzero padding bit (byte offset 5)", "byte 127 outside graph6 range (byte offset 2)"]
     _parse_route_only(monkeypatch)
     assert by_lanes == classify_corpus(records).to_json_dict()
+
+
+def _readers(result, n):
+    """What each reader of a classification gives, the report time aside."""
+    wheel_report = verify_wheel_uniqueness(n, result).to_json_dict()
+    del wheel_report["timing_ms"]
+    found = [result.class_of(c.key_polynomial).to_json_dict() for c in result.classes]
+    return (result.to_json_dict(), found, result.member_count, result.completeness_problems(n),
+            wheel_report)
+
+
+def test_a_profile_split_between_walked_and_parsed_records_is_one_class(monkeypatch, corpus):
+    """A padding bit sends the full batch through the parse route, and the
+    three records drawn after it are walked; each repeats a parsed record,
+    so their profiles have records on both routes. Every reader agrees
+    with the parse route alone, and `classes` gives each profile one class."""
+    records = (corpus(8) * -(-(verify.LANES + 3) // len(corpus(8))))[:verify.LANES + 3]
+    good = records[1000]
+    records[1000] = good[:-1] + bytes([63 + (good[-1] - 63 | 1)])
+    walked = []
+
+    def spy(batch, walk=verify.graph6_profiles):
+        profiles = walk(batch)
+        walked.append((len(batch), profiles is None))
+        return profiles
+
+    monkeypatch.setattr(verify, "graph6_profiles", spy)
+    result = classify_corpus(records)
+    assert walked == [(verify.LANES, True), (3, False)]
+    # Each walked record's profile also keys parsed records.
+    (order, _, profiles), = result._lanes
+    assert order == 8 and all(tuple(profiles[r * 8:r * 8 + 8]) in result._groups for r in range(3))
+    by_lanes = _readers(result, 8)
+    keys = [tuple(c["key_polynomial"]) for c in by_lanes[0]["classes"]]
+    assert len(keys) == len(set(keys)) == 1953
+    # One record is unparseable, and the rest are the 12,346 graphs and repeats.
+    assert by_lanes[2] == verify.LANES + 2 and by_lanes[3] == [
+        "unparseable records: 1", f"repeated records: {verify.LANES + 2 - 12346}",
+        "records: 16387, graphs of order 8: 12346"]
+    _parse_route_only(monkeypatch)
+    assert by_lanes == _readers(classify_corpus(records), 8)
+
+
+def test_class_of_counts_no_key_that_straddles_two_records():
+    """Lane members are found with `bytes.find`, and a hit counts only at
+    a multiple of n. Here the key (1, 2, 1) is the third record's profile
+    and straddles two records at bytes 1 and 8, before and after it; the
+    key (2, 9, 1) straddles at byte 4 and is no record's; and keys past a
+    byte's range are nobody's in a buffer."""
+    profiles = bytes([5, 1, 2, 1, 2, 9, 1, 2, 1, 2, 1, 1])
+    result = verify.CorpusClassification({}, [(3, [b"A", b"B", b"C", b"D"], profiles)], [])
+    assert [i for i in range(10) if profiles[i:i + 3] == bytes([1, 2, 1])] == [1, 6, 8]
+    assert result.class_of(IntPolynomial((0, 1, 2, 1))).members == ["C"]
+    assert result.class_of(IntPolynomial((0, 2, 1, 1))).members == ["D"]
+    assert result.class_of(IntPolynomial((0, 2, 9, 1))) is None
+    assert result.class_of(IntPolynomial((0, 1, 256 + 2, 1))) is None
+    assert result.class_of(IntPolynomial((0, -1, 2, 1))) is None
+    # Order 11's counts pass 255: only the parse route holds its key.
+    records = list(map(encode_graph6, (cycle(11), cycle(8), path(8), wheel(8), wheel(11))))
+    result = classify_corpus(records, corpus_guard=11)
+    assert [n for n, _, _ in result._lanes] == [8]
+    key = domination_polynomial(wheel(11))
+    assert max(key.coeffs) > 255
+    assert result.class_of(key).members == [records[-1].decode()]
+    assert result.class_of(domination_polynomial(cycle(11))).members == [records[0].decode()]
+    assert result.class_of(domination_polynomial(wheel(8))).members == [records[3].decode()]
 
 
 def test_classification_keys_records_by_profile(monkeypatch, classified, corpus):
